@@ -57,9 +57,9 @@ static void BM_StrongArmCycle(benchmark::State& state) {
 BENCHMARK(BM_StrongArmCycle)->Arg(0)->Arg(1);
 
 static void BM_TokenStoreScan(benchmark::State& state) {
-  // The compiled backend's Process(place) filter: scan a stage's SoA token
-  // pool (packed key + ready arrays) for consumable instruction tokens of
-  // one place. arg: pool population.
+  // The Process(place) filter every backend runs: walk a stage's age-ordered
+  // token list and keep the ready instruction tokens of one place, testing
+  // each token's own (place, kind, ready) fields. arg: list population.
   const unsigned n = static_cast<unsigned>(state.range(0));
   core::TokenStore store;
   std::vector<core::InstructionToken> tokens(n);
@@ -68,15 +68,13 @@ static void BM_TokenStoreScan(benchmark::State& state) {
     tokens[i].ready = i % 2;
     store.insert_visible(&tokens[i]);
   }
-  const core::TokenStore::Key want =
-      core::TokenStore::key(core::PlaceId{1}, core::TokenKind::instruction);
+  const core::PlaceId want = 1;
   const core::Cycle clock = 0;  // ready values are 0/1: half the slots fail
   for (auto _ : state) {
     unsigned hits = 0;
-    const core::TokenStore::Key* keys = store.keys();
-    const core::Cycle* ready = store.ready();
-    for (std::size_t i = 0; i < store.size(); ++i)
-      if (keys[i] == want && ready[i] <= clock) ++hits;
+    for (const core::Token* t : store.ptrs())
+      if (t->place == want && t->kind == core::TokenKind::instruction && t->ready <= clock)
+        ++hits;
     benchmark::DoNotOptimize(hits);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
@@ -84,13 +82,10 @@ static void BM_TokenStoreScan(benchmark::State& state) {
 BENCHMARK(BM_TokenStoreScan)->Arg(4)->Arg(16)->Arg(64);
 
 static void BM_TokenStoreRemove(benchmark::State& state) {
-  // The compiled/generated firing path's token removal. arg0: pool
-  // population; arg1 = 1: the same-index hint the scan loop carries
-  // (remove_visible_at — O(1) when the hint holds), 0: the plain pointer
-  // search (remove_visible — O(n) find). Removal targets walk the pool
+  // The firing path's token removal: find the token in the age-ordered list
+  // and erase it. arg: list population. Removal targets walk the list
   // front-to-back, the scan order of Process(place).
   const unsigned n = static_cast<unsigned>(state.range(0));
-  const bool hinted = state.range(1) == 1;
   core::TokenStore store;
   std::vector<core::InstructionToken> tokens(n);
   for (unsigned i = 0; i < n; ++i) {
@@ -99,17 +94,15 @@ static void BM_TokenStoreRemove(benchmark::State& state) {
   }
   unsigned next = 0;
   for (auto _ : state) {
-    core::Token* victim = store.at(next % store.size());
-    const std::size_t hint = next % store.size();
-    const bool removed =
-        hinted ? store.remove_visible_at(hint, victim) : store.remove_visible(victim);
+    core::Token* victim = store.ptrs()[next % store.size()];
+    const bool removed = store.remove_visible(victim);
     benchmark::DoNotOptimize(removed);
     store.insert_visible(victim);  // refill so the population stays at n
     ++next;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_TokenStoreRemove)->Args({16, 0})->Args({16, 1})->Args({64, 0})->Args({64, 1});
+BENCHMARK(BM_TokenStoreRemove)->Arg(1)->Arg(16)->Arg(64);
 
 static void BM_DecodeCacheHit(benchmark::State& state) {
   machines::ArmMachine::Config cfg;

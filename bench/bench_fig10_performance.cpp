@@ -29,7 +29,6 @@
 
 #include "baseline/simplescalar_sim.hpp"
 #include "bench/bench_util.hpp"
-#include "core/soa_scan.hpp"
 #include "gen/generated.hpp"
 #include "machines/strongarm.hpp"
 #include "machines/xscale.hpp"
@@ -235,53 +234,7 @@ int main() {
         [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
   }
 
-  // (2) SIMD SoA scans — kernel-level at 32 slots with scattered keys, the
-  // wide-pool regime the 8-wide filter targets (below soa::kSimdMinSlots the
-  // kernels fall back to the scalar loop by design, and the in-order ARM
-  // stages live there — see the e2e mcps columns for the whole-machine
-  // picture). In a non-AVX2 build both sides run identical code.
-  double abl_simd = 0.0;
-  {
-    constexpr std::size_t n = 32;
-    std::uint32_t seed = 0x9e3779b9u;
-    std::vector<std::uint32_t> keys(n);
-    std::vector<core::Cycle> ready(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      seed = seed * 1664525u + 1013904223u;
-      keys[i] = (seed >> 16) % 5;
-      ready[i] = (seed >> 8) % 3 ? 0 : 1000;
-    }
-    volatile std::uint64_t guard = 0;
-    const auto pass = [&]() -> double {
-      std::uint64_t sink = 0;
-      const auto [unused, secs] = bench::timed([&] {
-        for (int i = 0; i < 400000; ++i) {
-          const auto want = static_cast<std::uint32_t>((i * 7) % 5);
-          sink += core::soa::count_matches(keys.data(), n, want);
-          sink += core::soa::find_match_ready(keys.data(), ready.data(), n, want, 10);
-          core::soa::for_each_match_ready(keys.data(), ready.data(), n, want, 10,
-                                          [&](std::size_t j) { sink += j; });
-        }
-        return 0;
-      });
-      (void)unused;
-      guard = guard + sink;
-      return secs;
-    };
-    abl_simd = ab_ratio(5,
-                        [&] {
-                          core::soa::scalar_override() = false;
-                          return pass();
-                        },
-                        [&] {
-                          core::soa::scalar_override() = true;
-                          const double t = pass();
-                          core::soa::scalar_override() = false;
-                          return t;
-                        });
-  }
-
-  // (3) Quiescence cycle-skipping — StrongArm compiled in a latency-bound
+  // (2) Quiescence cycle-skipping — StrongArm compiled in a latency-bound
   // configuration (tiny direct-mapped caches, 1000-cycle miss penalty) on
   // go, where long miss stalls leave whole idle windows to jump over. The
   // default caches hit >99% on these kernels and leave nothing to skip, so
@@ -312,7 +265,7 @@ int main() {
         [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
   }
 
-  // (4) Profile-guided emission ordering — measured below on the emitted
+  // (3) Profile-guided emission ordering — measured below on the emitted
   // binaries (gen_sim_strongarm_crc_profile vs the default-ordered twin)
   // since the ordering is baked in at emission time.
   double abl_profile = 0.0;
@@ -368,7 +321,7 @@ int main() {
     fs_ratio_sa = ratio_for("strongarm_crc", fs_mcps_sa);
     fs_ratio_xs = ratio_for("xscale_adpcm", fs_mcps_xs);
 
-    // Ablation (4): profile-ordered emission vs the default-ordered twin of
+    // Ablation (3): profile-ordered emission vs the default-ordered twin of
     // the same model, same --time harness, interleaved best-of-9 (the win is
     // a few percent, under the single-sample noise floor of a shared host).
     {
@@ -406,8 +359,6 @@ int main() {
 
   std::printf("\nper-optimization ablations (>= 1.0x means the switch pays):\n");
   std::printf("  decode cache (StrongArm(c), crc, vs bypass):        %.2fx\n", abl_decode);
-  std::printf("  SIMD SoA scans (32-slot kernels, vs scalar, %s): %.2fx\n",
-              core::soa::simd_compiled() ? "avx2" : "portable=identical", abl_simd);
   std::printf("  quiescence skip (latency-bound go, %.0f%% idle):      %.2fx\n",
               100.0 * quiesce_frac, abl_quiesce);
   if (abl_profile > 0.0)
@@ -470,8 +421,6 @@ int main() {
 
   bench::JsonObj ablations;
   ablations.num("decode_cache", abl_decode)
-      .num("simd_scan", abl_simd)
-      .str("simd_scan_path", core::soa::simd_compiled() ? "avx2" : "portable")
       .num("quiescence_skip", abl_quiesce)
       .num("quiescence_idle_fraction", quiesce_frac);
   if (abl_profile > 0.0) ablations.num("profile_order", abl_profile);

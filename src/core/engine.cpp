@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/soa_scan.hpp"
 #include "util/logging.hpp"
 
 namespace rcpn::core {
@@ -304,11 +303,10 @@ bool Engine::place_has_room(PlaceId p, std::uint32_t n) const {
 }
 
 unsigned Engine::tokens_in_place(PlaceId p) const {
-  // SoA filter scan: the packed key tests (place, kind) without touching the
-  // tokens themselves.
-  const TokenStore& ts = place_stage_[static_cast<unsigned>(p)]->store();
-  const TokenStore::Key want = TokenStore::key(p, TokenKind::instruction);
-  return soa::count_matches(ts.keys(), ts.size(), want);
+  unsigned n = 0;
+  for (const Token* t : place_stage_[static_cast<unsigned>(p)]->tokens())
+    if (t->place == p && t->kind == TokenKind::instruction) ++n;
+  return n;
 }
 
 void Engine::enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay) {
@@ -404,14 +402,11 @@ void Engine::flush_stage_if(StageId s, const std::function<bool(const Token&)>& 
 // ---------------------------------------------------------------------------
 
 Token* Engine::find_ready_reservation(PlaceId p) const {
-  // SoA filter scan in age order (identical to the old per-token walk, minus
-  // the dereferences): reservations carry no data, so the match never needs
-  // to touch the token until it is returned.
-  const TokenStore& ts = place_stage_[static_cast<unsigned>(p)]->store();
-  const TokenStore::Key want = TokenStore::key(p, TokenKind::reservation);
-  const std::size_t n = ts.size();
-  const std::size_t i = soa::find_match_ready(ts.keys(), ts.ready(), n, want, clock_);
-  return i < n ? ts.at(i) : nullptr;
+  // Oldest first: the stage list is age-ordered.
+  for (Token* t : place_stage_[static_cast<unsigned>(p)]->tokens())
+    if (t->place == p && t->kind == TokenKind::reservation && t->ready <= clock_)
+      return t;
+  return nullptr;
 }
 
 bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
@@ -522,14 +517,7 @@ bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
 }
 
 void Engine::process_place(PlaceId p) {
-  PipelineStage& st = *place_stage_[static_cast<unsigned>(p)];
-  if (st.tokens().empty()) return;
-  // Snapshot: firing mutates the stage's token list.
-  scratch_.clear();
-  for (Token* t : st.tokens())
-    if (t->place == p && t->kind == TokenKind::instruction && t->ready <= clock_)
-      scratch_.push_back(static_cast<InstructionToken*>(t));
-  if (scratch_.empty()) return;
+  if (!snapshot_ready(p, *place_stage_[static_cast<unsigned>(p)])) return;
 
   const unsigned nt = net_.num_types();
   for (InstructionToken* tok : scratch_) {
@@ -668,8 +656,7 @@ void Engine::maybe_skip_quiescent() {
   for (unsigned s = 0; s < net_.num_stages(); ++s) {
     const PipelineStage& st = net_.stage(static_cast<StageId>(s));
     if (!st.incoming().empty()) return;
-    const TokenStore& ts = st.store();
-    earliest = std::min(earliest, soa::min_ready(ts.ready(), ts.size()));
+    for (const Token* t : st.tokens()) earliest = std::min(earliest, t->ready);
   }
   if (earliest == ~Cycle{0}) return;  // no visible tokens: nothing to jump to
   if (earliest <= clock_) {

@@ -183,11 +183,11 @@ class Engine {
   std::uint64_t tokens_in_flight() const { return in_flight_; }
 
   // -- narrow token-storage interface -----------------------------------------
-  // Both backends store tokens in the per-stage SoA pools (TokenStore); these
-  // are the only entry points, so guards, actions and stats observe identical
-  // token semantics regardless of which hot loop runs.
+  // Every backend stores tokens in the per-stage age-ordered lists
+  // (TokenStore); these are the only entry points, so guards, actions and
+  // stats observe identical token semantics regardless of which hot loop runs.
 
-  /// The SoA token pool of stage `s`.
+  /// The token lists of stage `s`.
   const TokenStore& token_store(StageId s) const { return net_.stage(s).store(); }
   /// Pre-size the recycling arenas (compiled lowering: pool hints), so the
   /// steady state allocates nothing.
@@ -278,6 +278,17 @@ class Engine {
   /// stats_.cycles to the earliest cycle at which any token becomes ready,
   /// capped by the deadlock and run(max_cycles) horizons.
   void maybe_skip_quiescent();
+
+  /// The Process(place) snapshot every backend iterates (firing mutates the
+  /// stage's list): fill scratch_ with the visible instruction tokens of `p`
+  /// that are ready this cycle, in age order. False when there are none.
+  bool snapshot_ready(PlaceId p, const PipelineStage& st) {
+    scratch_.clear();
+    for (Token* t : st.tokens())
+      if (t->place == p && t->kind == TokenKind::instruction && t->ready <= clock_)
+        scratch_.push_back(static_cast<InstructionToken*>(t));
+    return !scratch_.empty();
+  }
 
   // -- shared fire/stall accounting -------------------------------------------
   // ONE definition of the hot-loop bookkeeping (and, under RCPN_OBS, of the

@@ -1,9 +1,9 @@
 // Pipeline stages: the storage elements instructions reside in (latches,
 // reservation stations, ...). Every place is assigned to a stage; places with
 // the same stage share its capacity, and the tokens of a place are physically
-// stored in its stage (paper §3, "Places"). Storage is a TokenStore: an
-// age-ordered SoA pool both backends operate on, so their token semantics are
-// identical by construction.
+// stored in its stage (paper §3, "Places"). Storage is a TokenStore: the
+// age-ordered token lists every backend operates on, so their token
+// semantics are identical by construction.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,8 @@ class PipelineStage {
   const std::vector<Token*>& tokens() const { return store_.ptrs(); }
   const std::vector<Token*>& incoming() const { return store_.incoming_ptrs(); }
 
-  /// The SoA token pool itself (filter-field scans without token derefs).
-  /// Read-only: all mutation goes through the stage so the two-list routing
-  /// and occupancy invariants hold.
+  /// The token lists themselves. Read-only: all mutation goes through the
+  /// stage so the two-list routing and occupancy invariants hold.
   const TokenStore& store() const { return store_; }
   /// Pre-size the pool (gen:: lowering); the one sizing hook lowering needs.
   void reserve_store(std::size_t n) { store_.reserve(n); }
@@ -86,8 +85,6 @@ class PipelineStage {
 
   /// Remove a (visible) token; returns false if absent.
   bool remove(Token* t) { return store_.remove_visible(t); }
-  /// Remove with a slot-index hint (see TokenStore::remove_visible_at).
-  bool remove_at(std::size_t hint, Token* t) { return store_.remove_visible_at(hint, t); }
 
   /// Remove a token from either list (flush path); returns false if absent.
   bool remove_any(Token* t) { return store_.remove_any(t); }

@@ -1,32 +1,21 @@
-// TokenStore: per-stage structure-of-arrays token storage, plus the dense
-// chunked arenas the engine's token pools recycle from.
+// TokenStore: per-stage token storage, plus the dense chunked arenas the
+// engine's token pools recycle from.
 //
-// The paper's speed argument (§4) is that the generated simulator performs no
-// dynamic discovery in the hot loop. The last discovery left after the PR-2
-// lowering pass was *token* discovery: every Process(place) scanned a
-// std::vector<Token*> and dereferenced each heap token just to test
-// (place, kind, ready) — three fields scattered across a ~160-byte
-// InstructionToken. This class splits exactly those filter fields into
-// parallel arrays maintained alongside the pointer list:
+// A stage holds two age-ordered (insertion-order) lists of Token pointers:
+// the visible slots every Process(place) scans, and the incoming buffer of
+// the two-list (master/slave) algorithm. Every backend filters a list by
+// dereferencing the tokens themselves (place, kind, ready), so each token
+// field has one copy and insert, erase and promote touch a single vector.
+// (Parallel key/ready lanes with AVX2 scans were measured slower end to end:
+// every shipped in-order latch holds one token, and keeping the lanes in
+// step cost more on each firing than the wide scans saved.)
 //
-//   ptrs_[i]   the token itself (only touched once a slot passes the filter)
-//   keys_[i]   place | kind<<16, packed so one 32-bit compare tests both
-//   ready_[i]  first cycle output transitions may consume the slot
-//
-// Slots are age-ordered (insertion order), matching the firing order the
-// interpreted engine established, so both backends see identical semantics by
-// construction: this *is* the storage — there is no mirror to drift. The
-// fields are written on insert and never change while a token resides in a
-// stage (place/ready are only mutated after removal; kind is immutable), so
-// no coherence protocol is needed. A second triple of arrays implements the
-// two-list (master/slave) incoming buffer.
-//
-// gen::CompiledModel::lower() sizes these pools (TokenStore::reserve +
+// gen::CompiledModel::lower() sizes these lists (TokenStore::reserve +
 // Engine::reserve_token_pools) so the compiled backend never grows a vector
-// in steady state; the compiled hot loop scans keys()/ready() directly and
-// skips the Token dereference for every slot that fails the filter.
+// in steady state.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -37,52 +26,43 @@ namespace rcpn::core {
 
 class TokenStore {
  public:
-  /// Packed (place, kind) filter key: one compare replaces two field loads
-  /// from the token. Tokens resident in a stage always have place >= 0.
-  using Key = std::uint32_t;
-  static constexpr Key key(PlaceId place, TokenKind kind) {
-    return static_cast<Key>(static_cast<std::uint16_t>(place)) |
-           (static_cast<Key>(static_cast<std::uint8_t>(kind)) << 16);
-  }
-
   // -- visible slots (age order) ----------------------------------------------
   std::size_t size() const { return ptrs_.size(); }
   bool empty() const { return ptrs_.empty(); }
   const std::vector<Token*>& ptrs() const { return ptrs_; }
-  Token* at(std::size_t i) const { return ptrs_[i]; }
-  /// Raw SoA views for filter scans (compiled hot loop).
-  const Key* keys() const { return keys_.data(); }
-  const Cycle* ready() const { return ready_.data(); }
 
   // -- incoming buffer (two-list stages) --------------------------------------
-  std::size_t incoming_size() const { return in_ptrs_.size(); }
   const std::vector<Token*>& incoming_ptrs() const { return in_ptrs_; }
 
   std::size_t occupancy() const { return ptrs_.size() + in_ptrs_.size(); }
 
-  /// Pre-size every array (compiled lowering: stage capacity), so steady
-  /// state never reallocates.
-  void reserve(std::size_t n);
+  /// Pre-size both lists (compiled lowering: stage capacity), so steady state
+  /// never reallocates.
+  void reserve(std::size_t n) {
+    ptrs_.reserve(n);
+    in_ptrs_.reserve(n);
+  }
 
-  /// Record `t` with its current (place, kind, ready) — callers set those
-  /// fields before insertion (Engine::enter_place) and never mutate them
-  /// while the token resides here.
-  void insert_visible(Token* t);
-  void insert_incoming(Token* t);
+  /// Append `t` as the youngest slot of the visible list / incoming buffer.
+  void insert_visible(Token* t) { ptrs_.push_back(t); }
+  void insert_incoming(Token* t) { in_ptrs_.push_back(t); }
 
   /// Remove a visible token, preserving age order; false if absent.
-  bool remove_visible(Token* t);
-  /// Same, but with the caller's best guess of the slot index (the compiled
-  /// scan loop knows where it saw the token). A correct hint removes without
-  /// searching; a stale one (earlier removals, flush actions) falls back to
-  /// the linear find, so the hint is never trusted for correctness.
-  bool remove_visible_at(std::size_t hint, Token* t);
+  bool remove_visible(Token* t) { return erase(ptrs_, t); }
   /// Remove from either list (flush path); false if absent.
-  bool remove_any(Token* t);
+  bool remove_any(Token* t) { return erase(ptrs_, t) || erase(in_ptrs_, t); }
 
   /// Make tokens written during the previous cycle visible and publish their
   /// pipeline state (InstructionToken::state) for hazard queries.
-  void promote();
+  void promote() {
+    if (in_ptrs_.empty()) return;
+    for (Token* t : in_ptrs_) {
+      ptrs_.push_back(t);
+      if (t->kind == TokenKind::instruction)
+        static_cast<InstructionToken*>(t)->state = t->place;
+    }
+    in_ptrs_.clear();
+  }
 
   /// Drop every token, visible first then incoming (the established squash
   /// order); invokes `fn(token)` for each.
@@ -91,23 +71,19 @@ class TokenStore {
     for (Token* t : ptrs_) fn(t);
     for (Token* t : in_ptrs_) fn(t);
     ptrs_.clear();
-    keys_.clear();
-    ready_.clear();
     in_ptrs_.clear();
-    in_keys_.clear();
-    in_ready_.clear();
   }
 
  private:
-  static void erase_slot(std::vector<Token*>& ptrs, std::vector<Key>& keys,
-                         std::vector<Cycle>& ready, std::size_t i);
+  static bool erase(std::vector<Token*>& list, Token* t) {
+    const auto it = std::find(list.begin(), list.end(), t);
+    if (it == list.end()) return false;
+    list.erase(it);
+    return true;
+  }
 
   std::vector<Token*> ptrs_;
-  std::vector<Key> keys_;
-  std::vector<Cycle> ready_;
   std::vector<Token*> in_ptrs_;
-  std::vector<Key> in_keys_;
-  std::vector<Cycle> in_ready_;
 };
 
 /// Dense chunked token arena: contiguous blocks instead of one heap object

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "core/soa_scan.hpp"
-
 namespace rcpn::gen {
 
 using core::FireCtx;
@@ -16,18 +14,16 @@ using core::Token;
 void CompiledEngine::build() {
   core::Engine::build();
   cm_ = CompiledModel::lower(*this);
-  // Apply the lowering's pool sizing: per-stage SoA slots and recycling
+  // Apply the lowering's pool sizing: per-stage token slots and recycling
   // arenas, so the generated simulator's steady state never reallocates.
   for (unsigned s = 0; s < cm_.num_stages; ++s)
     net_.stage(static_cast<StageId>(s)).reserve_store(cm_.stage_reserve[s]);
   reserve_token_pools(cm_.instr_pool_hint, cm_.res_pool_hint);
   scratch_.reserve(cm_.instr_pool_hint);
-  scratch_idx_.reserve(cm_.instr_pool_hint);
 }
 
 bool CompiledEngine::try_fire_compiled(const CompiledTransition& ct,
-                                       InstructionToken* tok, PipelineStage& from,
-                                       std::size_t hint) {
+                                       InstructionToken* tok, PipelineStage& from) {
   count_attempt(ct.id);
   if (ct.simple) {
     // Latch-to-latch: shape and destination stage were resolved at lowering.
@@ -41,7 +37,7 @@ bool CompiledEngine::try_fire_compiled(const CompiledTransition& ct,
       reject_cause_ = core::StallCause::guard_rejected;
       return false;
     }
-    const bool removed = from.remove_at(hint, tok);
+    const bool removed = from.remove(tok);
     assert(removed && "trigger token not visible in its place");
     (void)removed;
     tok->place = core::kNoPlace;
@@ -98,7 +94,7 @@ bool CompiledEngine::try_fire_compiled(const CompiledTransition& ct,
   }
 
   // ---- fire ----
-  const bool removed = from.remove_at(hint, tok);
+  const bool removed = from.remove(tok);
   assert(removed && "trigger token not visible in its place");
   (void)removed;
   tok->place = core::kNoPlace;
@@ -127,44 +123,21 @@ bool CompiledEngine::try_fire_compiled(const CompiledTransition& ct,
 }
 
 void CompiledEngine::process_place_compiled(PlaceId p, PipelineStage& st) {
-  // SoA filter scan over the stage's token pool: one packed-key compare and
-  // one ready compare per slot, in age order — tokens are only dereferenced
-  // once they pass (the interpreted engine walks the Token objects instead).
-  const core::TokenStore& ts = st.store();
-  const std::size_t n = ts.size();
-  const core::TokenStore::Key want =
-      core::TokenStore::key(p, core::TokenKind::instruction);
-  const core::TokenStore::Key* keys = ts.keys();
-  const core::Cycle* ready = ts.ready();
-  // Snapshot: firing mutates the pool. Slot indices ride along so each
-  // firing can hand remove_visible a same-index hint (snapshot position
-  // minus the removals already performed this pass) instead of searching.
-  scratch_.clear();
-  scratch_idx_.clear();
-  core::soa::for_each_match_ready(keys, ready, n, want, clock_, [&](std::size_t i) {
-    scratch_.push_back(static_cast<InstructionToken*>(ts.at(i)));
-    scratch_idx_.push_back(static_cast<std::uint32_t>(i));
-  });
-  if (scratch_.empty()) return;
+  if (!snapshot_ready(p, st)) return;
 
   const CompiledTransition* body = cm_.body.data();
-  std::size_t removed_here = 0;
-  for (std::size_t k = 0; k < scratch_.size(); ++k) {
-    InstructionToken* tok = scratch_[k];
+  for (InstructionToken* tok : scratch_) {
     // Re-check: an earlier firing in this cycle may have consumed, flushed or
     // even recycled-and-reinjected this token.
     if (tok->place != p || tok->squashed || tok->ready > clock_) continue;
     // Same last-candidate-wins attribution as Engine::process_place.
     reject_cause_ = core::StallCause::no_ready_token;
-    const std::size_t hint =
-        scratch_idx_[k] >= removed_here ? scratch_idx_[k] - removed_here : 0;
     const CandRange r = cm_.cell[static_cast<std::size_t>(p) * cm_.num_types +
                                  static_cast<unsigned>(tok->type)];
     bool fired = false;
     for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i) {
-      if (try_fire_compiled(body[i], tok, st, hint)) {
+      if (try_fire_compiled(body[i], tok, st)) {
         fired = true;
-        ++removed_here;
         break;
       }
     }
@@ -218,7 +191,7 @@ bool CompiledEngine::step() {
   const std::size_t np = cm_.order.size();
   for (std::size_t i = 0; i < np; ++i) {
     PipelineStage& st = *cm_.order_stage[i];
-    // Hoisted empty check: most places are empty most cycles, and the pool
+    // Hoisted empty check: most places are empty most cycles, and the list
     // size is one load away.
     if (!st.store().empty()) process_place_compiled(cm_.order[i], st);
   }

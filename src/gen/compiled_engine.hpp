@@ -39,16 +39,12 @@ class CompiledEngine final : public core::Engine {
 
  private:
   void process_place_compiled(core::PlaceId p, core::PipelineStage& st);
-  /// `hint` is the trigger token's expected slot index in `from`'s pool (the
-  /// scan position minus the removals this cycle); validated, never trusted.
   bool try_fire_compiled(const CompiledTransition& ct, core::InstructionToken* tok,
-                         core::PipelineStage& from, std::size_t hint);
+                         core::PipelineStage& from);
   bool independent_enabled_compiled(const CompiledTransition& ct);
   void fire_independent_compiled(const CompiledTransition& ct);
 
   CompiledModel cm_;
-  /// Snapshot slot indices parallel to Engine::scratch_ (removal hints).
-  std::vector<std::uint32_t> scratch_idx_;
 };
 
 }  // namespace rcpn::gen

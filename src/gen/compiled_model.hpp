@@ -115,7 +115,7 @@ struct CompiledModel {
   std::vector<core::StageId> place_stage;
   std::vector<std::uint32_t> place_delay;
 
-  /// Token-pool sizing, applied by CompiledEngine::build(): per-stage SoA
+  /// Token-pool sizing, applied by CompiledEngine::build(): per-stage slot
   /// reservation (stage capacity; the end stage and other unlimited stages
   /// get a fixed batch) and arena pre-allocation hints, so the generated
   /// simulator's steady state never grows a vector.

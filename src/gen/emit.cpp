@@ -67,8 +67,8 @@ std::string emit_cpp(const CompiledModel& cm, const core::Net& net) {
     appendf(out, "%s%u", p ? ", " : "", cm.place_delay[p]);
   out += "};\n\n";
 
-  // Token-pool sizing (SoA slots per stage + arena hints).
-  out += "// token pools: SoA slots reserved per stage; arena pre-allocation\n";
+  // Token-pool sizing (slots per stage + arena hints).
+  out += "// token pools: slots reserved per stage; arena pre-allocation\n";
   out += "constexpr std::uint32_t kStageReserve[kNumStages] = {";
   for (unsigned s = 0; s < cm.num_stages; ++s)
     appendf(out, "%s%u", s ? ", " : "", cm.stage_reserve[s]);

@@ -283,7 +283,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
   out += "};\n\n";
 
   // Token-pool sizing.
-  out += "  // token pools: SoA slots reserved per stage; arena pre-allocation\n";
+  out += "  // token pools: slots reserved per stage; arena pre-allocation\n";
   out += "  static constexpr std::uint32_t kStageReserve[kNumStages] = {";
   for (unsigned s = 0; s < cm.num_stages; ++s)
     appendf(out, "%s%u", s ? ", " : "", cm.stage_reserve[s]);

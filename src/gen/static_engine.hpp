@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/soa_scan.hpp"
 #include "gen/generated.hpp"
 
 namespace rcpn::gen {
@@ -77,7 +76,6 @@ class StaticEngine final : public core::Engine {
       net_.stage(static_cast<core::StageId>(s)).reserve_store(Traits::kStageReserve[s]);
     reserve_token_pools(Traits::kInstrPoolHint, Traits::kResPoolHint);
     scratch_.reserve(Traits::kInstrPoolHint);
-    scratch_idx_.reserve(Traits::kInstrPoolHint);
     order_stage_.clear();
     for (unsigned i = 0; i < Traits::kNumOrder; ++i)
       order_stage_.push_back(
@@ -124,7 +122,7 @@ class StaticEngine final : public core::Engine {
   }
 
   bool try_fire_static(const StaticTx& ct, core::InstructionToken* tok,
-                       core::PipelineStage& from, std::size_t hint) {
+                       core::PipelineStage& from) {
     count_attempt(ct.id);
     if (ct.simple) {
       // Latch-to-latch: shape and destination were resolved at emission.
@@ -138,7 +136,7 @@ class StaticEngine final : public core::Engine {
         reject_cause_ = core::StallCause::guard_rejected;
         return false;
       }
-      const bool removed = from.remove_at(hint, tok);
+      const bool removed = from.remove(tok);
       assert(removed && "trigger token not visible in its place");
       (void)removed;
       tok->place = core::kNoPlace;
@@ -197,7 +195,7 @@ class StaticEngine final : public core::Engine {
     }
 
     // ---- fire ----
-    const bool removed = from.remove_at(hint, tok);
+    const bool removed = from.remove(tok);
     assert(removed && "trigger token not visible in its place");
     (void)removed;
     tok->place = core::kNoPlace;
@@ -228,41 +226,21 @@ class StaticEngine final : public core::Engine {
   }
 
   void process_place_static(core::PlaceId p, core::PipelineStage& st) {
-    // SoA filter scan (see CompiledEngine): only the packed key and ready
-    // arrays are touched until a slot passes; slot indices ride along as
-    // same-index removal hints.
-    const core::TokenStore& ts = st.store();
-    const std::size_t n = ts.size();
-    const core::TokenStore::Key want =
-        core::TokenStore::key(p, core::TokenKind::instruction);
-    const core::TokenStore::Key* keys = ts.keys();
-    const core::Cycle* ready = ts.ready();
-    scratch_.clear();
-    scratch_idx_.clear();
-    core::soa::for_each_match_ready(keys, ready, n, want, clock_, [&](std::size_t i) {
-      scratch_.push_back(static_cast<core::InstructionToken*>(ts.at(i)));
-      scratch_idx_.push_back(static_cast<std::uint32_t>(i));
-    });
-    if (scratch_.empty()) return;
+    if (!snapshot_ready(p, st)) return;
 
-    std::size_t removed_here = 0;
-    for (std::size_t k = 0; k < scratch_.size(); ++k) {
-      core::InstructionToken* tok = scratch_[k];
+    for (core::InstructionToken* tok : scratch_) {
       // Re-check: an earlier firing in this cycle may have consumed, flushed
       // or even recycled-and-reinjected this token.
       if (tok->place != p || tok->squashed || tok->ready > clock_) continue;
       // Same last-candidate-wins attribution as Engine::process_place.
       reject_cause_ = core::StallCause::no_ready_token;
-      const std::size_t hint =
-          scratch_idx_[k] >= removed_here ? scratch_idx_[k] - removed_here : 0;
       const StaticCandRange r =
           Traits::kCell[static_cast<std::size_t>(p) * Traits::kNumTypes +
                         static_cast<unsigned>(tok->type)];
       bool fired = false;
       for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i) {
-        if (try_fire_static(Traits::kBody[i], tok, st, hint)) {
+        if (try_fire_static(Traits::kBody[i], tok, st)) {
           fired = true;
-          ++removed_here;
           break;
         }
       }
@@ -428,8 +406,6 @@ class StaticEngine final : public core::Engine {
   /// Pre-resolved stage of each kProcessOrder entry / two-list stage.
   std::vector<core::PipelineStage*> order_stage_;
   std::vector<core::PipelineStage*> two_list_ptrs_;
-  /// Snapshot token pointers + slot indices (removal hints), reused per place.
-  std::vector<std::uint32_t> scratch_idx_;
 };
 
 }  // namespace rcpn::gen

@@ -38,7 +38,8 @@ bool lsm_base_writeback(const DecodedInstruction& d) {
   return true;
 }
 
-// Direct RegRef hazard helpers (RegRef is final: these devirtualize).
+// Direct RegRef hazard helpers (RegRef is final and its operations are
+// inline: these compile to the bare register-file checks).
 bool ref_ready(const RegRef* r, std::span<const core::PlaceId> fwd) {
   if (r->can_read()) return true;
   for (core::PlaceId p : fwd)
@@ -46,12 +47,20 @@ bool ref_ready(const RegRef* r, std::span<const core::PlaceId> fwd) {
   return false;
 }
 
+/// A read found neither a committed value nor a forwarding source: the model
+/// let the instruction issue without checking ref_ready (no issue guard).
+[[noreturn]] void no_readable_source(const RegRef* r) {
+  throw regfile::HazardError(
+      "arm issue: register " + r->name() +
+      " has an in-flight writer and no forwarding place holds its value; the "
+      "issue transition must check operand readiness (pipe_issue_guard)");
+}
+
 std::uint32_t ref_peek(const RegRef* r, std::span<const core::PlaceId> fwd) {
   if (r->can_read()) return r->peek();
   for (core::PlaceId p : fwd)
     if (r->can_read_in(p)) return r->peek_in(p);
-  assert(false && "ref_peek without ref_ready");
-  return 0;
+  no_readable_source(r);
 }
 
 void ref_fetch(RegRef* r, std::span<const core::PlaceId> fwd) {
@@ -65,7 +74,7 @@ void ref_fetch(RegRef* r, std::span<const core::PlaceId> fwd) {
       return;
     }
   }
-  assert(false && "ref_fetch without ref_ready");
+  no_readable_source(r);
 }
 
 bool drained(const PipeEnv& env, core::Engine& eng) {

@@ -10,7 +10,7 @@
 //      flattened tables of gen::CompiledModel (Backend::compiled), or the
 //      model's registered gen::StaticEngine specialization from an emitted
 //      simulator TU (Backend::generated). All engines store tokens in
-//      the same per-stage SoA pools (core::TokenStore), so guards, actions,
+//      the same per-stage token lists (core::TokenStore), so guards, actions,
 //      hooks and stats observe identical token semantics on every backend;
 //      tests/test_fuzz_lockstep.cpp pins that equivalence on randomized
 //      generated models, tests/test_golden_traces.cpp on checked-in traces.

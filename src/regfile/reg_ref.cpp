@@ -17,80 +17,4 @@ void RegRef::reset_for_reuse() {
   value_ready_ = false;
 }
 
-bool RegRef::can_read() const {
-  // Readable when the architectural value is current: no in-flight writer.
-  return !file_->has_writer(cell_);
-}
-
-RegRef* RegRef::writer_in(PlaceId s) const {
-  // Newest-first: with multiple in-flight writers the most recent one holds
-  // the value this (younger) reader must see.
-  const unsigned n = file_->num_writers(cell_);
-  for (unsigned i = n; i > 0; --i) {
-    RegRef* w = file_->writer(cell_, i - 1);
-    if (w->owner_place() == s && w->value_ready_) return w;
-  }
-  return nullptr;
-}
-
-bool RegRef::can_read_in(PlaceId s) const {
-  // Only the *newest* writer may legally source a forward; if the writer in
-  // state s is stale (a newer reservation exists), forwarding from it would
-  // feed an old value.
-  RegRef* w = writer_in(s);
-  return w != nullptr && w == file_->last_writer(cell_);
-}
-
-void RegRef::read() {
-  value_ = file_->read_cell(cell_);
-  value_ready_ = true;
-}
-
-void RegRef::read_in(PlaceId s) {
-  RegRef* w = writer_in(s);
-  assert(w && "read_in without matching can_read_in guard");
-  value_ = w->value_;
-  value_ready_ = true;
-}
-
-Word RegRef::peek_in(PlaceId s) const {
-  RegRef* w = writer_in(s);
-  assert(w && "peek_in without matching can_read_in guard");
-  return w->value_;
-}
-
-bool RegRef::can_write() const {
-  if (file_->policy() == WritePolicy::single_writer) return !file_->has_writer(cell_);
-  return file_->num_writers(cell_) < 4;  // bounded by realistic pipeline depth
-}
-
-void RegRef::reserve_write() {
-  assert(!reserved_ && "double reserve_write");
-  file_->push_writer(cell_, this);
-  reserve_seq_ = file_->next_reserve_seq(cell_);
-  reserved_ = true;
-  value_ready_ = false;
-}
-
-void RegRef::writeback() {
-  assert(reserved_ && "writeback without reservation");
-  // Out-of-order completion: an older writer finishing after a newer one must
-  // not clobber the newer architectural value.
-  if (reserve_seq_ >= file_->committed_seq(cell_)) {
-    file_->write_cell(cell_, value_);
-    file_->set_committed_seq(cell_, reserve_seq_);
-  }
-  file_->remove_writer(cell_, this);
-  reserved_ = false;
-}
-
-void RegRef::release() {
-  if (reserved_) {
-    file_->remove_writer(cell_, this);
-    reserved_ = false;
-  }
-  value_ready_ = false;
-  writer_tag_ = nullptr;
-}
-
 }  // namespace rcpn::regfile

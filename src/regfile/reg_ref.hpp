@@ -11,6 +11,9 @@
 // descriptions are uniform over register and constant symbols.
 #pragma once
 
+#include <cassert>
+#include <string>
+
 #include "regfile/operand.hpp"
 #include "regfile/register_file.hpp"
 
@@ -32,21 +35,71 @@ class RegRef final : public Operand {
 
   bool bound() const { return file_ != nullptr; }
   RegisterId register_id() const { return reg_; }
+  /// Architectural name of the bound register (error messages).
+  const std::string& name() const { return file_->reg(reg_).name; }
   CellId cell() const { return cell_; }
   bool reserved() const { return reserved_; }
   PlaceId owner_place() const { return owner_place_ ? *owner_place_ : kNoPlace; }
 
   // -- Operand interface ------------------------------------------------------
-  bool can_read() const override;
-  bool can_read_in(PlaceId s) const override;
-  void read() override;
-  void read_in(PlaceId s) override;
-  bool can_write() const override;
-  void reserve_write() override;
-  void writeback() override;
-  void release() override;
+  // Defined here so the machines' issue guards and actions inline them (the
+  // class is final: calls through RegRef* need no dispatch).
+
+  /// Readable when the architectural value is current: no in-flight writer.
+  bool can_read() const override { return !file_->has_writer(cell_); }
+  /// Only the *newest* writer may legally source a forward; if the writer in
+  /// state s is stale (a newer reservation exists), forwarding from it would
+  /// feed an old value.
+  bool can_read_in(PlaceId s) const override {
+    RegRef* w = writer_in(s);
+    return w != nullptr && w == file_->last_writer(cell_);
+  }
+  void read() override {
+    value_ = file_->read_cell(cell_);
+    value_ready_ = true;
+  }
+  void read_in(PlaceId s) override {
+    RegRef* w = writer_in(s);
+    assert(w && "read_in without matching can_read_in guard");
+    value_ = w->value_;
+    value_ready_ = true;
+  }
+  bool can_write() const override {
+    if (file_->policy() == WritePolicy::single_writer) return !file_->has_writer(cell_);
+    return file_->num_writers(cell_) < 4;  // bounded by realistic pipeline depth
+  }
+  void reserve_write() override {
+    assert(!reserved_ && "double reserve_write");
+    file_->push_writer(cell_, this);
+    reserve_seq_ = file_->next_reserve_seq(cell_);
+    reserved_ = true;
+    value_ready_ = false;
+  }
+  void writeback() override {
+    assert(reserved_ && "writeback without reservation");
+    // Out-of-order completion: an older writer finishing after a newer one
+    // must not clobber the newer architectural value.
+    if (reserve_seq_ >= file_->committed_seq(cell_)) {
+      file_->write_cell(cell_, value_);
+      file_->set_committed_seq(cell_, reserve_seq_);
+    }
+    file_->remove_writer(cell_, this);
+    reserved_ = false;
+  }
+  void release() override {
+    if (reserved_) {
+      file_->remove_writer(cell_, this);
+      reserved_ = false;
+    }
+    value_ready_ = false;
+    writer_tag_ = nullptr;
+  }
   Word peek() const override { return file_->read_cell(cell_); }
-  Word peek_in(PlaceId s) const override;
+  Word peek_in(PlaceId s) const override {
+    RegRef* w = writer_in(s);
+    assert(w && "peek_in without matching can_read_in guard");
+    return w->value_;
+  }
 
   // -- renaming support (paper §3.1: "the implementation of these interfaces
   //    may vary based on architectural features such as register renaming").
@@ -89,8 +142,16 @@ class RegRef final : public Operand {
 
  private:
   /// Newest in-flight writer of our cell that currently sits in place `s`
-  /// with a ready value; nullptr if none.
-  RegRef* writer_in(PlaceId s) const;
+  /// with a ready value; nullptr if none. Newest-first: with multiple
+  /// in-flight writers the most recent one holds the value this (younger)
+  /// reader must see.
+  RegRef* writer_in(PlaceId s) const {
+    for (unsigned i = file_->num_writers(cell_); i > 0; --i) {
+      RegRef* w = file_->writer(cell_, i - 1);
+      if (w->owner_place() == s && w->value_ready_) return w;
+    }
+    return nullptr;
+  }
 
   RegisterFile* file_ = nullptr;
   const PlaceId* owner_place_ = nullptr;

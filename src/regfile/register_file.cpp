@@ -1,7 +1,5 @@
 #include "regfile/register_file.hpp"
 
-#include <algorithm>
-
 namespace rcpn::regfile {
 
 RegisterFile::RegisterFile(unsigned num_cells, WritePolicy policy)
@@ -19,29 +17,18 @@ void RegisterFile::add_identity_registers(unsigned n, const std::string& prefix)
     add_register(prefix + std::to_string(i), static_cast<CellId>(i));
 }
 
-RegRef* RegisterFile::last_writer(CellId c) const {
-  const Cell& cell = cells_[c];
-  return cell.num_writers == 0 ? nullptr : cell.writers[cell.num_writers - 1];
-}
-
-void RegisterFile::push_writer(CellId c, RegRef* w) {
-  Cell& cell = cells_[c];
-  assert(cell.num_writers < kMaxWriters && "writer stack overflow");
-  cell.writers[cell.num_writers++] = w;
-}
-
-void RegisterFile::remove_writer(CellId c, RegRef* w) {
-  Cell& cell = cells_[c];
-  for (unsigned i = 0; i < cell.num_writers; ++i) {
-    if (cell.writers[i] == w) {
-      // Preserve reservation (age) order of the remaining writers.
-      for (unsigned j = i + 1; j < cell.num_writers; ++j)
-        cell.writers[j - 1] = cell.writers[j];
-      --cell.num_writers;
-      return;
-    }
+void RegisterFile::writer_overflow(CellId c) const {
+  std::string names;
+  for (const Register& r : regs_) {
+    if (r.cell != c) continue;
+    if (!names.empty()) names += ", ";
+    names += r.name;
   }
-  assert(false && "remove_writer: not a registered writer");
+  throw HazardError(std::string("register file: cell ") + std::to_string(c) + " (" +
+                    (names.empty() ? std::string("no register") : names) +
+                    ") already has " + std::to_string(kMaxWriters) +
+                    " in-flight writers; a write reservation was taken without "
+                    "a can_write() guard");
 }
 
 void RegisterFile::clear_writers() {

@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,16 @@ enum class WritePolicy : std::uint8_t { single_writer, multi_writer };
 using RegisterId = std::uint16_t;
 using CellId = std::uint16_t;
 
+/// A hazard invariant the model's guards must uphold was broken: a write
+/// reservation beyond the writer stack of a cell, or an operand read with no
+/// readable source. The usual cause is a model whose issue transition lacks
+/// its hazard guard (paper §3.1 pairing rules: read() needs can_read(),
+/// reserve_write() needs can_write()). Checked in every build.
+class HazardError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Architectural register: a named view onto one storage cell. Overlapping
 /// registers (ARM banked registers, SPARC windows) are distinct Register
 /// entries sharing a cell.
@@ -37,6 +48,11 @@ struct Register {
 
 class RegisterFile {
  public:
+  /// In-flight writers one cell can hold. A handful is the realistic maximum
+  /// (pipeline depth); fixed inline storage keeps the hazard checks
+  /// allocation-free (Per.14).
+  static constexpr unsigned kMaxWriters = 8;
+
   /// Creates `num_cells` zero-initialised storage cells.
   RegisterFile(unsigned num_cells, WritePolicy policy);
 
@@ -59,9 +75,30 @@ class RegisterFile {
   unsigned num_writers(CellId c) const { return cells_[c].num_writers; }
   RegRef* writer(CellId c, unsigned i) const { return cells_[c].writers[i]; }
   /// Newest (most recently reserved) writer, or nullptr.
-  RegRef* last_writer(CellId c) const;
-  void push_writer(CellId c, RegRef* w);
-  void remove_writer(CellId c, RegRef* w);
+  RegRef* last_writer(CellId c) const {
+    const Cell& cell = cells_[c];
+    return cell.num_writers == 0 ? nullptr : cell.writers[cell.num_writers - 1];
+  }
+  /// Register `w` as the newest writer of `c`; throws HazardError (naming the
+  /// cell and its registers) when the cell already holds kMaxWriters.
+  void push_writer(CellId c, RegRef* w) {
+    Cell& cell = cells_[c];
+    if (cell.num_writers == kMaxWriters) writer_overflow(c);
+    cell.writers[cell.num_writers++] = w;
+  }
+  void remove_writer(CellId c, RegRef* w) {
+    Cell& cell = cells_[c];
+    for (unsigned i = 0; i < cell.num_writers; ++i) {
+      if (cell.writers[i] == w) {
+        // Preserve reservation (age) order of the remaining writers.
+        for (unsigned j = i + 1; j < cell.num_writers; ++j)
+          cell.writers[j - 1] = cell.writers[j];
+        --cell.num_writers;
+        return;
+      }
+    }
+    assert(false && "remove_writer: not a registered writer");
+  }
   /// Commit sequencing for multi_writer: returns the reservation sequence.
   std::uint32_t next_reserve_seq(CellId c) { return ++cells_[c].reserve_seq; }
   /// Checkpoint support (src/ckpt/): the reservation-sequence counter is
@@ -79,9 +116,7 @@ class RegisterFile {
   void reset();
 
  private:
-  // A handful of writers per cell is the realistic maximum (pipeline depth);
-  // fixed inline storage keeps the hazard checks allocation-free (Per.14).
-  static constexpr unsigned kMaxWriters = 8;
+  [[noreturn]] void writer_overflow(CellId c) const;
 
   struct Cell {
     Word data = 0;

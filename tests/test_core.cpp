@@ -3,11 +3,11 @@
 // analysis, flush/squash and the Fig 6 static extraction.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
+#include <random>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "core/soa_scan.hpp"
 #include "core/token_store.hpp"
 #include "regfile/reg_ref.hpp"
 
@@ -477,106 +477,185 @@ TEST(EngineWatchdog, DeadlockStopsEngine) {
   EXPECT_LT(ran, 10000u);
 }
 
-TEST(SoaScan, KernelsMatchNaiveLoopsInBothPaths) {
-  // The vectorized scans must be drop-in equivalent to the scalar loops they
-  // replaced — for every length (tail handling) and in both the block path
-  // and the scalar_override ablation path.
-  std::uint32_t rng = 99;
-  auto next = [&] { return rng = rng * 1664525u + 1013904223u; };
-  for (const bool scalar : {false, true}) {
-    soa::scalar_override() = scalar;
-    for (std::size_t n = 0; n <= 40; ++n) {
-      std::vector<TokenStore::Key> keys(n);
-      std::vector<Cycle> ready(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        keys[i] = next() % 3;  // few distinct keys: plenty of matches
-        ready[i] = next() % 4;
-      }
-      const TokenStore::Key want = next() % 3;
-      const Cycle now = next() % 4;
+TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
+  // The store runs in lockstep with a naive two-list reference model over a
+  // seeded mix of every mutating operation, with the population capped at
+  // 0..64 slots. After each operation both lists must match the model slot
+  // for slot (age order, two-list routing), occupancy must add up, and a
+  // promote must publish InstructionToken::state for exactly the promoted
+  // instruction tokens; clear must visit visible slots before incoming ones.
+  std::vector<InstructionToken> instrs(64);
+  std::vector<Token> reservations(64);
+  std::vector<Token*> all;
+  for (InstructionToken& t : instrs) all.push_back(&t);
+  for (Token& t : reservations) all.push_back(&t);
+  constexpr PlaceId kUnpublished = 99;  // state of a not-yet-promoted token
+  auto state_of = [](const Token* t) {
+    return static_cast<const InstructionToken*>(t)->state;
+  };
 
-      std::size_t naive_count = 0, naive_first = n;
-      std::vector<std::size_t> naive_visits;
-      Cycle naive_min = ~Cycle{0};
-      for (std::size_t i = 0; i < n; ++i) {
-        if (keys[i] == want) ++naive_count;
-        if (keys[i] == want && ready[i] <= now) {
-          if (naive_first == n) naive_first = i;
-          naive_visits.push_back(i);
+  std::mt19937 rng(20261016);
+  auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  for (const std::size_t cap : {0u, 1u, 2u, 3u, 8u, 16u, 17u, 40u, 64u}) {
+    TokenStore store;
+    std::vector<Token*> visible, incoming;             // the reference model
+    std::vector<PlaceId> expected_state(all.size(), kUnpublished);
+    auto index_of = [&](const Token* t) {
+      return static_cast<std::size_t>(std::find(all.begin(), all.end(), t) - all.begin());
+    };
+    auto naive_erase = [](std::vector<Token*>& list, Token* t) {
+      for (std::size_t i = 0; i < list.size(); ++i) {
+        if (list[i] != t) continue;
+        for (std::size_t j = i + 1; j < list.size(); ++j) list[j - 1] = list[j];
+        list.pop_back();
+        return true;
+      }
+      return false;
+    };
+    auto resident = [&](const Token* t) {
+      return std::find(visible.begin(), visible.end(), t) != visible.end() ||
+             std::find(incoming.begin(), incoming.end(), t) != incoming.end();
+    };
+
+    for (int op = 0; op < 3000; ++op) {
+      Token* t = all[pick(all.size())];
+      switch (pick(8)) {
+        case 0:
+        case 1:
+        case 2: {  // insert a free token, visible or incoming
+          if (resident(t) || visible.size() + incoming.size() >= cap) break;
+          t->place = static_cast<PlaceId>(pick(4));
+          t->ready = pick(8);
+          if (t->kind == TokenKind::instruction)
+            static_cast<InstructionToken*>(t)->state = kUnpublished;
+          expected_state[index_of(t)] = kUnpublished;
+          if (pick(2) == 0) {
+            store.insert_visible(t);
+            visible.push_back(t);
+          } else {
+            store.insert_incoming(t);
+            incoming.push_back(t);
+          }
+          break;
         }
-        naive_min = std::min(naive_min, ready[i]);
+        case 3:  // remove_visible: a resident token or a free one
+          if (!visible.empty() && pick(2) == 0) t = visible[pick(visible.size())];
+          ASSERT_EQ(store.remove_visible(t), naive_erase(visible, t)) << "op " << op;
+          break;
+        case 4:  // remove_any: either list, or absent
+          if (!incoming.empty() && pick(2) == 0) t = incoming[pick(incoming.size())];
+          ASSERT_EQ(store.remove_any(t), naive_erase(visible, t) || naive_erase(incoming, t))
+              << "op " << op;
+          break;
+        case 5:
+        case 6:
+          store.promote();
+          for (Token* in : incoming) {
+            visible.push_back(in);
+            expected_state[index_of(in)] = in->place;
+          }
+          incoming.clear();
+          break;
+        case 7: {
+          if (pick(8) != 0) break;  // rare: clearing resets the population
+          std::vector<Token*> seen;
+          store.clear([&](Token* x) { seen.push_back(x); });
+          std::vector<Token*> want = visible;
+          want.insert(want.end(), incoming.begin(), incoming.end());
+          ASSERT_EQ(seen, want) << "clear order, op " << op;
+          visible.clear();
+          incoming.clear();
+          break;
+        }
       }
-
-      EXPECT_EQ(soa::count_matches(keys.data(), n, want), naive_count) << n;
-      EXPECT_EQ(soa::find_match_ready(keys.data(), ready.data(), n, want, now),
-                naive_first)
-          << n;
-      std::vector<std::size_t> visits;
-      soa::for_each_match_ready(keys.data(), ready.data(), n, want, now,
-                                [&](std::size_t i) { visits.push_back(i); });
-      EXPECT_EQ(visits, naive_visits) << n;
-      EXPECT_EQ(soa::min_ready(ready.data(), n), naive_min) << n;
+      ASSERT_EQ(store.ptrs(), visible) << "visible list, cap " << cap << " op " << op;
+      ASSERT_EQ(store.incoming_ptrs(), incoming) << "incoming list, cap " << cap;
+      ASSERT_EQ(store.size(), visible.size());
+      ASSERT_EQ(store.empty(), visible.empty());
+      ASSERT_EQ(store.occupancy(), visible.size() + incoming.size());
+      ASSERT_LE(store.occupancy(), cap);
+      for (Token* x : all) {
+        if (x->kind == TokenKind::instruction && resident(x)) {
+          ASSERT_EQ(state_of(x), expected_state[index_of(x)]) << "state, op " << op;
+        }
+      }
     }
   }
-  soa::scalar_override() = false;
 }
 
-TEST(TokenStore, HintedRemovalEquivalentToLinearFindUnderChurn) {
-  // remove_visible_at's hint is an optimization, never a semantic input: a
-  // correct hint, a stale one (earlier removals shifted the slots) and pure
-  // garbage must all leave the store byte-identical to plain remove_visible.
-  // Two stores churn in lockstep — one removed with deliberately varied
-  // hints, one with the linear find — and must agree after every operation.
-  TokenStore hinted, plain;
-  std::vector<std::unique_ptr<Token>> owned;
-  std::vector<Token*> live_h, live_p;
-  std::uint32_t rng = 12345, id = 0;
-  auto next = [&] { return rng = rng * 1664525u + 1013904223u; };
-  auto check_equal = [&] {
-    ASSERT_EQ(hinted.size(), plain.size());
-    for (std::size_t i = 0; i < hinted.size(); ++i) {
-      // next_delay doubles as the creation id: same age order in both stores.
-      ASSERT_EQ(hinted.at(i)->next_delay, plain.at(i)->next_delay) << "slot " << i;
-      ASSERT_EQ(hinted.keys()[i], plain.keys()[i]) << "slot " << i;
-      ASSERT_EQ(hinted.ready()[i], plain.ready()[i]) << "slot " << i;
-      ASSERT_EQ(hinted.keys()[i],
-                TokenStore::key(hinted.at(i)->place, hinted.at(i)->kind));
+/// Exposes the protected token queries the hot loops share.
+class ProbeEngine : public Engine {
+ public:
+  using Engine::Engine;
+  using Engine::find_ready_reservation;
+};
+
+TEST(EngineWidePool, ScansFindOldestReadyAndCountOwnPlace) {
+  // A 48-slot stage shared by two places, the regime of the fuzz models'
+  // RES stages: find_ready_reservation must return the *oldest* ready
+  // reservation of the asked-for place, and tokens_in_place must count only
+  // that place's instruction tokens — both checked against the insertion
+  // record at every clock as tokens become ready, and again after a flush
+  // removes slots from the middle of the list.
+  Net net("widepool");
+  const StageId res = net.add_stage("RES", 48);
+  const PlaceId pa = net.add_place("RA", res);
+  const PlaceId pb = net.add_place("RB", res);
+  const TypeId ty = net.add_type("T");
+  ProbeEngine eng(net);
+  eng.build();
+
+  std::mt19937 rng(7);
+  std::vector<Token*> inserted;  // age order
+  for (int i = 0; i < 40; ++i) {
+    const bool reservation = rng() % 2 == 0;
+    Token* t = reservation ? eng.ckpt_acquire_reservation()
+                           : static_cast<Token*>(eng.acquire_pooled_instruction());
+    if (!reservation) t->type = ty;
+    t->place = rng() % 2 == 0 ? pa : pb;
+    t->ready = rng() % 12;
+    eng.ckpt_insert_token(t, res, /*incoming=*/false);
+    inserted.push_back(t);
+  }
+  ASSERT_GE(eng.token_store(res).size(), 16u);
+  // The instruction tokens were placed directly; account for them as in
+  // flight so the flush below squashes them like emitted ones.
+  Engine::CkptScalars scalars = eng.ckpt_scalars();
+  scalars.in_flight = static_cast<std::uint64_t>(
+      std::count_if(inserted.begin(), inserted.end(),
+                    [](const Token* t) { return t->kind == TokenKind::instruction; }));
+  eng.ckpt_restore_scalars(scalars);
+
+  auto check = [&](const char* when) {
+    for (const PlaceId p : {pa, pb}) {
+      Token* oldest = nullptr;
+      unsigned instr = 0;
+      for (Token* t : inserted) {
+        if (t->place != p) continue;
+        if (t->kind == TokenKind::instruction) ++instr;
+        if (t->kind == TokenKind::reservation && t->ready <= eng.clock() && oldest == nullptr)
+          oldest = t;
+      }
+      EXPECT_EQ(eng.find_ready_reservation(p), oldest)
+          << when << " place " << p << " clock " << eng.clock();
+      EXPECT_EQ(eng.tokens_in_place(p), instr) << when << " place " << p;
     }
   };
-  for (int op = 0; op < 4000; ++op) {
-    if (live_h.empty() || next() % 3 != 0) {
-      auto th = std::make_unique<Token>();
-      auto tp = std::make_unique<Token>();
-      th->place = tp->place = static_cast<PlaceId>(next() % 4);
-      th->kind = tp->kind =
-          (next() % 4 == 0) ? TokenKind::reservation : TokenKind::instruction;
-      th->ready = tp->ready = next() % 16;
-      th->next_delay = tp->next_delay = id++;
-      hinted.insert_visible(th.get());
-      plain.insert_visible(tp.get());
-      live_h.push_back(th.get());
-      live_p.push_back(tp.get());
-      owned.push_back(std::move(th));
-      owned.push_back(std::move(tp));
-    } else {
-      const std::size_t vic = next() % live_h.size();
-      std::size_t true_slot = hinted.size();
-      for (std::size_t i = 0; i < hinted.size(); ++i)
-        if (hinted.at(i) == live_h[vic]) true_slot = i;
-      std::size_t hint = true_slot;
-      switch (next() % 4) {
-        case 0: break;                                   // exact
-        case 1: hint = true_slot + 1; break;             // shifted (stale)
-        case 2: hint = true_slot == 0 ? 7 : true_slot - 1; break;
-        case 3: hint = 1u << 20; break;                  // far out of range
-      }
-      EXPECT_TRUE(hinted.remove_visible_at(hint, live_h[vic]));
-      EXPECT_TRUE(plain.remove_visible(live_p[vic]));
-      live_h.erase(live_h.begin() + static_cast<std::ptrdiff_t>(vic));
-      live_p.erase(live_p.begin() + static_cast<std::ptrdiff_t>(vic));
-    }
-    check_equal();
+  for (int c = 0; c < 13; ++c) {
+    check("before flush");
+    eng.step();  // no transitions: the tokens stay put while the clock moves
   }
+  // Drop every third slot from the middle of the list, then re-check.
+  std::vector<Token*> victims;
+  for (std::size_t i = 1; i < inserted.size(); i += 3) victims.push_back(inserted[i]);
+  eng.flush_stage_if(res, [&](const Token& t) {
+    return std::find(victims.begin(), victims.end(), &t) != victims.end();
+  });
+  std::erase_if(inserted, [&](Token* t) {
+    return std::find(victims.begin(), victims.end(), t) != victims.end();
+  });
+  ASSERT_EQ(eng.token_store(res).ptrs(), inserted);
+  check("after flush");
 }
 
 TEST(EngineQuiescence, SkipFastForwardsIdleCyclesWithoutChangingBehaviour) {

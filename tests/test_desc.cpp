@@ -22,6 +22,7 @@
 #include "machines/fuzz_model.hpp"
 #include "machines/golden_runner.hpp"
 #include "model/simulator.hpp"
+#include "regfile/register_file.hpp"
 
 namespace rcpn {
 namespace {
@@ -326,6 +327,38 @@ TEST(DescZoo, ZooFilesLoadAndRunEveryMachine) {
         desc::engine_options(d, opts_for(core::Backend::compiled));
     const machines::GoldenRunResult loaded = machines::run_description(d, o);
     expect_runs_equal(machines::run_golden_machine_full(key, o), loaded, key);
+  }
+}
+
+TEST(DescHazard, StrongArmWithoutIssueGuardThrowsHazardError) {
+  // A description that drops the hazard guard of every issue transition (and
+  // widens MW so writers pile up behind a slow memory stage) lets the issue
+  // action read operands that have no readable source and stack write
+  // reservations past a cell's writer stack. Either breach must surface as a
+  // named HazardError on every backend and in every build — never an abort,
+  // a stale read or an out-of-bounds write.
+  std::string text = read_text_file(std::string(RCPN_MODELS_DIR) + "/strongarm.rcpn");
+  ASSERT_FALSE(text.empty());
+  auto replace_all = [&text](const std::string& from, const std::string& to) {
+    std::size_t n = 0;
+    for (std::size_t at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size())) {
+      text.replace(at, from.size(), to);
+      ++n;
+    }
+    return n;
+  };
+  ASSERT_EQ(replace_all("  guard rcpn::machines::pipe_issue_guard machine\n", ""), 6u);
+  ASSERT_EQ(replace_all("stage MW capacity=1\n", "stage MW capacity=255\n"), 1u);
+  ASSERT_EQ(replace_all("place MW stage=MW\n", "place MW stage=MW delay=200\n"), 1u);
+  const desc::Description d = desc::parse(text);
+  for (const core::Backend b : {core::Backend::interpreted, core::Backend::compiled}) {
+    try {
+      machines::run_description(d, desc::engine_options(d, opts_for(b)));
+      ADD_FAILURE() << "backend " << static_cast<int>(b) << " ran the unguarded model";
+    } catch (const regfile::HazardError& e) {
+      EXPECT_NE(std::string(e.what()).find("register"), std::string::npos) << e.what();
+    }
   }
 }
 #endif  // RCPN_MODELS_DIR

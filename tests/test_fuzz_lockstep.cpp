@@ -16,7 +16,7 @@
 //
 // Every seed is a different machine; a divergence report names the seed, so
 // any future backend change that breaks token semantics reproduces with
-// FuzzLockstep + that seed. The SoA token-pool rewrite landed gated on this
+// FuzzLockstep + that seed. Every token-storage rewrite lands gated on this
 // suite.
 #include <gtest/gtest.h>
 

@@ -244,7 +244,7 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
   const gen::CompiledModel& cm = ce->compiled();
   const core::Net& net = comp.net();
 
-  // SoA pool sizing: bounded stages reserve exactly their capacity (they can
+  // Pool sizing: bounded stages reserve exactly their capacity (they can
   // never hold more), unlimited stages a non-zero batch; the arena hints
   // cover every bounded slot.
   ASSERT_EQ(cm.stage_reserve.size(), net.num_stages());

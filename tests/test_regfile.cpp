@@ -2,6 +2,8 @@
 // overlapping registers, RegRef lock/forward/writeback and Const uniformity.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "regfile/reg_ref.hpp"
 
 namespace rcpn::regfile {
@@ -156,6 +158,39 @@ TEST(RegfileMultiWriter, ForwardOnlyFromNewestWriter) {
   EXPECT_TRUE(reader.can_read_in(5));
   reader.read_in(5);
   EXPECT_EQ(reader.value(), 2u);
+}
+
+TEST(RegfileHazard, NinthWriterThrowsAndKeepsTheFirstEight) {
+  // A model without its can_write() guard stacks reservations on one cell;
+  // the writer stack bound is checked in every build (not only by assert)
+  // and the error names the cell and its register.
+  RegisterFile file(2, WritePolicy::multi_writer);
+  file.add_identity_registers(2);
+  PlaceId owner = kNoPlace;
+  RegRef refs[RegisterFile::kMaxWriters + 1];
+  for (RegRef& r : refs) r.bind(&file, 1, &owner);
+  for (unsigned i = 0; i < RegisterFile::kMaxWriters; ++i) refs[i].reserve_write();
+
+  RegRef& ninth = refs[RegisterFile::kMaxWriters];
+  try {
+    ninth.reserve_write();
+    FAIL() << "a ninth writer on one cell was accepted";
+  } catch (const HazardError& e) {
+    EXPECT_NE(std::string(e.what()).find("cell 1 (r1)"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(ninth.reserved());
+  ASSERT_EQ(file.num_writers(1), RegisterFile::kMaxWriters);
+  for (unsigned i = 0; i < RegisterFile::kMaxWriters; ++i)
+    EXPECT_EQ(file.writer(1, i), &refs[i]) << "writer " << i;
+  EXPECT_EQ(file.last_writer(1), &refs[RegisterFile::kMaxWriters - 1]);
+  EXPECT_FALSE(file.has_writer(0));
+
+  // Retiring the oldest writer frees a slot: the stack is still usable.
+  refs[0].set_value(5);
+  refs[0].writeback();
+  ninth.reserve_write();
+  EXPECT_EQ(file.last_writer(1), &ninth);
+  EXPECT_EQ(file.writer(1, 0), &refs[1]);
 }
 
 TEST(ConstOperandTest, UniformInterface) {
