@@ -310,38 +310,8 @@ unsigned Engine::tokens_in_place(PlaceId p) const {
 }
 
 void Engine::enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay) {
-  enter_place_in(tok, p, *place_stage_[static_cast<unsigned>(p)], transition_delay);
-}
-
-void Engine::enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
-                            std::uint32_t transition_delay) {
-  if (st.is_end()) {
-    if (tok->kind == TokenKind::instruction) {
-      retire(static_cast<InstructionToken*>(tok));
-    } else {
-      recycle(tok);
-    }
-    return;
-  }
-  const std::uint32_t residence =
-      (tok->next_delay != 0 ? tok->next_delay
-                            : place_delay_[static_cast<unsigned>(p)]) +
-      transition_delay;
-  tok->next_delay = 0;
-  tok->place = p;
-  tok->ready = clock_ + residence;
-  if (tok->kind == TokenKind::instruction) {
-    auto* it = static_cast<InstructionToken*>(tok);
-    // Visible state lags insertion for two-list stages (promoted next cycle).
-    it->state = st.two_list() ? kNoPlace : p;
-  }
-#if RCPN_OBS
-  if (options_.obs != nullptr && tok->kind == TokenKind::instruction) {
-    auto* it = static_cast<InstructionToken*>(tok);
-    options_.obs->on_token_enter(clock_, p, it->seq, it->pc);
-  }
-#endif
-  st.insert(tok);
+  enter_place_in(tok, p, *place_stage_[static_cast<unsigned>(p)],
+                 place_delay_[static_cast<unsigned>(p)], transition_delay);
 }
 
 void Engine::retire(InstructionToken* tok) {
@@ -440,7 +410,7 @@ bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
 
   // 1. Input availability: the trigger token is `tok` (already matched);
   //    every reservation arc needs a ready reservation token.
-  Token* reservations[4];
+  Token* reservations[kMaxReservationInputs];
   unsigned nres = 0;
   for (const InArc& a : t.inputs()) {
     if (a.need == ArcNeed::trigger) continue;
@@ -449,18 +419,23 @@ bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
       reject_cause_ = StallCause::no_ready_token;
       return false;
     }
-    assert(nres < 4);
+    assert(nres < kMaxReservationInputs);
     reservations[nres++] = r;
   }
 
   // 2. Output capacity, netting out same-stage removals (paper: "the
   //    pipeline stages of the output places have enough capacity").
-  StageDelta deltas[8];
+  struct StageDelta {
+    StageId stage = kNoStage;
+    int removals = 0;
+    int additions = 0;
+  };
+  StageDelta deltas[kMaxArcStages];
   unsigned nd = 0;
   auto delta_for = [&](StageId s) -> StageDelta& {
     for (unsigned i = 0; i < nd; ++i)
       if (deltas[i].stage == s) return deltas[i];
-    assert(nd < 8);
+    assert(nd < kMaxArcStages);
     deltas[nd].stage = s;
     deltas[nd].removals = 0;
     deltas[nd].additions = 0;

@@ -29,21 +29,20 @@
 
 namespace rcpn::core {
 
-/// Which engine executes the model. Both run the same static extraction and
-/// are cycle-for-cycle equivalent (tests/test_gen.cpp pins this); they differ
-/// only in how the hot loop is laid out:
-///  * interpreted — core::Engine walking the net's Transition objects;
-///  * compiled — gen::CompiledEngine running the flattened tables produced by
-///    gen::CompiledModel::lower() (§4-5's generated simulator: contiguous
-///    Fig 6 candidate runs, pre-bound raw guard/action delegates, pre-resolved
-///    stage pointers). model::Simulator<M> reads this option; the interpreted
-///    Engine itself ignores it.
-///  * generated — a gen::StaticEngine specialization compiled from a source
-///    file that gen::emit_simulator() produced for this model (the paper's
-///    literal "generated C++ simulator": constexpr tables, direct guard/action
-///    calls, whole-program-optimizable). Requires the generated translation
-///    unit to be linked in and registered (gen/generated.hpp); Simulator<M>
-///    throws ModelError otherwise.
+/// Which engine executes the model. All run the same static extraction and
+/// are cycle-for-cycle equivalent (tests/test_gen.cpp pins this).
+/// model::Simulator<M> reads this option; the Engine itself ignores it.
+///  * interpreted — core::Engine walking the net's Transition objects: the
+///    independent reference oracle the other two are checked against;
+///  * compiled — the one table-driven hot loop (gen::TableEngine) over the
+///    tables gen::CompiledModel::lower() flattens at build(), with guards and
+///    actions as pre-bound function pointers (gen::CompiledEngine);
+///  * generated — the same loop over the constexpr tables of a source file
+///    gen::emit_simulator() produced for this model, calling each named
+///    delegate directly (gen::StaticEngine: the paper's literal "generated
+///    C++ simulator"). Requires the generated translation unit to be linked
+///    in and registered (gen/generated.hpp); Simulator<M> throws ModelError
+///    otherwise.
 enum class Backend : std::uint8_t { interpreted, compiled, generated };
 
 /// Options for the static analysis; the defaults follow the paper. The
@@ -242,15 +241,9 @@ class Engine {
 
  protected:
   // The build products, token services and per-cycle bookkeeping are shared
-  // with derived engines: gen::CompiledEngine replaces only the hot loop
-  // (candidate search + firing) and reuses everything else, so both backends
-  // stay cycle-for-cycle equivalent by construction.
-  struct StageDelta {
-    StageId stage = kNoStage;
-    int removals = 0;
-    int additions = 0;
-  };
-
+  // with derived engines: gen::TableEngine replaces only the hot loop
+  // (candidate search + firing) and reuses everything else, so every backend
+  // stays cycle-for-cycle equivalent by construction.
   void compute_sorted_transitions();
   void compute_process_order();
   void process_place(PlaceId p);
@@ -259,12 +252,37 @@ class Engine {
   bool independent_enabled(const Transition& t);
   void fire_independent(const Transition& t);
   void enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay);
-  /// Token entry with the place->stage hop already resolved — the one copy of
-  /// the entry semantics (retire-on-end, next_delay/residence, two-list state
-  /// lag); the compiled backend calls it with its lowering-time stage
-  /// pointers, enter_place() with the id-indexed cache.
-  void enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
-                      std::uint32_t transition_delay);
+  /// Token entry with the place's stage and residence delay already
+  /// resolved: the one copy of the entry semantics (retire-on-end,
+  /// next_delay/residence, two-list state lag, the enter probe). Forced
+  /// inline so the table loop's firing chain compiles into its step();
+  /// enter_place() feeds it from the id-indexed caches.
+  [[gnu::always_inline]] void enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
+                                             std::uint32_t place_delay,
+                                             std::uint32_t transition_delay) {
+    if (st.is_end()) {
+      if (tok->kind == TokenKind::instruction) {
+        retire(static_cast<InstructionToken*>(tok));
+      } else {
+        recycle(tok);
+      }
+      return;
+    }
+    const std::uint32_t residence =
+        (tok->next_delay != 0 ? tok->next_delay : place_delay) + transition_delay;
+    tok->next_delay = 0;
+    tok->place = p;
+    tok->ready = clock_ + residence;
+    if (tok->kind == TokenKind::instruction) {
+      auto* it = static_cast<InstructionToken*>(tok);
+      // Visible state lags insertion for two-list stages (promoted next cycle).
+      it->state = st.two_list() ? kNoPlace : p;
+#if RCPN_OBS
+      if (options_.obs != nullptr) options_.obs->on_token_enter(clock_, p, it->seq, it->pc);
+#endif
+    }
+    st.insert(tok);
+  }
   void retire(InstructionToken* tok);
   Token* find_ready_reservation(PlaceId p) const;
   Token* acquire_reservation();
@@ -279,9 +297,10 @@ class Engine {
   /// capped by the deadlock and run(max_cycles) horizons.
   void maybe_skip_quiescent();
 
-  /// The Process(place) snapshot every backend iterates (firing mutates the
-  /// stage's list): fill scratch_ with the visible instruction tokens of `p`
-  /// that are ready this cycle, in age order. False when there are none.
+  /// The Process(place) snapshot (firing mutates the stage's list; the table
+  /// loop tests a one-token list in place instead): fill scratch_ with the
+  /// visible instruction tokens of `p` that are ready this cycle, in age
+  /// order. False when there are none.
   bool snapshot_ready(PlaceId p, const PipelineStage& st) {
     scratch_.clear();
     for (Token* t : st.tokens())

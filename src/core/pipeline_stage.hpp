@@ -63,7 +63,9 @@ class PipelineStage {
   /// Pre-size the pool (gen:: lowering); the one sizing hook lowering needs.
   void reserve_store(std::size_t n) { store_.reserve(n); }
 
-  void insert(Token* t) {
+  /// Enter `t`: visible now, or next cycle on a two-list stage. Forced
+  /// inline: token entry runs once per firing.
+  [[gnu::always_inline]] void insert(Token* t) {
     if (two_list_) {
       store_.insert_incoming(t);
     } else {

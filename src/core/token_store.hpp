@@ -10,9 +10,9 @@
 // every shipped in-order latch holds one token, and keeping the lanes in
 // step cost more on each firing than the wide scans saved.)
 //
-// gen::CompiledModel::lower() sizes these lists (TokenStore::reserve +
-// Engine::reserve_token_pools) so the compiled backend never grows a vector
-// in steady state.
+// gen::TableEngine::build() sizes these lists from the lowering's hints
+// (TokenStore::reserve + Engine::reserve_token_pools), so the compiled and
+// generated backends never grow a vector in steady state.
 #pragma once
 
 #include <algorithm>
@@ -47,8 +47,15 @@ class TokenStore {
   void insert_visible(Token* t) { ptrs_.push_back(t); }
   void insert_incoming(Token* t) { in_ptrs_.push_back(t); }
 
-  /// Remove a visible token, preserving age order; false if absent.
-  bool remove_visible(Token* t) { return erase(ptrs_, t); }
+  /// Remove a visible token, preserving age order; false if absent. The
+  /// youngest slot pops directly (the only slot of a latch).
+  bool remove_visible(Token* t) {
+    if (!ptrs_.empty() && ptrs_.back() == t) {
+      ptrs_.pop_back();
+      return true;
+    }
+    return erase(ptrs_, t);
+  }
   /// Remove from either list (flush path); false if absent.
   bool remove_any(Token* t) { return erase(ptrs_, t) || erase(in_ptrs_, t); }
 
@@ -75,7 +82,9 @@ class TokenStore {
   }
 
  private:
-  static bool erase(std::vector<Token*>& list, Token* t) {
+  // Out of line, so remove_visible()'s youngest-slot path stays small enough
+  // to inline into the hot loops.
+  [[gnu::noinline]] static bool erase(std::vector<Token*>& list, Token* t) {
     const auto it = std::find(list.begin(), list.end(), t);
     if (it == list.end()) return false;
     list.erase(it);

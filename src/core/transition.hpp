@@ -43,6 +43,13 @@ struct FireCtx {
 using GuardFn = bool (*)(void* env, FireCtx& ctx);
 using ActionFn = void (*)(void* env, FireCtx& ctx);
 
+/// Per-firing limits of every engine's hot loop, which sizes its scratch
+/// arrays by them: reservation input arcs of one transition, and distinct
+/// stages its arcs touch (trigger, reservation and output places together).
+/// model::ModelBuilderBase::validate() rejects transitions beyond them.
+constexpr unsigned kMaxReservationInputs = 4;
+constexpr unsigned kMaxArcStages = 8;
+
 enum class ArcNeed : std::uint8_t {
   /// The arc along which the triggering instruction token enters. Exactly
   /// one per sub-net transition.

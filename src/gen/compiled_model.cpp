@@ -10,8 +10,7 @@ namespace rcpn::gen {
 
 namespace {
 
-CompiledTransition compile_one(CompiledModel& cm, core::Net& net,
-                               const core::Transition& t) {
+CompiledTransition compile_one(CompiledModel& cm, const core::Transition& t) {
   CompiledTransition ct;
   ct.guard = t.guard_fn();
   ct.guard_env = t.guard_env();
@@ -28,25 +27,21 @@ CompiledTransition compile_one(CompiledModel& cm, core::Net& net,
 
   ct.out_begin = static_cast<std::uint32_t>(cm.out_arcs.size());
   for (const core::OutArc& a : t.outputs())
-    cm.out_arcs.push_back(CompiledOutArc{a.place, a.emit == core::ArcEmit::reservation,
-                                         &net.stage_of(a.place)});
+    cm.out_arcs.push_back(StaticOutArc{a.place, a.emit == core::ArcEmit::reservation});
   ct.n_out = static_cast<std::uint16_t>(cm.out_arcs.size() - ct.out_begin);
 
   ct.simple = !t.independent() && t.inputs().size() == 1 && t.outputs().size() == 1 &&
               t.outputs()[0].emit == core::ArcEmit::move;
-  if (ct.simple) {
-    ct.move_place = t.outputs()[0].place;
-    ct.move_stage = &net.stage_of(ct.move_place);
-  }
+  if (ct.simple) ct.move_place = t.outputs()[0].place;
   return ct;
 }
 
 }  // namespace
 
-CompiledModel CompiledModel::lower(core::Engine& eng) {
+CompiledModel CompiledModel::lower(const core::Engine& eng) {
   if (!eng.built())
     throw std::logic_error("gen: CompiledModel::lower() needs a built engine");
-  core::Net& net = eng.net();
+  const core::Net& net = eng.net();
 
   CompiledModel cm;
   cm.num_places = net.num_places();
@@ -66,7 +61,7 @@ CompiledModel CompiledModel::lower(core::Engine& eng) {
       r.begin = static_cast<std::uint32_t>(cm.body.size());
       r.count = static_cast<std::uint32_t>(cands.size());
       for (const core::Transition* t : cands) {
-        cm.body.push_back(compile_one(cm, net, *t));
+        cm.body.push_back(compile_one(cm, *t));
         cm.body_syms.push_back({t->guard_symbol(), t->action_symbol()});
       }
     }
@@ -74,17 +69,14 @@ CompiledModel CompiledModel::lower(core::Engine& eng) {
 
   for (core::TransitionId tid : net.independent_transitions()) {
     const core::Transition& t = net.transition(tid);
-    cm.independent.push_back(compile_one(cm, net, t));
+    cm.independent.push_back(compile_one(cm, t));
     cm.independent_syms.push_back({t.guard_symbol(), t.action_symbol()});
   }
 
   cm.order.assign(eng.process_order().begin(), eng.process_order().end());
-  for (core::PlaceId p : cm.order) cm.order_stage.push_back(&net.stage_of(p));
   for (unsigned s = 0; s < cm.num_stages; ++s)
-    if (net.stage(static_cast<core::StageId>(s)).two_list()) {
+    if (net.stage(static_cast<core::StageId>(s)).two_list())
       cm.two_list_stages.push_back(static_cast<core::StageId>(s));
-      cm.two_list_stage_ptrs.push_back(&net.stage(static_cast<core::StageId>(s)));
-    }
 
   cm.place_stage.resize(cm.num_places);
   cm.place_delay.resize(cm.num_places);

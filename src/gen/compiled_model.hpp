@@ -9,68 +9,38 @@
 //
 //  * `body` — every sub-net transition, laid out contiguously grouped by
 //    (trigger place, operation class) and priority-sorted within a group, so
-//    one Fig 6 cell is one linear run of POD descriptors;
+//    one Fig 6 cell is one linear run of rows;
 //  * `cell` — the Fig 6 table itself: (place, type) -> [begin, count) run;
 //  * flat arc arrays (`res_in`, `out_arcs`) shared by all transitions;
 //  * guard/action delegates copied out as raw function pointers with their
-//    environments pre-bound (the ROADMAP devirtualization item) — the
-//    environments (machine context, builder-owned closures) stay owned by
-//    the model layer and must outlive the compiled tables;
+//    environments pre-bound — the environments (machine context,
+//    builder-owned closures) stay owned by the model layer and must outlive
+//    the compiled tables;
 //  * the Fig 8 process order and the two-list stage set as plain id arrays.
 //
-// gen::CompiledEngine executes these tables; gen::emit_cpp() prints them as
-// a standalone C++ source file (the paper's "simulator generation" made
-// visible); both leave the lowered core::Net untouched.
+// Everything is ids, exactly what gen::emit_simulator() prints as the
+// constexpr Traits of a generated simulator; gen::TableEngine resolves the
+// stage pointers it needs at build(), for this runtime view (the compiled
+// backend) and the emitted one alike. gen::emit_cpp() prints the tables as a
+// plain dump. None of them touch the lowered core::Net.
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/net.hpp"
-
-namespace rcpn::core {
-class Engine;
-}
+#include "gen/table_engine.hpp"
 
 namespace rcpn::gen {
 
-struct CompiledOutArc {
-  core::PlaceId place = core::kNoPlace;
-  /// true: emit a fresh reservation token; false: move the instruction token.
-  bool reservation = false;
-  /// Pre-resolved owning stage of `place` (token entry without the id hop).
-  core::PipelineStage* stage = nullptr;
-};
-
-/// One transition, flattened: everything the hot loop reads in firing order,
-/// no indirection into Transition/std::vector storage.
-struct CompiledTransition {
+/// One transition row plus its pre-bound delegates (the runtime form of an
+/// emitted StaticTx, whose delegates live in the Traits dispatch switches).
+struct CompiledTransition : StaticTx {
   core::GuardFn guard = nullptr;
   void* guard_env = nullptr;
   core::ActionFn action = nullptr;
   void* action_env = nullptr;
-  /// Simple shape only: pre-resolved destination of the single move arc.
-  core::PipelineStage* move_stage = nullptr;
-  core::PlaceId move_place = core::kNoPlace;
-  core::TransitionId id = core::TransitionId{-1};
-  std::uint32_t delay = 0;
-  /// Flat ranges into CompiledModel::res_in / out_arcs.
-  std::uint32_t res_in_begin = 0;
-  std::uint32_t out_begin = 0;
-  std::uint16_t n_res_in = 0;
-  std::uint16_t n_out = 0;
-  /// Independent transitions only: firings per cycle.
-  std::int32_t max_fires = 1;
-  /// One trigger arc in, one move arc out — the latch-to-latch fast path
-  /// (precomputed so the per-firing shape test of the interpreted engine
-  /// disappears).
-  bool simple = false;
-};
-
-/// Half-open run into CompiledModel::body.
-struct CandRange {
-  std::uint32_t begin = 0;
-  std::uint32_t count = 0;
 };
 
 struct CompiledModel {
@@ -88,34 +58,29 @@ struct CompiledModel {
 
   /// Which named delegate each entry binds (same index as body/independent;
   /// empty string = anonymous closure or no delegate). Cold emission
-  /// metadata, kept out of the hot CompiledTransition rows —
-  /// gen::emit_simulator() turns these into direct calls.
+  /// metadata, kept out of the hot rows — gen::emit_simulator() turns these
+  /// into direct calls.
   struct DelegateSyms {
     std::string guard, action;
   };
   std::vector<DelegateSyms> body_syms;
   std::vector<DelegateSyms> independent_syms;
 
-  /// Flat reservation-input places (CompiledTransition::res_in_begin).
+  /// Flat reservation-input places (StaticTx::res_in_begin).
   std::vector<core::PlaceId> res_in;
-  /// Flat output arcs in declaration order (CompiledTransition::out_begin).
-  std::vector<CompiledOutArc> out_arcs;
+  /// Flat output arcs in declaration order (StaticTx::out_begin).
+  std::vector<StaticOutArc> out_arcs;
 
   /// Fig 8 processing order (reverse topological; end places dropped).
   std::vector<core::PlaceId> order;
-  /// Pre-resolved owning stage of each `order` entry (same index): the hot
-  /// loop reaches each place's token pool without the id->stage hop.
-  std::vector<core::PipelineStage*> order_stage;
   /// Stages running the two-list (master/slave) algorithm.
   std::vector<core::StageId> two_list_stages;
-  /// The same stages pre-resolved for the per-cycle promote loop.
-  std::vector<core::PipelineStage*> two_list_stage_ptrs;
 
   /// Per-place structure-of-arrays: owning stage and residence delay.
   std::vector<core::StageId> place_stage;
   std::vector<std::uint32_t> place_delay;
 
-  /// Token-pool sizing, applied by CompiledEngine::build(): per-stage slot
+  /// Token-pool sizing, applied by TableEngine::build(): per-stage slot
   /// reservation (stage capacity; the end stage and other unlimited stages
   /// get a fixed batch) and arena pre-allocation hints, so the generated
   /// simulator's steady state never grows a vector.
@@ -127,10 +92,8 @@ struct CompiledModel {
     return cell[static_cast<std::size_t>(p) * num_types + static_cast<unsigned>(type)];
   }
 
-  /// Flatten the build products of an already-built engine. The engine is
-  /// taken mutable only to pre-resolve PipelineStage pointers; the pass reads
-  /// everything else through the const introspection surface.
-  static CompiledModel lower(core::Engine& eng);
+  /// Flatten the build products of an already-built engine.
+  static CompiledModel lower(const core::Engine& eng);
 };
 
 }  // namespace rcpn::gen

@@ -148,7 +148,7 @@ std::string emit_cpp(const CompiledModel& cm, const core::Net& net) {
           cm.out_arcs.empty() ? 1 : cm.out_arcs.size());
   if (cm.out_arcs.empty()) out += "0  /* none */";
   for (std::size_t i = 0; i < cm.out_arcs.size(); ++i) {
-    const CompiledOutArc& a = cm.out_arcs[i];
+    const StaticOutArc& a = cm.out_arcs[i];
     appendf(out, "%s%d", i ? ", " : "",
             a.reservation ? -(static_cast<int>(a.place) + 1)
                           : static_cast<int>(a.place) + 1);

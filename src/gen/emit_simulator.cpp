@@ -313,7 +313,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
 
   // Fig 6 table.
   out += "  // Fig 6: (place, type) -> [begin, count) run in kBody\n";
-  appendf(out, "  static constexpr rcpn::gen::StaticCandRange kCell[%zu] = {\n",
+  appendf(out, "  static constexpr rcpn::gen::CandRange kCell[%zu] = {\n",
           cell.empty() ? std::size_t{1} : cell.size());
   if (cell.empty()) out += "      {0, 0},  // none\n";
   for (unsigned p = 0; p < cm.num_places; ++p) {

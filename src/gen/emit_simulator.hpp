@@ -30,7 +30,7 @@
 //    (gen::amalgamate_sources), so the artifact compiles with zero repo
 //    includes and links against nothing but the C++ standard library:
 //
-//      rcpn_emit fig2 --freestanding > fs.cpp && c++ -std=c++20 -O3 fs.cpp
+//      rcpn_emit emit fig2 --freestanding > fs.cpp && c++ -std=c++20 -O3 fs.cpp
 //
 // Requirements on the model: every guard/action registered through
 // ModelBuilder's guard_named/action_named (anonymous closures cannot be

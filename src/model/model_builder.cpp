@@ -1,5 +1,6 @@
 #include "model/model_builder.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <unordered_set>
@@ -125,7 +126,17 @@ void ModelBuilderBase::validate() const {
     if (!t.independent)
       check_handle(t.type, "operation-class", types_.empty() ? 0 : types_.size() - 1, ctx);
 
+    // What one firing touches is bounded by the engines' per-firing scratch
+    // arrays: reservation inputs and distinct stages (every end place lives
+    // in the virtual end stage 0).
     unsigned triggers = 0, moves = 0;
+    std::vector<int> consumed, stages;
+    const auto touch = [&](int pid) {
+      const int s = pid == 0 || places_[static_cast<unsigned>(pid) - 1].end
+                        ? 0
+                        : places_[static_cast<unsigned>(pid) - 1].stage.id();
+      if (std::find(stages.begin(), stages.end(), s) == stages.end()) stages.push_back(s);
+    };
     for (const InArcDef& a : t.in) {
       check_handle(a.place, "place", places_.size(), ctx + " input arc");
       // Tokens retire (or recycle) the moment they enter an end place, so an
@@ -134,12 +145,30 @@ void ModelBuilderBase::validate() const {
       if (pid == 0 || places_[static_cast<unsigned>(pid) - 1].end)
         fail(ctx + ": input arc consumes from an end place, where tokens retire on "
                    "entry — the transition could never fire");
-      if (!a.reservation) ++triggers;
+      if (!a.reservation) {
+        ++triggers;
+      } else if (std::find(consumed.begin(), consumed.end(), pid) != consumed.end()) {
+        fail(ctx + ": two consume arcs on place '" +
+             places_[static_cast<unsigned>(pid) - 1].name +
+             "' — one firing would take the same reservation token twice");
+      } else {
+        consumed.push_back(pid);
+      }
+      touch(pid);
     }
     for (const OutArcDef& a : t.out) {
       check_handle(a.place, "place", places_.size(), ctx + " output arc");
       if (!a.reservation) ++moves;
+      touch(a.place.id());
     }
+    if (consumed.size() > core::kMaxReservationInputs)
+      fail(ctx + ": " + std::to_string(consumed.size()) +
+           " consume arcs, more than the limit of " +
+           std::to_string(core::kMaxReservationInputs) + " per transition");
+    if (stages.size() > core::kMaxArcStages)
+      fail(ctx + ": its arcs touch " + std::to_string(stages.size()) +
+           " distinct stages, more than the limit of " +
+           std::to_string(core::kMaxArcStages) + " per transition");
     for (const PlaceHandle& p : t.state_refs)
       check_handle(p, "place", places_.size(), ctx + " reads_state");
 

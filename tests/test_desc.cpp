@@ -205,6 +205,59 @@ TEST(DescFormat, DescribeRejectsAnonymousDelegatesNamingTheTransition) {
   }
 }
 
+// -- shapes no engine can fire --------------------------------------------------
+
+/// Load the fig2 description with `stages` and `places` declared after its
+/// own and `arcs` added to transition U2 (from L1, to L2); expect the
+/// ModelError ModelBuilderBase::validate() raises, containing `fragment`.
+void expect_fig2_variant_rejected(const std::string& stages, const std::string& places,
+                                  const std::string& arcs, const std::string& fragment) {
+  std::string text =
+      desc::to_text(machines::describe_machine("fig2", opts_for(core::Backend::compiled)));
+  const std::pair<std::string, std::string> inserts[] = {
+      {"stage L2 capacity=1\n", stages},
+      {"place L2 stage=L2\n", places},
+      {"transition U2 type=A\n  from L1\n  to L2\n", arcs}};
+  for (const auto& [anchor, extra] : inserts) {
+    const std::size_t at = text.find(anchor);
+    ASSERT_NE(at, std::string::npos) << anchor;
+    text.insert(at + anchor.size(), extra);
+  }
+  try {
+    machines::run_description(desc::parse(text), opts_for(core::Backend::compiled));
+    ADD_FAILURE() << "loaded a model the engines cannot fire:\n" << text;
+  } catch (const model::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find(fragment), std::string::npos) << e.what();
+  }
+}
+
+TEST(DescLimits, FiveConsumeArcsAreRejected) {
+  expect_fig2_variant_rejected(
+      "stage R capacity=5\n",
+      "place R0 stage=R\nplace R1 stage=R\nplace R2 stage=R\nplace R3 stage=R\n"
+      "place R4 stage=R\n",
+      "  consume R0\n  consume R1\n  consume R2\n  consume R3\n  consume R4\n",
+      "transition 'U2': 5 consume arcs, more than the limit of 4");
+}
+
+TEST(DescLimits, ArcsOnNineStagesAreRejected) {
+  std::string stages, places, arcs;
+  for (int i = 1; i <= 7; ++i) {
+    const std::string n = std::to_string(i);
+    stages += "stage S" + n + " capacity=1\n";
+    places += "place P" + n + " stage=S" + n + "\n";
+    arcs += "  emit P" + n + "\n";
+  }
+  expect_fig2_variant_rejected(stages, places, arcs,
+                               "transition 'U2': its arcs touch 9 distinct stages");
+}
+
+TEST(DescLimits, TwoConsumeArcsOnOnePlaceAreRejected) {
+  expect_fig2_variant_rejected("stage R capacity=2\n", "place R0 stage=R\n",
+                               "  consume R0\n  consume R0\n",
+                               "transition 'U2': two consume arcs on place 'R0'");
+}
+
 // -- round-trip equality ------------------------------------------------------
 
 class DescRoundTrip : public ::testing::TestWithParam<const char*> {};

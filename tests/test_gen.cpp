@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "gen/compiled_engine.hpp"
@@ -188,6 +190,95 @@ TEST(CompiledLockstep, XScaleFullProgram) {
 }
 
 // ---------------------------------------------------------------------------
+// One-token scan early-outs
+// ---------------------------------------------------------------------------
+// The table loop tests a one-token stage list in place instead of copying it
+// into a snapshot. Stage S (capacity 1) holds places A and B; A's only
+// transition retires an instruction of type T, B has none. Each case parks
+// one token the scan at A must pass over: firing it would retire it through
+// A's transition, refusing it would record a stall at A.
+
+struct LatchNet {
+  core::Net net{"latch"};
+  core::PlaceId a = core::kNoPlace, b = core::kNoPlace;
+  core::TypeId ty = core::kNoType;
+
+  explicit LatchNet(std::uint32_t a_delay) {
+    const core::StageId s = net.add_stage("S", 1);
+    a = net.add_place("A", s, a_delay);
+    b = net.add_place("B", s, 1);
+    ty = net.add_type("T");
+    net.add_transition("A.retire", ty).from(a).to(net.end_place());
+  }
+};
+
+enum class Parked { reservation, other_place, not_ready };
+
+/// Park one token in S, then step `cycles` cycles; the stats after each.
+std::vector<core::Stats> run_parked(core::Backend backend, Parked what, int cycles) {
+  LatchNet m(what == Parked::not_ready ? 6 : 1);
+  core::EngineOptions o;
+  o.backend = backend;
+  std::unique_ptr<core::Engine> eng;
+  if (backend == core::Backend::compiled) {
+    eng = std::make_unique<gen::CompiledEngine>(m.net, o);
+  } else {
+    eng = std::make_unique<core::Engine>(m.net, o);
+  }
+  eng->build();
+  if (what == Parked::reservation) {
+    eng->emit_reservation(m.a);
+  } else {
+    core::InstructionToken* tok = eng->acquire_pooled_instruction();
+    tok->type = m.ty;
+    eng->emit_instruction(tok, what == Parked::other_place ? m.b : m.a);
+  }
+  std::vector<core::Stats> after;
+  for (int c = 0; c < cycles; ++c) {
+    eng->step();
+    after.push_back(eng->stats());
+  }
+  return after;
+}
+
+/// Step both backends over the parked token for `cycles` cycles: they agree
+/// after every cycle, and A neither fires nor stalls.
+std::vector<core::Stats> expect_passed_over_at_a(Parked what, int cycles) {
+  const unsigned a = static_cast<unsigned>(LatchNet(1).a);
+  const std::vector<core::Stats> interp = run_parked(core::Backend::interpreted, what, cycles);
+  const std::vector<core::Stats> comp = run_parked(core::Backend::compiled, what, cycles);
+  for (int c = 0; c < cycles; ++c) {
+    SCOPED_TRACE("cycle " + std::to_string(c));
+    expect_stats_equal(interp[c], comp[c]);
+    EXPECT_EQ(comp[c].firings, 0u);
+    EXPECT_EQ(comp[c].place_stalls[a], 0u);
+  }
+  return comp;
+}
+
+TEST(OneTokenScan, PassesOverAReservationToken) {
+  const std::vector<core::Stats> s = expect_passed_over_at_a(Parked::reservation, 4);
+  for (std::uint64_t n : s.back().place_stalls) EXPECT_EQ(n, 0u);
+}
+
+TEST(OneTokenScan, PassesOverATokenOfAnotherPlaceOfTheStage) {
+  // The token is ready in B, which has no transition: it stalls there every
+  // cycle from its ready cycle on, so only the place check keeps it from A.
+  const std::vector<core::Stats> s = expect_passed_over_at_a(Parked::other_place, 4);
+  EXPECT_EQ(s.back().place_stalls[static_cast<unsigned>(LatchNet(1).b)], 3u);
+}
+
+TEST(OneTokenScan, PassesOverATokenNotReadyYet) {
+  // Emitted at cycle 0 into A (delay 6): ready from cycle 6, when it retires.
+  const std::vector<core::Stats> s = expect_passed_over_at_a(Parked::not_ready, 6);
+  for (std::uint64_t n : s.back().place_stalls) EXPECT_EQ(n, 0u);
+  const std::vector<core::Stats> interp = run_parked(core::Backend::interpreted, Parked::not_ready, 7);
+  const std::vector<core::Stats> comp = run_parked(core::Backend::compiled, Parked::not_ready, 7);
+  EXPECT_EQ(interp.back().retired, 1u);
+  EXPECT_EQ(comp.back().retired, 1u);
+}
+
+// ---------------------------------------------------------------------------
 // Lowering-pass invariants
 // ---------------------------------------------------------------------------
 
@@ -229,11 +320,10 @@ TEST(CompiledModelLowering, SimpleShapePrecomputed) {
   auto* ce = dynamic_cast<gen::CompiledEngine*>(&comp.engine());
   ASSERT_NE(ce, nullptr);
   // U2/U3/U4 are plain latch-to-latch moves; the lowering must take the
-  // fast-path flag and pre-resolve the destination stage.
+  // fast-path flag and record the destination of the move arc.
   for (const gen::CompiledTransition& ct : ce->compiled().body) {
     EXPECT_TRUE(ct.simple);
-    ASSERT_NE(ct.move_stage, nullptr);
-    EXPECT_EQ(ct.move_stage, &comp.net().stage_of(ct.move_place));
+    EXPECT_EQ(ct.move_place, comp.net().transition(ct.id).outputs()[0].place);
   }
 }
 
@@ -261,15 +351,12 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
   EXPECT_EQ(cm.instr_pool_hint, bounded);
   EXPECT_EQ(cm.res_pool_hint, bounded);
 
-  // Pre-resolved stage pointers agree with the net's id mapping everywhere.
-  ASSERT_EQ(cm.order_stage.size(), cm.order.size());
-  for (std::size_t i = 0; i < cm.order.size(); ++i)
-    EXPECT_EQ(cm.order_stage[i], &net.stage_of(cm.order[i])) << "order slot " << i;
-  ASSERT_EQ(cm.two_list_stage_ptrs.size(), cm.two_list_stages.size());
-  for (std::size_t i = 0; i < cm.two_list_stages.size(); ++i)
-    EXPECT_EQ(cm.two_list_stage_ptrs[i], &net.stage(cm.two_list_stages[i]));
-  for (const gen::CompiledOutArc& a : cm.out_arcs)
-    EXPECT_EQ(a.stage, &net.stage_of(a.place));
+  // The owning-stage table the engine resolves its stage pointers from at
+  // build() agrees with the net's id mapping everywhere.
+  ASSERT_EQ(cm.place_stage.size(), net.num_places());
+  for (unsigned p = 0; p < net.num_places(); ++p)
+    EXPECT_EQ(&net.stage(cm.place_stage[p]), &net.stage_of(static_cast<core::PlaceId>(p)))
+        << "place " << p;
 }
 
 // ---------------------------------------------------------------------------

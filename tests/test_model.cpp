@@ -238,6 +238,68 @@ TEST(ModelValidation, ZeroMaxFiresPerCycle) {
   expect_build_error(b, "max_fires_per_cycle must be >= 1");
 }
 
+// Shapes no engine can fire: each would overflow a hot loop's per-firing
+// scratch array or take one reservation token twice, so build() refuses
+// them, naming the transition and the limit.
+TEST(ModelValidation, MoreConsumeArcsThanTheEngineLimit) {
+  ModelBuilder<> b("m");
+  const TypeHandle ty = b.add_type("T");
+  const PlaceHandle p = b.add_place("P", b.add_stage("S", 1));
+  const StageHandle r = b.add_stage("R", core::kMaxReservationInputs + 1);
+  std::vector<PlaceHandle> res;
+  for (unsigned i = 0; i <= core::kMaxReservationInputs; ++i)
+    res.push_back(b.add_place("R" + std::to_string(i), r));
+  auto t = b.add_transition("wide", ty);
+  t.from(p).to(b.end());
+  for (const PlaceHandle& q : res) t.consume_reservation(q);
+  expect_build_error(b, "transition 'wide': 5 consume arcs, more than the limit of 4");
+}
+
+TEST(ModelValidation, ArcsTouchingMoreStagesThanTheEngineLimit) {
+  ModelBuilder<> b("m");
+  const TypeHandle ty = b.add_type("T");
+  const PlaceHandle p = b.add_place("P", b.add_stage("S", 1));
+  // The trigger's stage, the end stage and seven emit stages: nine.
+  std::vector<PlaceHandle> outs;
+  for (unsigned i = 0; i + 2 <= core::kMaxArcStages; ++i)
+    outs.push_back(b.add_place("Q" + std::to_string(i),
+                               b.add_stage("S" + std::to_string(i), 1)));
+  auto t = b.add_transition("spread", ty);
+  t.from(p).to(b.end());
+  for (const PlaceHandle& q : outs) t.emit_reservation(q);
+  expect_build_error(b,
+                     "transition 'spread': its arcs touch 9 distinct stages, more than "
+                     "the limit of 8");
+}
+
+TEST(ModelValidation, TwoConsumeArcsOnOnePlace) {
+  ModelBuilder<> b("m");
+  const TypeHandle ty = b.add_type("T");
+  const PlaceHandle p = b.add_place("P", b.add_stage("S", 1));
+  const PlaceHandle r = b.add_place("R", b.add_stage("RS", 2));
+  b.add_transition("greedy", ty).from(p).consume_reservation(r).consume_reservation(r).to(
+      b.end());
+  expect_build_error(b, "transition 'greedy': two consume arcs on place 'R'");
+}
+
+TEST(ModelValidation, ArcLimitsAreInclusive) {
+  // Exactly at both limits builds: four consume arcs whose places, with the
+  // trigger's stage, the end stage and two emit stages, span eight stages.
+  ModelBuilder<> b("m");
+  const TypeHandle ty = b.add_type("T");
+  const PlaceHandle p = b.add_place("P", b.add_stage("S", 1));
+  std::vector<PlaceHandle> ins, outs;
+  for (unsigned i = 0; i < core::kMaxReservationInputs; ++i)
+    ins.push_back(b.add_place("R" + std::to_string(i), b.add_stage("RS" + std::to_string(i), 1)));
+  for (unsigned i = 0; i < 2; ++i)
+    outs.push_back(b.add_place("Q" + std::to_string(i), b.add_stage("QS" + std::to_string(i), 1)));
+  auto t = b.add_transition("edge", ty);
+  t.from(p).to(b.end());
+  for (const PlaceHandle& q : ins) t.consume_reservation(q);
+  for (const PlaceHandle& q : outs) t.emit_reservation(q);
+  EXPECT_NO_THROW(b.build());
+}
+
 TEST(ModelValidation, GuardOverrideLastWriterWinsAcrossStatefulAndStateless) {
   // A capturing guard replaced by a capture-less one (different internal
   // storage) must still be last-writer-wins, like core::TransitionBuilder.
