@@ -199,13 +199,12 @@ int main() {
     json_rows.push_back(row.render());
   }
 
-  // -- Per-optimization ablations (PR 8) -----------------------------------
-  // Each hot-loop optimization timed against its own off-switch, interleaved
-  // best-of-k (ab_ratio). Workloads are chosen to exercise the regime each
-  // optimization targets; >= 1.0 means the switch pays for itself there.
-  // Returns nullptr when the name is unknown so a renamed workload skips the
-  // ablation loudly (0.0 = not measured) instead of silently measuring
-  // whatever workload happens to be first.
+  // -- Per-optimization ablation --------------------------------------------
+  // The hot-loop optimization timed against its own off-switch, interleaved
+  // best-of-k (ab_ratio); >= 1.0 means the switch pays for itself.
+  // find_workload returns nullptr when the name is unknown so a renamed
+  // workload skips the ablation loudly (0.0 = not measured) instead of
+  // silently measuring whatever workload happens to be first.
   const auto find_workload = [](const char* name) -> const workloads::Workload* {
     for (const workloads::Workload& w : workloads::all())
       if (w.name == name) return &w;
@@ -216,7 +215,7 @@ int main() {
     return nullptr;
   };
 
-  // (1) Decoded-uop cache — StrongArm compiled on the crc kernel; the off
+  // Decoded-uop cache — StrongArm compiled on the crc kernel; the off
   // switch re-decodes and re-binds operands on every fetch.
   double abl_decode = 0.0;
   if (const workloads::Workload* wp = find_workload("crc")) {
@@ -233,42 +232,6 @@ int main() {
         5, [&] { return bench::timed([&] { return on_sim.run(prog); }).second; },
         [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
   }
-
-  // (2) Quiescence cycle-skipping — StrongArm compiled in a latency-bound
-  // configuration (tiny direct-mapped caches, 1000-cycle miss penalty) on
-  // go, where long miss stalls leave whole idle windows to jump over. The
-  // default caches hit >99% on these kernels and leave nothing to skip, so
-  // measuring there would only measure noise.
-  double abl_quiesce = 0.0, quiesce_frac = 0.0;
-  if (const workloads::Workload* wp = find_workload("go")) {
-    const workloads::Workload& w = *wp;
-    const sys::Program prog = workloads::build(w, bench::scaled(w));
-    machines::StrongArmConfig on_cfg;
-    on_cfg.engine.backend = core::Backend::compiled;
-    on_cfg.mem.icache.size_bytes = 256;
-    on_cfg.mem.icache.assoc = 1;
-    on_cfg.mem.icache.miss_penalty = 1000;
-    on_cfg.mem.dcache.size_bytes = 256;
-    on_cfg.mem.dcache.assoc = 1;
-    on_cfg.mem.dcache.miss_penalty = 1000;
-    machines::StrongArmConfig off_cfg = on_cfg;
-    on_cfg.engine.quiescence_skip = true;
-    machines::StrongArmSim on_sim(on_cfg), off_sim(off_cfg);
-    const machines::RunResult warm = on_sim.run(prog);
-    off_sim.run(prog);
-    quiesce_frac = warm.cycles > 0
-                       ? static_cast<double>(on_sim.engine().stats().quiesced_cycles) /
-                             static_cast<double>(warm.cycles)
-                       : 0.0;
-    abl_quiesce = ab_ratio(
-        5, [&] { return bench::timed([&] { return on_sim.run(prog); }).second; },
-        [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
-  }
-
-  // (3) Profile-guided emission ordering — measured below on the emitted
-  // binaries (gen_sim_strongarm_crc_profile vs the default-ordered twin)
-  // since the ordering is baked in at emission time.
-  double abl_profile = 0.0;
 
   // Freestanding vs generated(linked) artifact: both binaries run their
   // golden workload under the same --time harness (N reps + warm-up), so the
@@ -321,26 +284,6 @@ int main() {
     fs_ratio_sa = ratio_for("strongarm_crc", fs_mcps_sa);
     fs_ratio_xs = ratio_for("xscale_adpcm", fs_mcps_xs);
 
-    // Ablation (3): profile-ordered emission vs the default-ordered twin of
-    // the same model, same --time harness, interleaved best-of-9 (the win is
-    // a few percent, under the single-sample noise floor of a shared host).
-    {
-      const std::string def_bin = std::string(RCPN_BIN_DIR) + "/gen_sim_strongarm_crc";
-      const std::string prof_bin =
-          std::string(RCPN_BIN_DIR) + "/gen_sim_strongarm_crc_profile";
-      double best_def = 0.0, best_prof = 0.0;
-      for (int attempt = 0; attempt < 9; ++attempt) {
-        const TimeSample td = time_binary(def_bin, 1500);
-        const TimeSample tp = time_binary(prof_bin, 1500);
-        if (td.secs <= 0.0 || tp.secs <= 0.0) {
-          best_prof = 0.0;
-          break;
-        }
-        if (best_def == 0.0 || td.secs < best_def) best_def = td.secs;
-        if (best_prof == 0.0 || tp.secs < best_prof) best_prof = tp.secs;
-      }
-      if (best_prof > 0.0) abl_profile = best_def / best_prof;
-    }
     if (fs_ratio_sa > 0.0 || fs_ratio_xs > 0.0) {
       char fs_sa[16] = "not measured", fs_xs[16] = "not measured";
       if (fs_ratio_sa > 0.0)
@@ -357,15 +300,8 @@ int main() {
   }
 #endif
 
-  std::printf("\nper-optimization ablations (>= 1.0x means the switch pays):\n");
+  std::printf("\nper-optimization ablation (>= 1.0x means the switch pays):\n");
   std::printf("  decode cache (StrongArm(c), crc, vs bypass):        %.2fx\n", abl_decode);
-  std::printf("  quiescence skip (latency-bound go, %.0f%% idle):      %.2fx\n",
-              100.0 * quiesce_frac, abl_quiesce);
-  if (abl_profile > 0.0)
-    std::printf("  profile-guided emission order (gen_sim --time):     %.2fx\n",
-                abl_profile);
-  else
-    std::printf("  profile-guided emission order: binaries not built - skipped\n");
 
   const double ratio_sa = sum_sc / sum_sa;
   const double ratio_xs = sum_xc / sum_xs;
@@ -420,10 +356,7 @@ int main() {
         .num("mcps_xscale_freestanding_golden", fs_mcps_xs);
 
   bench::JsonObj ablations;
-  ablations.num("decode_cache", abl_decode)
-      .num("quiescence_skip", abl_quiesce)
-      .num("quiescence_idle_fraction", quiesce_frac);
-  if (abl_profile > 0.0) ablations.num("profile_order", abl_profile);
+  ablations.num("decode_cache", abl_decode);
 
   const std::string json =
       bench::JsonObj()

@@ -51,7 +51,7 @@ int usage(const char* argv0, int code) {
                "      serialize the machine's model to a canonical .rcpn\n"
                "      description (stdout unless --out)\n"
                "  emit <machine|file.rcpn> [--out FILE] [--no-main] [--freestanding]\n"
-               "       [schedule flags] [--profile] [--tables] [--dot]\n"
+               "       [schedule flags] [--tables] [--dot]\n"
                "      generate the standalone C++ simulator source\n"
                "  fuzz <seed> [emit flags]\n"
                "      shorthand for `emit fuzz-<seed>`\n"
@@ -64,18 +64,12 @@ int usage(const char* argv0, int code) {
                "  or a path ending in .rcpn (the description's recorded engine\n"
                "  options are the base; explicit flags below override them)\n"
                "  schedule flags: --force-two-list-all --no-two-list-state-refs\n"
-               "                  --linear-search --quiescence  (emit an\n"
-               "                  ablation-variant schedule, stamped and verified\n"
-               "                  at build(); --quiescence enables the idle-cycle\n"
-               "                  fast-forward in the emitted engine)\n"
+               "                  --linear-search  (emit an ablation-variant\n"
+               "                  schedule, stamped and verified at build())\n"
                "  --no-main: emit engine + registrar only (link into another binary)\n"
                "  --freestanding: inline the runtime subset — the emitted file\n"
                "                  compiles with no repo includes and links against\n"
                "                  nothing but the C++ standard library\n"
-               "  --profile: run the machine's golden workload first and order the\n"
-               "             emitted candidate runs and dispatch switches by the\n"
-               "             measured per-transition firing counts (bit-identical\n"
-               "             simulation; layout only)\n"
                "  --tables:  emit the static-schedule table dump (gen::emit_cpp)\n"
                "  --dot:     emit the model structure for graphviz (gen::emit_dot)\n"
                "A fuzz-<seed> artifact's main is the *generic* CLI\n"
@@ -142,13 +136,11 @@ struct ScheduleOverrides {
   bool force_two_list_all = false;
   bool no_two_list_state_refs = false;
   bool linear_search = false;
-  bool quiescence = false;
 
   void apply(core::EngineOptions& options) const {
     if (force_two_list_all) options.force_two_list_all = true;
     if (no_two_list_state_refs) options.two_list_state_refs = false;
     if (linear_search) options.linear_search = true;
-    if (quiescence) options.quiescence_skip = true;
   }
 };
 
@@ -160,8 +152,6 @@ bool parse_schedule_flag(const std::string& arg, ScheduleOverrides& seen) {
     seen.no_two_list_state_refs = true;
   } else if (arg == "--linear-search") {
     seen.linear_search = true;
-  } else if (arg == "--quiescence") {
-    seen.quiescence = true;
   } else {
     return false;
   }
@@ -208,7 +198,6 @@ int cmd_describe(const char* argv0, const std::vector<std::string>& args) {
 int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
   std::string machine, out_path;
   bool with_main = true, tables = false, dot = false, freestanding = false;
-  bool profile = false;
   ScheduleOverrides overrides;
   core::EngineOptions cli_options;
   cli_options.backend = core::Backend::compiled;  // the lowering pass lives there
@@ -221,8 +210,6 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
     } else if (arg == "--freestanding") {
       freestanding = true;
     } else if (parse_schedule_flag(arg, overrides)) {
-    } else if (arg == "--profile") {
-      profile = true;
     } else if (arg == "--tables") {
       tables = true;
     } else if (arg == "--dot") {
@@ -258,18 +245,6 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
     }
     overrides.apply(options);
     const bool fuzz = key.rfind("fuzz-", 0) == 0;
-
-    // --profile: run the golden workload once on the compiled backend and
-    // collect the per-transition firing counts the emitter orders by.
-    std::vector<std::uint64_t> profile_fires;
-    if (profile && !tables && !dot) {
-      const machines::GoldenRunResult r =
-          fuzz ? machines::golden_run_fuzz(
-                     static_cast<unsigned>(std::strtoul(key.c_str() + 5, nullptr, 10)),
-                     options)
-               : machines::run_golden_machine_full(key, options);
-      profile_fires = r.stats.transition_fires;
-    }
     const machines::GoldenInspectFn lower = [&](core::Net& net, core::Engine& eng) {
       auto& ce = dynamic_cast<gen::CompiledEngine&>(eng);
       if (dot) {
@@ -279,7 +254,6 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       } else {
         gen::EmitSimOptions emit_opts;
         emit_opts.engine_options = options;
-        emit_opts.profile_fires = profile_fires;
         if (freestanding) {
           emit_opts.mode = gen::EmitMode::freestanding;
           emit_opts.extra_roots.push_back(

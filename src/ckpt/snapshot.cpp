@@ -10,7 +10,7 @@ namespace rcpn::ckpt {
 
 namespace {
 
-constexpr std::string_view kVersion = "rcpn-ckpt/1";
+constexpr std::string_view kVersion = "rcpn-ckpt/2";
 
 void save_u64_vec(StateWriter& w, std::string_view name,
                   const std::vector<std::uint64_t>& v) {
@@ -30,7 +30,6 @@ std::vector<std::uint64_t> read_u64_vec(StateReader& r, std::string_view name) {
            std::string(r.get("name")) + "'");
   const std::uint64_t n = r.get_u64("n");
   std::vector<std::uint64_t> out;
-  out.reserve(n);
   std::string_view v = r.has("v") ? r.get("v") : std::string_view{};
   while (!v.empty()) {
     const std::size_t comma = v.find(',');
@@ -124,12 +123,6 @@ std::string net_digest(const core::Net& net) {
 std::string save_snapshot(core::Engine& eng, const MachineIO& io,
                           const std::vector<TraceEvent>& trace) {
   const core::Net& net = eng.net();
-  if (eng.options().quiescence_skip)
-    throw CkptError("model '" + net.name() +
-                    "': cannot snapshot a run with quiescence_skip enabled — "
-                    "resuming re-times the quiesced-cycle accounting, breaking "
-                    "the byte-equality contract; run checkpointable workloads "
-                    "with the skip off");
 
   // Enumerate the live tokens once: per stage, visible list then incoming
   // list, each in store (age) order — the order that defines candidate-scan
@@ -174,7 +167,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
       .field("seq_counter", static_cast<std::uint64_t>(sc.seq_counter))
       .field("last_activity", sc.last_activity_clock)
       .field("activity_snapshot", sc.activity_snapshot)
-      .field("quiesce_blocked", sc.quiesce_blocked)
       .end();
 
   const core::Stats& st = eng.stats();
@@ -185,7 +177,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
       .field("squashed", st.squashed)
       .field("reservations", st.reservations)
       .field("firings", st.firings)
-      .field("quiesced", st.quiesced_cycles)
       .end();
   save_u64_vec(w, "transition_fires", st.transition_fires);
   save_u64_vec(w, "place_stalls", st.place_stalls);
@@ -318,7 +309,6 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   sc.seq_counter = static_cast<std::uint32_t>(r.get_u64("seq_counter"));
   sc.last_activity_clock = r.get_u64("last_activity");
   sc.activity_snapshot = r.get_u64("activity_snapshot");
-  sc.quiesce_blocked = r.get_bool("quiesce_blocked");
 
   r.next("stats");
   core::Stats& st = eng.stats();
@@ -328,7 +318,6 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   st.squashed = r.get_u64("squashed");
   st.reservations = r.get_u64("reservations");
   st.firings = r.get_u64("firings");
-  st.quiesced_cycles = r.get_u64("quiesced");
   restore_sized_u64_vec(r, "transition_fires", st.transition_fires);
   restore_sized_u64_vec(r, "place_stalls", st.place_stalls);
   restore_sized_u64_vec(r, "place_stall_causes", st.place_stall_causes);
@@ -398,7 +387,6 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   r.next("trace");
   const std::uint64_t ntr = r.get_u64("n");
   trace_out.clear();
-  trace_out.reserve(ntr);
   for (std::uint64_t k = 0; k < ntr; ++k) {
     r.next("t");
     if (r.tokens().size() != 3) r.fail("trace record needs 3 fields");

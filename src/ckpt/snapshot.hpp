@@ -1,8 +1,8 @@
 // Engine-state snapshotting and deterministic resume (ROADMAP #5).
 //
 // A snapshot captures the complete dynamic state of a run at a cycle
-// boundary: the engine scalars and Stats (including quiesced-cycle and
-// stall-cause accounting), every live token with its per-stage list position
+// boundary: the engine scalars and Stats (including stall-cause
+// accounting), every live token with its per-stage list position
 // (visible vs not-yet-promoted incoming), the operand/reservation state of
 // the three-level register model, the machine context (register cells,
 // memories, caches, predictors, syscall capture, workload cursors) and the
@@ -13,7 +13,7 @@
 // valid for interpreted, compiled, generated(linked) and freestanding runs
 // alike.
 //
-// Format: versioned text ("rcpn-ckpt/1", see docs/ckpt-format.md), written
+// Format: versioned text ("rcpn-ckpt/2", see docs/ckpt-format.md), written
 // and parsed by ckpt::StateWriter/StateReader. Restore strictly verifies the
 // snapshot identity — format version, machine key, model name, structural
 // model digest, schedule-options signature, workload id — and rejects any
@@ -123,10 +123,7 @@ std::string net_digest(const core::Net& net);
 
 /// Serialize the complete dynamic state of `eng` + `io`'s machine, with
 /// `trace` as the retire-trace prefix. The engine must be between cycles
-/// (not inside step()/run()). Throws CkptError when options.quiescence_skip
-/// is enabled: the skip re-times quiesced-cycle accounting across a resume
-/// boundary, so snapshots of such runs would not satisfy the byte-equality
-/// contract.
+/// (not inside step()/run()).
 std::string save_snapshot(core::Engine& eng, const MachineIO& io,
                           const std::vector<TraceEvent>& trace);
 

@@ -233,8 +233,6 @@ void Engine::reset() {
   seq_counter_ = 0;
   last_activity_clock_ = 0;
   activity_snapshot_ = 0;
-  run_horizon_ = ~Cycle{0};
-  quiesce_blocked_ = false;
 }
 
 // ---------------------------------------------------------------------------
@@ -601,57 +599,15 @@ bool Engine::finish_cycle() {
   if (activity != activity_snapshot_) {
     activity_snapshot_ = activity;
     last_activity_clock_ = clock_;
-    quiesce_blocked_ = false;
-  } else {
-    if (options_.quiescence_skip && !quiesce_blocked_) maybe_skip_quiescent();
-    if (in_flight_ > 0 && clock_ - last_activity_clock_ > options_.deadlock_limit) {
-      util::log_line(
-          util::LogLevel::error,
-          "engine: no activity for " + std::to_string(options_.deadlock_limit) +
-              " cycles with tokens in flight — model deadlock in net '" +
-              net_.name() + "'");
-      stopped_ = true;
-    }
+  } else if (in_flight_ > 0 && clock_ - last_activity_clock_ > options_.deadlock_limit) {
+    util::log_line(
+        util::LogLevel::error,
+        "engine: no activity for " + std::to_string(options_.deadlock_limit) +
+            " cycles with tokens in flight — model deadlock in net '" + net_.name() +
+            "'");
+    stopped_ = true;
   }
   return !stopped_;
-}
-
-void Engine::maybe_skip_quiescent() {
-  // Nothing fired this cycle. If every stage is fully idle — no incoming
-  // tokens awaiting promotion and no visible token ready at the next cycle —
-  // the steps between here and the earliest ready cycle would each process
-  // nothing (guards and capacities only get re-evaluated for *ready* tokens,
-  // and independent transitions that could fire during idle cycles would
-  // have fired this cycle already). Jump straight there. The skipped cycles
-  // still count: clock_ and stats_.cycles advance together, so traces,
-  // stats and the CPI math are identical to the unskipped run. (Under
-  // RCPN_OBS the per-cycle occupancy samples for the skipped window are
-  // elided — see the EngineOptions::quiescence_skip comment.)
-  Cycle earliest = ~Cycle{0};
-  for (unsigned s = 0; s < net_.num_stages(); ++s) {
-    const PipelineStage& st = net_.stage(static_cast<StageId>(s));
-    if (!st.incoming().empty()) return;
-    for (const Token* t : st.tokens()) earliest = std::min(earliest, t->ready);
-  }
-  if (earliest == ~Cycle{0}) return;  // no visible tokens: nothing to jump to
-  if (earliest <= clock_) {
-    // A visible token is ready right now but blocked on a guard or on
-    // capacity. Ready times are absolute, so it stays ready (and the scan
-    // keeps failing) until something fires; latch the scan off rather than
-    // paying it again on every idle cycle of the stall window.
-    quiesce_blocked_ = true;
-    return;
-  }
-  Cycle target = std::min(earliest, run_horizon_);
-  // Never jump past the point where the deadlock watchdog would have stopped
-  // an unskipped run.
-  if (in_flight_ > 0)
-    target = std::min(target, last_activity_clock_ + options_.deadlock_limit + 1);
-  if (target <= clock_) return;
-  const std::uint64_t skipped = target - clock_;
-  clock_ = target;
-  stats_.cycles += skipped;
-  stats_.quiesced_cycles += skipped;
 }
 
 bool Engine::step() {
@@ -670,11 +626,7 @@ bool Engine::step() {
 
 std::uint64_t Engine::run(std::uint64_t max_cycles) {
   const Cycle start = clock_;
-  // Bound the quiescence skip so this call executes exactly `max_cycles`
-  // cycles (no more), as an unskipped run would.
-  run_horizon_ = max_cycles > ~Cycle{0} - start ? ~Cycle{0} : start + max_cycles;
   while (!stopped_ && clock_ - start < max_cycles) step();
-  run_horizon_ = ~Cycle{0};
   return clock_ - start;
 }
 

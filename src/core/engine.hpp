@@ -60,24 +60,6 @@ struct EngineOptions {
   /// Ablation: ignore the Fig 6 sorted-transition table and search all
   /// transitions of the net for every token (CPN-style global search).
   bool linear_search = false;
-  /// Quiescence cycle-skipping: after a cycle in which nothing fired, if
-  /// every stage's incoming buffer is empty and every visible token's ready
-  /// cycle lies strictly in the future, fast-forward the clock (and the cycle
-  /// counter) to the minimum ready cycle instead of idling through the gap
-  /// one step() at a time. Off by default: it is only sound for models whose
-  /// guards do not read the engine clock (the curated machines qualify; the
-  /// fuzz models' clock-window guards do not). Schedule-affecting like the
-  /// flags above — stamped into generated Traits and part of the artifact
-  /// options key. Deadlock-watchdog and run(max_cycles) behavior are
-  /// preserved exactly (the skip never jumps past either horizon).
-  /// Observability interaction (RCPN_OBS + `obs` below): the skipped idle
-  /// cycles never reach finish_cycle's per-cycle probes, so obs::Hub
-  /// occupancy histograms and StageProfile::cycles count *executed* cycles
-  /// only and will total fewer cycles than Stats::cycles by exactly
-  /// Stats::quiesced_cycles. Trace consumers see the gap as a jump in event
-  /// timestamps; nothing can fire inside it by construction, so no events
-  /// are lost — only idle-window occupancy samples are elided.
-  bool quiescence_skip = false;
   /// Stop with an error after this many cycles without any firing while
   /// tokens are still in flight (model deadlock watchdog).
   std::uint64_t deadlock_limit = 100000;
@@ -198,9 +180,7 @@ class Engine {
   // reproduces the recorded per-stage token lists and counters verbatim, so a
   // restored run continues cycle-for-cycle identically to the original.
 
-  /// Every dynamic engine scalar a snapshot must carry (run_horizon_ is
-  /// excluded: snapshots are only taken between run()/step() calls, where it
-  /// is always ~0).
+  /// Every dynamic engine scalar a snapshot must carry.
   struct CkptScalars {
     Cycle clock = 0;
     std::uint64_t in_flight = 0;
@@ -208,11 +188,10 @@ class Engine {
     std::uint64_t last_activity_clock = 0;
     std::uint64_t activity_snapshot = 0;
     bool stopped = false;
-    bool quiesce_blocked = false;
   };
   CkptScalars ckpt_scalars() const {
-    return CkptScalars{clock_,  in_flight_, seq_counter_,   last_activity_clock_,
-                       activity_snapshot_, stopped_,       quiesce_blocked_};
+    return CkptScalars{clock_, in_flight_, seq_counter_, last_activity_clock_,
+                       activity_snapshot_, stopped_};
   }
   void ckpt_restore_scalars(const CkptScalars& s) {
     clock_ = s.clock;
@@ -221,7 +200,6 @@ class Engine {
     last_activity_clock_ = s.last_activity_clock;
     activity_snapshot_ = s.activity_snapshot;
     stopped_ = s.stopped;
-    quiesce_blocked_ = s.quiesce_blocked;
   }
   /// Pooled reservation token for snapshot restore (the caller sets its
   /// fields and re-inserts it with ckpt_insert_token).
@@ -291,11 +269,6 @@ class Engine {
   /// Advance the clock, update stats and run the deadlock watchdog (the tail
   /// of Fig 8's main loop, shared by both backends). Returns !stopped_.
   bool finish_cycle();
-  /// The quiescence fast-forward (options_.quiescence_skip): called by
-  /// finish_cycle() after a zero-activity cycle; jumps clock_ and
-  /// stats_.cycles to the earliest cycle at which any token becomes ready,
-  /// capped by the deadlock and run(max_cycles) horizons.
-  void maybe_skip_quiescent();
 
   /// The Process(place) snapshot (firing mutates the stage's list; the table
   /// loop tests a one-token list in place instead): fill scratch_ with the
@@ -361,16 +334,6 @@ class Engine {
   std::uint32_t seq_counter_ = 0;
   std::uint64_t last_activity_clock_ = 0;
   std::uint64_t activity_snapshot_ = 0;
-  /// Absolute clock value the current run(max_cycles) call must not pass;
-  /// ~0ull outside run(). Caps the quiescence skip so run() executes exactly
-  /// as many cycles as without the knob.
-  Cycle run_horizon_ = ~Cycle{0};
-  /// Latched by maybe_skip_quiescent() when a visible token is ready *now*
-  /// but blocked on a guard or capacity: ready tokens never become un-ready
-  /// without a firing, so the skip scan would keep failing identically every
-  /// idle cycle — stop rescanning until activity resumes. Pure scheduling
-  /// state; never affects results.
-  bool quiesce_blocked_ = false;
   /// Why the most recent candidate evaluation refused to fire; read by
   /// count_stall(). Always maintained (the stall-cause stats are not gated),
   /// one byte-store per failed candidate.

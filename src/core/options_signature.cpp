@@ -18,7 +18,6 @@ constexpr ScheduleOption kScheduleOptions[] = {
     {"two_list_state_refs", &EngineOptions::two_list_state_refs},
     {"force_two_list_all", &EngineOptions::force_two_list_all},
     {"linear_search", &EngineOptions::linear_search},
-    {"quiescence_skip", &EngineOptions::quiescence_skip},
 };
 
 constexpr unsigned kNumScheduleOptions =

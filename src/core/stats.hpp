@@ -42,8 +42,8 @@ struct Stats {
   std::uint64_t reservations = 0;
   /// Total transition firings (instruction + independent).
   std::uint64_t firings = 0;
-  /// Cycles covered by the quiescence fast-forward instead of being stepped
-  /// (included in `cycles`; always 0 unless EngineOptions::quiescence_skip).
+  /// Always 0: the engine steps every cycle. Kept because the repository
+  /// benchmark's count lines print it (perfbench/src/arm_workloads.cpp).
   std::uint64_t quiesced_cycles = 0;
 
   std::vector<std::uint64_t> transition_fires;  // indexed by TransitionId

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -30,12 +31,19 @@ void check_name(const std::string& name, const char* kind) {
                      "' is not serializable (empty, leading '@', whitespace or '#')");
 }
 
-std::uint64_t parse_u64(std::string_view token, std::size_t line, const char* what) {
+/// Parse a decimal number into a field of type T. A value above T's maximum
+/// is rejected naming the limit, never truncated.
+template <typename T = std::uint64_t>
+T parse_num(std::string_view token, std::size_t line, const char* what) {
   std::uint64_t value = 0;
   const auto [ptr, ec] = std::from_chars(token.begin(), token.end(), value);
   if (ec != std::errc{} || ptr != token.end())
     bad(line, std::string(what) + " '" + std::string(token) + "' is not a number");
-  return value;
+  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+  if (value > max)
+    bad(line, std::string(what) + " " + std::string(token) + " exceeds the limit " +
+                  std::to_string(max));
+  return static_cast<T>(value);
 }
 
 std::vector<std::string_view> split_tokens(std::string_view s) {
@@ -191,7 +199,7 @@ Description parse(std::string_view text) {
         for (std::size_t i = 2; i < tok.size(); ++i) {
           const auto [k, v] = split_attr(tok[i]);
           if (k == "priority")
-            a.priority = static_cast<std::uint8_t>(parse_u64(v, line_no, "priority"));
+            a.priority = parse_num<std::uint8_t>(v, line_no, "priority");
           else
             bad(line_no, "unknown from-arc attribute '" + std::string(tok[i]) + "'");
         }
@@ -210,10 +218,10 @@ Description parse(std::string_view text) {
         open->state_refs.push_back(std::string(tok[1]));
       } else if (kw == "delay") {
         need(2, "delay <cycles>");
-        open->delay = static_cast<std::uint32_t>(parse_u64(tok[1], line_no, "delay"));
+        open->delay = parse_num<std::uint32_t>(tok[1], line_no, "delay");
       } else if (kw == "max_fires") {
         need(2, "max_fires <n>");
-        open->max_fires = static_cast<int>(parse_u64(tok[1], line_no, "max_fires"));
+        open->max_fires = parse_num<int>(tok[1], line_no, "max_fires");
       } else if (kw == "guard" || kw == "action") {
         need(3, "guard|action <symbol> machine|ctx");
         DescDelegate del;
@@ -247,7 +255,7 @@ Description parse(std::string_view text) {
       d.options = std::string(tok[1]);
     } else if (kw == "deadlock_limit") {
       need(2, "deadlock_limit <cycles>");
-      d.deadlock_limit = parse_u64(tok[1], line_no, "deadlock_limit");
+      d.deadlock_limit = parse_num(tok[1], line_no, "deadlock_limit");
     } else if (kw == "stage") {
       need(2, "stage <name> capacity=N [two_list=0|1]");
       DescStage s;
@@ -255,9 +263,9 @@ Description parse(std::string_view text) {
       for (std::size_t i = 2; i < tok.size(); ++i) {
         const auto [k, v] = split_attr(tok[i]);
         if (k == "capacity")
-          s.capacity = static_cast<std::uint32_t>(parse_u64(v, line_no, "capacity"));
+          s.capacity = parse_num<std::uint32_t>(v, line_no, "capacity");
         else if (k == "two_list")
-          s.forced_two_list = parse_u64(v, line_no, "two_list") != 0 ? 1 : 0;
+          s.forced_two_list = parse_num(v, line_no, "two_list") != 0 ? 1 : 0;
         else
           bad(line_no, "unknown stage attribute '" + std::string(tok[i]) + "'");
       }
@@ -271,7 +279,7 @@ Description parse(std::string_view text) {
         if (k == "stage")
           p.stage = std::string(v);
         else if (k == "delay")
-          p.delay = static_cast<std::uint32_t>(parse_u64(v, line_no, "delay"));
+          p.delay = parse_num<std::uint32_t>(v, line_no, "delay");
         else
           bad(line_no, "unknown place attribute '" + std::string(tok[i]) + "'");
       }

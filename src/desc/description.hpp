@@ -1,4 +1,4 @@
-// Serialized model descriptions: the `rcpn-model/1` format (ROADMAP #4, the
+// Serialized model descriptions: the `rcpn-model/2` format (ROADMAP #4, the
 // paper's ADL angle — ADL → RCPN model → generated simulator, with the RCPN
 // model now a *data* artifact instead of compiled-in C++).
 //
@@ -37,7 +37,7 @@ namespace rcpn::desc {
 /// Version tag of the format this library reads and writes — the first line
 /// of every .rcpn file. Parsers reject any other version (there is no silent
 /// best-effort loading of future formats).
-inline constexpr const char* kDescVersion = "rcpn-model/1";
+inline constexpr const char* kDescVersion = "rcpn-model/2";
 
 /// Name the serialized form uses for the virtual end place (id 0) in arcs.
 /// Declared place names may not start with '@'.

@@ -56,7 +56,7 @@ struct JobSpec {
   std::uint64_t cycle_budget = 0;
   /// Per-job wall-clock timeout; 0 = the farm's default_timeout_ms.
   std::uint64_t timeout_ms = 0;
-  /// Optional rcpn-ckpt/1 checkpoint file to resume from instead of starting
+  /// Optional rcpn-ckpt/2 checkpoint file to resume from instead of starting
   /// the workload at cycle 0 (golden machine keys and fuzz models). The
   /// file's *content* digest is folded into job_key/job_hash — the restored
   /// state is part of the simulation's identity, so editing or regenerating

@@ -1,6 +1,5 @@
 #include "gen/emit_simulator.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdarg>
 #include <cstdio>
@@ -51,17 +50,14 @@ void emit_tx(std::string& out, const CompiledTransition& ct, const core::Net& ne
 
 /// The guard/action dispatch switch: one case per transition that binds a
 /// named delegate, calling it directly with the typed machine context.
-/// `order` lists the transition ids in case-emission order (profile-guided
-/// hottest-first, or plain id order) — case order never changes semantics.
-void emit_dispatch(std::string& out, const core::Net& net, bool guards,
-                   const std::vector<unsigned>& order) {
+void emit_dispatch(std::string& out, const core::Net& net, bool guards) {
   const char* fn = guards ? "guard" : "action";
   appendf(out,
           "  static %s %s(std::int16_t id, [[maybe_unused]] Machine& m,\n"
           "         %s     [[maybe_unused]] rcpn::core::FireCtx& ctx) {\n"
           "    switch (id) {\n",
           guards ? "bool" : "void", fn, guards ? " " : "");
-  for (unsigned t : order) {
+  for (unsigned t = 0; t < net.num_transitions(); ++t) {
     const core::Transition& tr = net.transition(static_cast<core::TransitionId>(t));
     const std::string& sym = guards ? tr.guard_symbol() : tr.action_symbol();
     if (sym.empty()) continue;
@@ -120,54 +116,6 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
   const core::EngineOptions& eo = options.engine_options;
   const std::uint32_t opt_key = generated_options_key(eo);
 
-  // Profile-guided layout (EmitSimOptions::profile_fires): permute the kBody
-  // cell runs hottest-cell-first and order the dispatch cases by measured
-  // firing counts. Within-cell candidate (priority) order and the
-  // independent-subnet order are untouched, so behavior is bit-identical.
-  std::vector<CandRange> cell = cm.cell;
-  std::vector<CompiledTransition> body = cm.body;
-  std::vector<unsigned> dispatch_order(net.num_transitions());
-  for (unsigned t = 0; t < net.num_transitions(); ++t) dispatch_order[t] = t;
-  const bool profiled = options.profile_fires.size() == cm.num_transitions;
-  std::uint64_t profiled_fires = 0;
-  if (profiled) {
-    for (std::uint64_t f : options.profile_fires) profiled_fires += f;
-    struct Run {
-      std::size_t cell_idx;
-      std::uint64_t fires;
-    };
-    std::vector<Run> runs;
-    std::size_t covered = 0;
-    for (std::size_t ci = 0; ci < cell.size(); ++ci) {
-      if (cell[ci].count == 0) continue;
-      std::uint64_t f = 0;
-      for (std::uint32_t i = 0; i < cell[ci].count; ++i)
-        f += options.profile_fires[static_cast<unsigned>(cm.body[cell[ci].begin + i].id)];
-      runs.push_back({ci, f});
-      covered += cell[ci].count;
-    }
-    // Permute only when the cells partition kBody exactly (they do for
-    // every lowering today; a future aliasing layout falls back untouched).
-    if (covered == body.size()) {
-      std::stable_sort(runs.begin(), runs.end(),
-                       [](const Run& a, const Run& b) { return a.fires > b.fires; });
-      std::vector<CompiledTransition> permuted;
-      permuted.reserve(body.size());
-      for (const Run& r : runs) {
-        CandRange& c = cell[r.cell_idx];
-        const std::uint32_t nb = static_cast<std::uint32_t>(permuted.size());
-        for (std::uint32_t i = 0; i < c.count; ++i)
-          permuted.push_back(cm.body[c.begin + i]);
-        c.begin = nb;
-      }
-      body = std::move(permuted);
-    }
-    std::stable_sort(dispatch_order.begin(), dispatch_order.end(),
-                     [&](unsigned a, unsigned b) {
-                       return options.profile_fires[a] > options.profile_fires[b];
-                     });
-  }
-
   const std::string ns = sanitize(net.name());
   std::string out;
   out +=
@@ -188,11 +136,6 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
           "// ablation.\n",
           core::options_signature(eo).c_str(),
           generated_options_desc(opt_key).c_str());
-  if (profiled)
-    appendf(out,
-            "// Profile-guided layout: candidate runs and dispatch cases ordered\n"
-            "// by a %llu-firing profile (bit-identical simulation; layout only).\n",
-            static_cast<unsigned long long>(profiled_fires));
 
   if (freestanding) {
     out +=
@@ -267,7 +210,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
   appendf(out, "  static constexpr unsigned kNumOrder = %zu;\n", cm.order.size());
   appendf(out, "  static constexpr unsigned kNumTwoList = %zu;\n",
           cm.two_list_stages.size());
-  appendf(out, "  static constexpr unsigned kNumBody = %zu;\n", body.size());
+  appendf(out, "  static constexpr unsigned kNumBody = %zu;\n", cm.body.size());
   appendf(out, "  static constexpr unsigned kNumIndependent = %zu;\n\n",
           cm.independent.size());
 
@@ -314,12 +257,12 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
   // Fig 6 table.
   out += "  // Fig 6: (place, type) -> [begin, count) run in kBody\n";
   appendf(out, "  static constexpr rcpn::gen::CandRange kCell[%zu] = {\n",
-          cell.empty() ? std::size_t{1} : cell.size());
-  if (cell.empty()) out += "      {0, 0},  // none\n";
+          cm.cell.empty() ? std::size_t{1} : cm.cell.size());
+  if (cm.cell.empty()) out += "      {0, 0},  // none\n";
   for (unsigned p = 0; p < cm.num_places; ++p) {
     out += "      ";
     for (unsigned ty = 0; ty < cm.num_types; ++ty) {
-      const CandRange& r = cell[static_cast<std::size_t>(p) * cm.num_types + ty];
+      const CandRange& r = cm.cell[static_cast<std::size_t>(p) * cm.num_types + ty];
       appendf(out, "{%u, %u}, ", r.begin, r.count);
     }
     appendf(out, "// %s\n", net.place(static_cast<core::PlaceId>(p)).name.c_str());
@@ -331,9 +274,9 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
       "  // transition rows: {id, movePlace, delay, resIn begin, out begin,\n"
       "  //                   nResIn, nOut, maxFires, simple}\n";
   appendf(out, "  static constexpr rcpn::gen::StaticTx kBody[%zu] = {\n",
-          body.empty() ? std::size_t{1} : body.size());
-  if (body.empty()) out += "      {},  // none\n";
-  for (const CompiledTransition& ct : body) emit_tx(out, ct, net);
+          cm.body.empty() ? std::size_t{1} : cm.body.size());
+  if (cm.body.empty()) out += "      {},  // none\n";
+  for (const CompiledTransition& ct : cm.body) emit_tx(out, ct, net);
   out += "  };\n";
   appendf(out, "  static constexpr rcpn::gen::StaticTx kIndependent[%zu] = {\n",
           cm.independent.empty() ? std::size_t{1} : cm.independent.size());
@@ -387,9 +330,9 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
   out += "};\n\n";
 
   out += "  // direct calls to the model's named delegates (no void* env)\n";
-  emit_dispatch(out, net, /*guards=*/true, dispatch_order);
+  emit_dispatch(out, net, /*guards=*/true);
   out += "\n";
-  emit_dispatch(out, net, /*guards=*/false, dispatch_order);
+  emit_dispatch(out, net, /*guards=*/false);
 
   out +=
       "};\n"

@@ -109,19 +109,6 @@ struct EmitSimOptions {
   /// bool(const M&) — the completion predicate (default: run to the
   /// --cycles cap).
   std::string generic_done_expr;
-
-  /// Profile-guided emission ordering: per-transition firing counts from a
-  /// profiling run of the same model (core::Stats::transition_fires — the
-  /// always-on mirror of obs::StageProfile::fires). When sized to the
-  /// model's transition count, the emitter lays out the kBody candidate runs
-  /// hottest-cell-first (better locality for the runs the hot loop actually
-  /// walks) and orders the dispatch switch cases by firing frequency. The
-  /// candidate *priority* order within each cell and the independent-subnet
-  /// order are preserved, so the simulation is bit-identical — only memory
-  /// layout and case order change, and StaticEngine::verify_tables() accepts
-  /// the permuted layout through the kCell indirection. Empty (default):
-  /// keep the lowering order.
-  std::vector<std::uint64_t> profile_fires;
 };
 
 /// Render the standalone simulator source. Throws std::runtime_error if the

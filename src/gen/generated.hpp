@@ -29,20 +29,11 @@ using GeneratedFactory = std::unique_ptr<core::Engine> (*)(core::Net&,
                                                            core::EngineOptions);
 
 /// The schedule-affecting option bits a generated artifact is emitted under
-/// (two-list analysis, candidate-search strategy and the quiescence-skip
-/// main-loop variant; backend and runtime knobs like deadlock_limit do not
-/// change the tables). Emitted TUs stamp the key as Traits::kOptionsKey;
-/// lookups derive the same key from live EngineOptions. Both sides come
-/// from the core::options_bits table (core/options_signature.hpp) — the
-/// constexpr form is kept for compatibility and must agree with that table
-/// (tests assert it).
-constexpr std::uint32_t generated_options_key(bool two_list_state_refs,
-                                              bool force_two_list_all,
-                                              bool linear_search,
-                                              bool quiescence_skip) {
-  return (two_list_state_refs ? 1u : 0u) | (force_two_list_all ? 2u : 0u) |
-         (linear_search ? 4u : 0u) | (quiescence_skip ? 8u : 0u);
-}
+/// (two-list analysis and candidate-search strategy; backend and runtime
+/// knobs like deadlock_limit do not change the tables). Emitted TUs stamp the
+/// key as Traits::kOptionsKey; lookups derive the same key from live
+/// EngineOptions. Both sides come from the core::options_bits table
+/// (core/options_signature.hpp).
 std::uint32_t generated_options_key(const core::EngineOptions& options);
 
 /// Human-readable spelling of an options key (error messages, emitted

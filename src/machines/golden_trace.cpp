@@ -248,15 +248,13 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       options.two_list_state_refs = false;
     } else if (arg == "--linear-search") {
       options.linear_search = true;
-    } else if (arg == "--quiescence") {
-      options.quiescence_skip = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--golden FILE] [--stats] [--time N]\n"
           "       [--trace-json FILE] [--profile]\n"
           "       [--backend generated|compiled|interpreted]\n"
           "       [--force-two-list-all] [--no-two-list-state-refs]\n"
-          "       [--linear-search] [--quiescence]\n"
+          "       [--linear-search]\n"
           "       [--checkpoint-at T --checkpoint-out FILE]\n"
           "       [--checkpoint-every K --checkpoint-out FILE]\n"
           "       [--restore FILE]\n"
@@ -274,7 +272,7 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
           "The schedule flags select ablation variants; the generated backend\n"
           "only accepts the options its tables were emitted for (use\n"
           "--backend compiled to run other schedules from this binary).\n"
-          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/1 snapshot\n"
+          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/2 snapshot\n"
           "to --checkpoint-out FILE and exit. --checkpoint-every K: run to\n"
           "completion, alternating FILE.0/FILE.1 every K cycles. --restore\n"
           "FILE: resume from a snapshot and run to completion; the printed\n"

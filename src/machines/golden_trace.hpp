@@ -127,7 +127,7 @@ class GoldenSession {
 using GoldenSessionFn =
     std::function<std::unique_ptr<GoldenSession>(core::EngineOptions)>;
 
-/// Serialize the session's complete dynamic state (rcpn-ckpt/1).
+/// Serialize the session's complete dynamic state (rcpn-ckpt/2).
 std::string write_checkpoint(GoldenSession& s);
 
 /// Restore `text` into a *freshly constructed* session (workload loaded,

@@ -16,16 +16,15 @@
 // Everything else a checkpoint could silently get wrong is pinned as an
 // error path: format-version, machine, model-digest, workload and
 // options-signature mismatches must be rejected with a CkptError naming the
-// offender (desc-style), truncated files must never half-restore, and
-// quiescence-skip runs must be refused at save time (resuming would re-time
-// the quiesced-cycle accounting).
+// offender (desc-style), and truncated files or forged element counts must
+// never half-restore or allocate from the forged count.
 //
 // The reset oracle (the state-leak sweep): re-running a workload on an
 // already-used simulator — via the machine load path or a bare
 // Engine::reset() — must be byte-identical to a fresh construction. This is
 // what makes restore-into-reused-context sound, and it pins that no hidden
-// state (decode-cache runtime entries, quiesce latches, predictor or syscall
-// residue) survives a reset.
+// state (decode-cache runtime entries, predictor or syscall residue)
+// survives a reset.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -246,7 +245,7 @@ void expect_rejects(const std::string& key, const std::string& snap,
 
 TEST(CkptErrors, UnsupportedFormatVersionIsNamed) {
   std::string snap = snapshot_of("fig2", 10);
-  snap.replace(0, snap.find('\n'), "rcpn-ckpt/2");
+  snap.replace(0, snap.find('\n'), "rcpn-ckpt/1");
   expect_rejects("fig2", snap, "unsupported format");
 }
 
@@ -300,22 +299,15 @@ TEST(CkptErrors, TruncatedSnapshotIsRejectedNotHalfRestored) {
   }
 }
 
-// Quiescence skipping re-times the quiesced-cycle accounting across a resume
-// boundary, so snapshotting such a run is refused up front — at save, with
-// the reason in the message — rather than producing a checkpoint that
-// silently violates byte equality.
-TEST(CkptErrors, QuiescenceSkipRunsAreRefusedAtSave) {
-  core::EngineOptions o = options_for(core::Backend::interpreted);
-  o.quiescence_skip = true;
-  auto s = machines::make_golden_session("strongarm_crc", o);
-  s->advance(50);
-  try {
-    machines::write_checkpoint(*s);
-    FAIL() << "save accepted a quiescence-skip run";
-  } catch (const ckpt::CkptError& e) {
-    EXPECT_NE(std::string(e.what()).find("quiescence_skip"), std::string::npos)
-        << e.what();
-  }
+// Element counts come from the file: restore must reject a forged count
+// through the record checks, never size an allocation from it.
+TEST(CkptErrors, ForgedCountsAreRejectedWithoutAllocating) {
+  const std::string snap = snapshot_of("fig5", 7);
+  for (const char* n : {"18446744073709551615", "3000000000"})
+    expect_rejects("fig5", tamper(snap, "trace n=", n), "expected a 't' record");
+  expect_rejects("fig5",
+                 tamper(snap, "vec name=transition_fires n=", "18446744073709551615"),
+                 "vector 'transition_fires' declares 18446744073709551615 elements");
 }
 
 // -- obs stream equality (probes compiled in only) ----------------------------
@@ -412,8 +404,8 @@ TEST(ResetOracle, XScaleRerunEqualsFreshRun) {
 }
 
 // A bare Engine::reset() (no machine load path in between) must scrub every
-// engine-side latch — clock, in-flight accounting, activity snapshots, the
-// quiesce-blocked latch, stats including the stall-cause tables.
+// engine-side latch — clock, in-flight accounting, activity snapshots, stats
+// including the stall-cause tables.
 TEST(ResetOracle, BareEngineResetClearsAllRunState) {
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
     machines::SimplePipeline sim(64, options_for(backend));

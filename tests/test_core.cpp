@@ -658,57 +658,15 @@ TEST(EngineWidePool, ScansFindOldestReadyAndCountOwnPlace) {
   check("after flush");
 }
 
-TEST(EngineQuiescence, SkipFastForwardsIdleCyclesWithoutChangingBehaviour) {
-  // One token parked in a long-residence place and nothing else to do: the
-  // engine is provably idle until the token's ready cycle, so the skip must
-  // engage — and the observable outcome (clock, retire cycle, firings) must
-  // be identical to the unskipped run.
-  auto build = [](Net& net, PlaceId& p1) {
-    const StageId s1 = net.add_stage("L1", 1);
-    const StageId s2 = net.add_stage("L2", 1);
-    p1 = net.add_place("L1", s1);
-    const PlaceId p2 = net.add_place("L2", s2, /*delay=*/40);
-    const TypeId ty = net.add_type("T");
-    net.add_transition("t1", ty).from(p1).to(p2);
-    net.add_transition("t2", ty).from(p2).to(net.end_place());
-    return ty;
-  };
-  Net n1("plain"), n2("skip");
-  PlaceId p1a, p1b;
-  const TypeId ta = build(n1, p1a);
-  const TypeId tb = build(n2, p1b);
-  Engine e1(n1);
-  EngineOptions opt;
-  opt.quiescence_skip = true;
-  Engine e2(n2, opt);
-  e1.build();
-  e2.build();
-  emit(e1, ta, p1a);
-  emit(e2, tb, p1b);
-  e1.run(100);
-  e2.run(100);
-  EXPECT_EQ(e1.stats().retired, 1u);
-  EXPECT_EQ(e2.stats().retired, 1u);
-  EXPECT_EQ(e1.clock(), e2.clock());
-  EXPECT_EQ(e1.stats().cycles, e2.stats().cycles);
-  EXPECT_EQ(e1.stats().firings, e2.stats().firings);
-  EXPECT_EQ(e1.stats().quiesced_cycles, 0u);
-  // The 40-cycle residence of L2 is pure idle time: nearly all of it must
-  // have been fast-forwarded rather than stepped.
-  EXPECT_GT(e2.stats().quiesced_cycles, 30u);
-}
-
-TEST(EngineQuiescence, SkipRespectsRunHorizon) {
-  // run(max_cycles) semantics must be unchanged: a skip may not overshoot
-  // the caller's budget even when the next ready cycle lies beyond it.
+TEST(EngineRun, RunExecutesExactlyItsCycleBudget) {
+  // run(max_cycles) stops after exactly its budget even while the only token
+  // is parked far beyond it, and a later run() picks the token up again.
   Net net("horizon");
   const StageId s1 = net.add_stage("L1", 1);
   const PlaceId p1 = net.add_place("L1", s1, /*delay=*/100);
   const TypeId ty = net.add_type("T");
   net.add_transition("t", ty).from(p1).to(net.end_place());
-  EngineOptions opt;
-  opt.quiescence_skip = true;
-  Engine eng(net, opt);
+  Engine eng(net);
   eng.build();
   emit(eng, ty, p1);
   const std::uint64_t ran = eng.run(10);

@@ -83,12 +83,43 @@ TEST(DescFormat, RecordsTheOptionsSignature) {
 }
 
 TEST(DescFormat, ParseRejectsUnknownVersionNamingIt) {
-  try {
-    desc::parse("rcpn-model/99\nmodel X\n");
-    FAIL() << "parse accepted an unknown version";
-  } catch (const model::ModelError& e) {
-    EXPECT_NE(std::string(e.what()).find("rcpn-model/99"), std::string::npos)
-        << e.what();
+  // A future version and the previous one alike: there is no loader for
+  // older formats.
+  for (const std::string version : {"rcpn-model/99", "rcpn-model/1"}) {
+    try {
+      desc::parse(version + "\nmodel X\n");
+      ADD_FAILURE() << "parse accepted version " << version;
+    } catch (const model::ModelError& e) {
+      EXPECT_NE(std::string(e.what()).find(version), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(DescFormat, NumbersAboveTheFieldRangeAreRejectedNamingTheLimit) {
+  struct Case {
+    const char* body;  // lines after the version and model lines
+    const char* where;
+    const char* attr;
+    const char* limit;
+  };
+  const Case cases[] = {
+      {"transition t type=T\n  from L1 priority=256\nend\n", "line 4", "priority",
+       "255"},
+      {"stage S capacity=4294967297\n", "line 3", "capacity", "4294967295"},
+      {"place P stage=S delay=4294967296\n", "line 3", "delay", "4294967295"},
+      {"transition t type=T\n  max_fires 4294967297\nend\n", "line 4", "max_fires",
+       "2147483647"},
+  };
+  for (const Case& c : cases) {
+    try {
+      desc::parse(std::string(desc::kDescVersion) + "\nmodel X\n" + c.body);
+      ADD_FAILURE() << "parse accepted an out-of-range " << c.attr;
+    } catch (const model::ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(c.where), std::string::npos) << what;
+      EXPECT_NE(what.find(c.attr), std::string::npos) << what;
+      EXPECT_NE(what.find(c.limit), std::string::npos) << what;
+    }
   }
 }
 

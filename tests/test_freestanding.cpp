@@ -189,36 +189,6 @@ TEST(StallCauseAttribution, LastCandidateWinsOnDualRejection) {
   EXPECT_GT(cause(pb, core::StallCause::guard_rejected), 0u);
 }
 
-// Quiescence skipping is an execution shortcut, not a semantic change: with
-// the knob on, every backend must produce the identical retire trace and the
-// identical cycle count (skipped cycles are accounted, not elided from the
-// stats). The generated leg runs from the quiesce-variant TU linked into
-// this binary (its own options key in the registry).
-TEST(QuiescenceSkip, TraceAndStatsInvariantAcrossBackends) {
-  const std::string key = "strongarm_crc";
-  const GoldenRunResult base =
-      machines::run_golden_machine_full(key, options_for(core::Backend::interpreted));
-
-  std::vector<core::Backend> backends = {core::Backend::interpreted,
-                                         core::Backend::compiled};
-#ifdef RCPN_HAVE_GENERATED
-  backends.push_back(core::Backend::generated);
-#endif
-  for (const core::Backend b : backends) {
-    core::EngineOptions opts = options_for(b);
-    opts.quiescence_skip = true;
-    const GoldenRunResult r = machines::run_golden_machine_full(key, opts);
-    const std::string what = "quiescence-on backend " +
-                             std::to_string(static_cast<int>(b)) + " vs baseline";
-    expect_traces_equal(key, what, base, r);
-    EXPECT_EQ(base.stats.cycles, r.stats.cycles) << key << " " << what;
-    EXPECT_EQ(base.stats.retired, r.stats.retired) << key << " " << what;
-    EXPECT_EQ(base.stats.firings, r.stats.firings) << key << " " << what;
-    EXPECT_EQ(base.stats.transition_fires, r.stats.transition_fires)
-        << key << " " << what;
-  }
-}
-
 #ifdef RCPN_HAVE_GENERATED
 
 // The registry keys generated engines by (model, schedule options): asking
