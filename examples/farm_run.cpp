@@ -1,8 +1,9 @@
 // rcpn_farm — sweep-grid driver for farm::SimFarm.
 //
 // Builds a job grid (machines x schedule variants x seeds x executors), runs
-// it on a work-stealing worker pool, prints per-job progress and the
-// aggregate, and optionally writes the machine-readable FarmReport JSON.
+// it on a pool of worker threads sharing one job cursor, prints per-job
+// progress and the aggregate, and optionally writes the machine-readable
+// FarmReport JSON.
 //
 //   rcpn_farm                          default grid, hardware_concurrency workers
 //   rcpn_farm --verify                 run the grid serially AND in parallel,
@@ -183,7 +184,7 @@ std::vector<farm::JobSpec> build_grid(const CliOptions& cli) {
   if (cli.inject_hang) {
     farm::JobSpec spec;
     spec.machine = farm::kHangJobKey;
-    spec.timeout_ms = 300;  // short fuse: the monitor must reclaim the worker
+    spec.timeout_ms = 300;  // short fuse: the job sleeps out its own deadline
     jobs.push_back(std::move(spec));
   }
   return jobs;
@@ -264,11 +265,10 @@ void print_aggregate(const farm::FarmReport& report) {
   for (const farm::WorkerTelemetry& w : t.workers) busy += w.busy_seconds;
   const double capacity = report.wall_seconds * static_cast<double>(t.workers.size());
   std::printf(
-      "telemetry: %zu executed, %zu cache hits, %zu timeouts, %zu replacements, "
-      "%zu steals\n"
+      "telemetry: %zu executed, %zu cache hits, %zu timeouts\n"
       "           utilization %.0f%% (busy %.2fs / capacity %.2fs), queue wait "
       "mean=%.1fms max=%.1fms\n",
-      t.executed, t.cache_hits, t.timeouts, t.replacements, t.steals,
+      t.executed, t.cache_hits, t.timeouts,
       capacity > 0.0 ? 100.0 * busy / capacity : 0.0, busy, capacity,
       t.queue_wait_ms_mean, t.queue_wait_ms_max);
 }

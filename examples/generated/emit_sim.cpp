@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,13 +83,11 @@ int usage(const char* argv0, int code) {
 /// (compiled) engine to `fn`, like inspect_golden_machine but fuzz-aware.
 void inspect_machine(const std::string& key, core::EngineOptions options,
                      const machines::GoldenInspectFn& fn) {
-  if (key.rfind("fuzz-", 0) == 0) {
-    const unsigned seed =
-        static_cast<unsigned>(std::strtoul(key.c_str() + 5, nullptr, 10));
+  if (const std::optional<unsigned> seed = machines::parse_fuzz_model_name(key)) {
     model::Simulator<machines::FuzzMachine> sim(
-        machines::fuzz_model_name(seed), options,
-        [seed](model::ModelBuilder<machines::FuzzMachine>& b,
-               machines::FuzzMachine& m) { machines::describe_fuzz_model(seed, b, m); },
+        key, options,
+        [s = *seed](model::ModelBuilder<machines::FuzzMachine>& b,
+                    machines::FuzzMachine& m) { machines::describe_fuzz_model(s, b, m); },
         machines::FuzzMachine{});
     fn(sim.net(), sim.engine());
     return;
@@ -244,7 +243,7 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       if (key.empty()) key = d.model;  // fuzz-<seed> descriptions
     }
     overrides.apply(options);
-    const bool fuzz = key.rfind("fuzz-", 0) == 0;
+    const bool fuzz = machines::parse_fuzz_model_name(key).has_value();
     const machines::GoldenInspectFn lower = [&](core::Net& net, core::Engine& eng) {
       auto& ce = dynamic_cast<gen::CompiledEngine&>(eng);
       if (dot) {

@@ -26,16 +26,32 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Cycles an in-process job advances between two deadline checks. In an
+/// optimized build a chunk is about a millisecond of simulation or less,
+/// which bounds how far a timed-out job overshoots its deadline.
+constexpr std::uint64_t kChunkCycles = 4096;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-JobResult ok_result(const machines::GoldenRunResult& run) {
+/// `start + timeout_ms`, saturating: a deadline past the end of the steady
+/// clock's range is no deadline at all (time_point::max()).
+Clock::time_point deadline_after(Clock::time_point start, std::uint64_t timeout_ms) {
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - start);
+  if (timeout_ms >= static_cast<std::uint64_t>(room.count()))
+    return Clock::time_point::max();
+  return start + std::chrono::milliseconds(timeout_ms);
+}
+
+JobResult ok_result(const std::vector<machines::GoldenRetireEvent>& trace,
+                    const core::Stats& stats) {
   JobResult r;
   r.status = JobStatus::ok;
-  r.stats = run.stats;
-  r.retired = run.trace.size();
-  r.digest = trace_digest(run.trace);
+  r.stats = stats;
+  r.retired = trace.size();
+  r.digest = trace_digest(trace);
   return r;
 }
 
@@ -46,24 +62,46 @@ JobResult failed_result(std::string why) {
   return r;
 }
 
-/// Resume path of the in-process executor: construct `spec`'s machine as a
-/// golden session, restore the checkpoint into it, run the remainder.
-/// Throws (captured by execute()'s handler) on an unreadable file or any
-/// checkpoint mismatch — the ckpt layer's errors name the offender.
-machines::GoldenRunResult run_from_checkpoint(const JobSpec& spec) {
-  std::ifstream in(spec.resume_checkpoint, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("cannot read checkpoint '" + spec.resume_checkpoint +
-                             "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+JobResult timeout_result(std::uint64_t timeout_ms, const std::string& detail) {
+  JobResult r;
+  r.status = JobStatus::timeout;
+  r.error = "timed out after " + std::to_string(timeout_ms) + "ms" + detail;
+  return r;
+}
+
+/// The job's machine as a golden session, workload loaded: a described
+/// model, a seeded fuzz model or a golden machine, restored from
+/// spec.resume_checkpoint when one is set. Throws (captured by
+/// run_in_process) on an unknown key, an unreadable file or any checkpoint
+/// mismatch — the ckpt layer's errors name the offender.
+std::unique_ptr<machines::GoldenSession> make_session(const JobSpec& spec) {
+  if (is_description_job(spec)) {
+    if (!spec.resume_checkpoint.empty())
+      throw std::runtime_error("description job '" + spec.machine +
+                               "' cannot resume from a checkpoint");
+    // Serialized-model job: the .rcpn file IS the model. Its recorded
+    // schedule flags govern (they are part of the described model); the spec
+    // still picks everything else — backend, obs — so one sweep can run a
+    // description across backends.
+    const desc::Description d = desc::read_file(spec.machine);
+    return machines::make_description_session(d, desc::engine_options(d, spec.options),
+                                              spec.cycle_budget);
+  }
   unsigned fuzz_seed = 0;
   std::unique_ptr<machines::GoldenSession> session =
       is_fuzz_job(spec, fuzz_seed)
           ? machines::make_fuzz_session(fuzz_seed, spec.options, spec.cycle_budget)
           : machines::make_golden_session(spec.machine, spec.options);
-  machines::read_checkpoint(*session, buf.str());
-  return machines::finish_session(*session);
+  if (!spec.resume_checkpoint.empty()) {
+    std::ifstream in(spec.resume_checkpoint, std::ios::binary);
+    if (!in)
+      throw std::runtime_error("cannot read checkpoint '" + spec.resume_checkpoint +
+                               "'");
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    machines::read_checkpoint(*session, buf.str());
+  }
+  return session;
 }
 
 /// Tail of `out` for error messages: enough to show the child's complaint
@@ -79,43 +117,25 @@ std::string output_tail(const std::string& out, std::size_t max = 400) {
 
 }  // namespace
 
-JobResult InProcessExecutor::execute(const JobSpec& spec, std::uint64_t timeout_ms,
-                                     const CancelToken& cancel) {
-  (void)timeout_ms;  // cooperative only — the farm's monitor owns the clock
+JobResult run_in_process(const JobSpec& spec, std::uint64_t timeout_ms) {
   const auto t0 = Clock::now();
+  const Clock::time_point deadline = deadline_after(t0, timeout_ms);
   JobResult result;
   try {
     if (spec.machine == kThrowJobKey) {
       throw std::runtime_error("injected failure (" + std::string(kThrowJobKey) + ")");
     } else if (spec.machine == kHangJobKey) {
-      // Spin until the monitor cancels us; the timeout result is committed by
-      // the monitor, this return value is discarded by the abandoned worker.
-      while (!cancel.cancelled())
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      result = failed_result("hung job cancelled");
+      std::this_thread::sleep_until(deadline);
+      result = timeout_result(timeout_ms, "");
     } else {
-      unsigned fuzz_seed = 0;
-      if (is_description_job(spec)) {
-        if (!spec.resume_checkpoint.empty())
-          throw std::runtime_error("description job '" + spec.machine +
-                                   "' cannot resume from a checkpoint (no "
-                                   "session for described models yet)");
-        // Serialized-model job: the .rcpn file IS the model. Its recorded
-        // schedule flags govern (they are part of the described model); the
-        // spec still picks everything else — backend, obs — so one sweep can
-        // run a description across backends.
-        const desc::Description d = desc::read_file(spec.machine);
-        result = ok_result(machines::run_description(
-            d, desc::engine_options(d, spec.options), spec.cycle_budget));
-      } else if (!spec.resume_checkpoint.empty()) {
-        result = ok_result(run_from_checkpoint(spec));
-      } else if (is_fuzz_job(spec, fuzz_seed)) {
-        result = ok_result(
-            machines::golden_run_fuzz(fuzz_seed, spec.options, spec.cycle_budget));
-      } else {
-        // Unknown keys throw std::invalid_argument here — captured below.
-        result = ok_result(machines::run_golden_machine_full(spec.machine, spec.options));
-      }
+      const std::unique_ptr<machines::GoldenSession> session = make_session(spec);
+      bool running = session->advance(kChunkCycles);
+      while (running && Clock::now() < deadline)
+        running = session->advance(kChunkCycles);
+      result = running ? timeout_result(timeout_ms,
+                                        " at cycle " +
+                                            std::to_string(session->engine().clock()))
+                       : ok_result(session->trace(), session->engine().stats());
     }
   } catch (const std::exception& e) {
     result = failed_result(e.what());
@@ -131,11 +151,8 @@ namespace {
 enum class SpawnOutcome { exited, timed_out, spawn_failed };
 
 /// fork/exec `argv`, capture stdout+stderr, enforce `deadline` with SIGKILL.
-/// `cancel` is polled alongside the deadline so a cancelled farm reaps its
-/// children promptly.
 SpawnOutcome spawn_with_deadline(const std::vector<std::string>& argv,
-                                 Clock::time_point deadline,
-                                 const CancelToken& cancel, std::string& out,
+                                 Clock::time_point deadline, std::string& out,
                                  int& exit_code) {
   out.clear();
   exit_code = -1;
@@ -167,16 +184,16 @@ SpawnOutcome spawn_with_deadline(const std::vector<std::string>& argv,
   char buf[4096];
   for (;;) {
     const auto now = Clock::now();
-    if (!killed && (now >= deadline || cancel.cancelled())) {
+    if (!killed && now >= deadline) {
       ::kill(pid, SIGKILL);
       killed = true;
     }
-    const auto budget = killed ? Clock::duration(std::chrono::milliseconds(100))
-                               : deadline - now;
-    const int wait_ms = static_cast<int>(std::max<long long>(
-        1, std::chrono::duration_cast<std::chrono::milliseconds>(budget).count()));
+    // Poll in slices of at most 50 ms, so the deadline is re-checked.
+    const long long left_ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now).count();
+    const int slice_ms = killed ? 50 : static_cast<int>(std::clamp(left_ms, 1LL, 50LL));
     struct pollfd pfd{fds[0], POLLIN, 0};
-    const int pr = ::poll(&pfd, 1, std::min(wait_ms, 50));
+    const int pr = ::poll(&pfd, 1, slice_ms);
     if (pr > 0) {
       const ssize_t n = ::read(fds[0], buf, sizeof(buf));
       if (n > 0) {
@@ -189,7 +206,7 @@ SpawnOutcome spawn_with_deadline(const std::vector<std::string>& argv,
       if (n < 0 && errno == EINTR) continue;
       break;  // EOF (or real read error): child closed its end
     }
-    // pr == 0: poll slice elapsed — loop to re-check deadline/cancellation.
+    // pr == 0: poll slice elapsed — loop to re-check the deadline.
     if (pr < 0 && errno != EINTR) break;
   }
   ::close(fds[0]);
@@ -214,118 +231,89 @@ SpawnOutcome spawn_with_deadline(const std::vector<std::string>& argv,
 
 }  // namespace
 
-JobResult SubprocessExecutor::execute(const JobSpec& spec, std::uint64_t timeout_ms,
-                                      const CancelToken& cancel) {
+JobResult run_subprocess(const JobSpec& spec, std::uint64_t timeout_ms,
+                         const std::string& bin_dir) {
   const auto t0 = Clock::now();
-  // execute() must not throw (the contract in executor.hpp): a worker thread
-  // has no handler above this frame, so a stray exception — bad_alloc while
-  // buffering a huge child output, a parse helper's surprise — would
-  // std::terminate the whole grid instead of failing this one job. A child
-  // killed mid-fprintf (partial final trace line) must come back as a failed
-  // JobResult carrying the output tail, nothing worse.
+  JobResult result;
+  // This function must not throw: a worker thread has no handler above this
+  // frame, so a stray exception — bad_alloc while buffering a huge child
+  // output, a parse helper's surprise — would std::terminate the whole grid
+  // instead of failing this one job. A child killed mid-fprintf (partial
+  // final trace line) must come back as a failed JobResult carrying the
+  // output tail, nothing worse.
   try {
-    const auto deadline = t0 + std::chrono::milliseconds(timeout_ms);
-
+    unsigned fuzz_seed = 0;
+    const bool fuzz = is_fuzz_job(spec, fuzz_seed);
     if (is_description_job(spec)) {
       // Description jobs resolve delegates through the in-process registries;
       // there is no pre-built per-description binary to exec. Fail loudly
       // instead of exec'ing a nonsense path.
-      JobResult r = failed_result(
+      result = failed_result(
           "description job '" + spec.machine +
           "' requires the in-process executor (no per-.rcpn binary to spawn)");
-      r.wall_seconds = seconds_since(t0);
-      return r;
-    }
-
-    std::vector<std::string> argv;
-    argv.push_back(config_.bin_dir + "/" + config_.bin_prefix + spec.machine);
-    argv.push_back("--stats");
-    // The freestanding binary's generated tables are stamped with the options
-    // it was emitted under; other backends/schedules go through its CLI flags
-    // (a generated-backend run under mismatched options fails verification in
-    // the child and surfaces here as a nonzero exit).
-    if (spec.options.backend != core::Backend::generated) {
-      argv.push_back("--backend");
-      argv.push_back(backend_name(spec.options.backend));
-    }
-    if (spec.options.force_two_list_all) argv.push_back("--force-two-list-all");
-    if (!spec.options.two_list_state_refs) argv.push_back("--no-two-list-state-refs");
-    if (spec.options.linear_search) argv.push_back("--linear-search");
-    unsigned fuzz_seed = 0;
-    const bool fuzz = is_fuzz_job(spec, fuzz_seed);
-    if (fuzz) {
-      // Fuzz artifacts carry the generic --cycles cap. Without this the child
-      // would run its own default regardless of spec.cycle_budget — and the
-      // result cache, keyed on the budget, would retain a result the spec's
-      // truncation never produced.
-      argv.push_back("--cycles");
-      argv.push_back(std::to_string(effective_cycle_budget(spec)));
-    }
-    if (!spec.resume_checkpoint.empty()) {
-      if (fuzz) {
-        // The generic artifact CLI treats unknown arguments as workload
-        // positionals — silently ignoring the checkpoint would run (and
-        // cache) the wrong simulation. Refuse instead.
-        JobResult r = failed_result(
-            "fuzz job '" + spec.machine +
-            "' cannot resume from a checkpoint under the subprocess executor "
-            "(generic artifact CLI has no --restore); use in-process");
-        r.wall_seconds = seconds_since(t0);
-        return r;
+    } else if (fuzz && !spec.resume_checkpoint.empty()) {
+      // The generic artifact CLI treats unknown arguments as workload
+      // positionals — silently ignoring the checkpoint would run (and cache)
+      // the wrong simulation. Refuse instead.
+      result = failed_result(
+          "fuzz job '" + spec.machine +
+          "' cannot resume from a checkpoint under the subprocess executor "
+          "(generic artifact CLI has no --restore); use in-process");
+    } else {
+      std::vector<std::string> argv;
+      argv.push_back(bin_dir + "/gen_fs_" + spec.machine);
+      argv.push_back("--stats");
+      // The freestanding binary's generated tables are stamped with the
+      // options it was emitted under; other backends/schedules go through its
+      // CLI flags (a generated-backend run under mismatched options fails
+      // verification in the child and surfaces here as a nonzero exit).
+      if (spec.options.backend != core::Backend::generated) {
+        argv.push_back("--backend");
+        argv.push_back(backend_name(spec.options.backend));
       }
-      argv.push_back("--restore");
-      argv.push_back(spec.resume_checkpoint);
-    }
+      if (spec.options.force_two_list_all) argv.push_back("--force-two-list-all");
+      if (!spec.options.two_list_state_refs) argv.push_back("--no-two-list-state-refs");
+      if (spec.options.linear_search) argv.push_back("--linear-search");
+      if (fuzz) {
+        // Fuzz artifacts carry the generic --cycles cap. Without this the
+        // child would run its own default regardless of spec.cycle_budget —
+        // and the result cache, keyed on the budget, would retain a result
+        // the spec's truncation never produced.
+        argv.push_back("--cycles");
+        argv.push_back(std::to_string(effective_cycle_budget(spec)));
+      }
+      if (!spec.resume_checkpoint.empty()) {
+        argv.push_back("--restore");
+        argv.push_back(spec.resume_checkpoint);
+      }
 
-    std::string out;
-    int exit_code = -1;
-    const SpawnOutcome outcome =
-        spawn_with_deadline(argv, deadline, cancel, out, exit_code);
-
-    JobResult result;
-    result.wall_seconds = seconds_since(t0);
-    result.exit_code = exit_code;
-    switch (outcome) {
-      case SpawnOutcome::spawn_failed:
-        result.status = JobStatus::failed;
-        result.error = "failed to spawn " + argv[0];
-        return result;
-      case SpawnOutcome::timed_out:
-        result.status = JobStatus::timeout;
-        result.error = "timed out after " + std::to_string(timeout_ms) + "ms (SIGKILL)";
-        return result;
-      case SpawnOutcome::exited:
-        break;
+      std::string out;
+      int exit_code = -1;
+      const SpawnOutcome outcome =
+          spawn_with_deadline(argv, deadline_after(t0, timeout_ms), out, exit_code);
+      std::vector<machines::GoldenRetireEvent> trace;
+      core::Stats stats;
+      if (outcome == SpawnOutcome::spawn_failed)
+        result = failed_result("failed to spawn " + argv[0]);
+      else if (outcome == SpawnOutcome::timed_out)
+        result = timeout_result(timeout_ms, " (SIGKILL)");
+      else if (exit_code != 0)
+        result = failed_result(argv[0] + " exited with " + std::to_string(exit_code) +
+                               ": " + output_tail(out));
+      else if (!machines::parse_golden_trace(out, trace) ||
+               !machines::parse_golden_stats(out, stats))
+        result = failed_result("unparseable simulator output: " + output_tail(out));
+      else
+        result = ok_result(trace, stats);
+      result.exit_code = exit_code;
     }
-    if (exit_code != 0) {
-      result.status = JobStatus::failed;
-      result.error = argv[0] + " exited with " + std::to_string(exit_code) + ": " +
-                     output_tail(out);
-      return result;
-    }
-
-    std::vector<machines::GoldenRetireEvent> trace;
-    core::Stats stats;
-    if (!machines::parse_golden_trace(out, trace) ||
-        !machines::parse_golden_stats(out, stats)) {
-      result.status = JobStatus::failed;
-      result.error = "unparseable simulator output: " + output_tail(out);
-      return result;
-    }
-    result.status = JobStatus::ok;
-    result.stats = stats;
-    result.retired = trace.size();
-    result.digest = trace_digest(trace);
-    return result;
   } catch (const std::exception& e) {
-    JobResult r = failed_result(e.what());
-    r.wall_seconds = seconds_since(t0);
-    return r;
+    result = failed_result(e.what());
   } catch (...) {
-    JobResult r = failed_result("unknown exception in subprocess executor");
-    r.wall_seconds = seconds_since(t0);
-    return r;
+    result = failed_result("unknown exception in subprocess executor");
   }
+  result.wall_seconds = seconds_since(t0);
+  return result;
 }
 
 }  // namespace rcpn::farm

@@ -1,21 +1,26 @@
-// The two ways SimFarm hosts a job, behind one interface.
+// The two ways SimFarm hosts a job; the farm calls one of these two functions
+// per job, picked by JobSpec::executor.
 //
-// InProcessExecutor constructs and runs the model inside the worker thread —
-// fastest (no process spawn, shared code pages), but a thread cannot be
-// killed: its timeouts are *cooperative* (the farm's monitor cancels the
-// job's CancelToken and abandons the thread; well-behaved long jobs poll the
-// token, and the engine's own deadlock watchdog bounds wedged nets).
-// SubprocessExecutor spawns the machine's freestanding gen_fs_<machine>
-// binary and parses its golden-format stdout — one fork/exec per job, but
-// hard isolation: a crash is an exit code, a hang is a SIGKILL, and the
-// simulation cannot corrupt farm memory.
+// run_in_process constructs the job's machine as a golden session inside the
+// calling worker thread — fastest (no process spawn, shared code pages) — and
+// advances it 4,096 cycles at a time, checking the wall-clock deadline
+// between chunks: a job past its deadline stops at the next chunk boundary
+// and comes back `timeout`, naming the cycle it reached. In-process code that
+// never returns from a single cycle cannot be stopped; use the subprocess
+// executor for untrusted models.
 //
-// execute() never throws: every failure mode (model exception, unknown key,
-// spawn failure, nonzero exit, unparseable output) becomes a JobResult with
-// status failed/timeout and a human-readable reason.
+// run_subprocess spawns the machine's freestanding gen_fs_<machine> binary
+// and parses its golden-format stdout — one fork/exec per job, but hard
+// isolation: a crash is an exit code, a child past its deadline is
+// SIGKILLed, and the simulation cannot corrupt farm memory.
+//
+// Both compute the job's deadline once, saturating: a timeout beyond the
+// steady clock's range means no deadline. Neither throws: every failure mode
+// (model exception, unknown key, spawn failure, nonzero exit, unparseable
+// output) becomes a JobResult with status failed/timeout and a
+// human-readable reason.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -23,57 +28,10 @@
 
 namespace rcpn::farm {
 
-/// Cooperative cancellation flag shared between a worker and the farm's
-/// timeout monitor. Executors (and the fault-injection hang job) poll it.
-class CancelToken {
- public:
-  void cancel() { cancelled_.store(true, std::memory_order_relaxed); }
-  bool cancelled() const { return cancelled_.load(std::memory_order_relaxed); }
+JobResult run_in_process(const JobSpec& spec, std::uint64_t timeout_ms);
 
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-class JobExecutor {
- public:
-  virtual ~JobExecutor() = default;
-
-  /// Run `spec` to completion (or failure). Must not throw; must not block
-  /// past `timeout_ms` if enforces_timeout(), and should return early with a
-  /// failed result once `cancel` fires otherwise.
-  virtual JobResult execute(const JobSpec& spec, std::uint64_t timeout_ms,
-                            const CancelToken& cancel) = 0;
-
-  /// True if execute() itself guarantees return within the timeout (the
-  /// subprocess executor kills its child); false if the farm's monitor must
-  /// supervise the job (in-process threads are only cooperatively bounded).
-  virtual bool enforces_timeout() const = 0;
-};
-
-class InProcessExecutor final : public JobExecutor {
- public:
-  JobResult execute(const JobSpec& spec, std::uint64_t timeout_ms,
-                    const CancelToken& cancel) override;
-  bool enforces_timeout() const override { return false; }
-};
-
-class SubprocessExecutor final : public JobExecutor {
- public:
-  struct Config {
-    std::string bin_dir;                 // where the gen_fs_* binaries live
-    std::string bin_prefix = "gen_fs_";  // binary name = prefix + spec.machine
-  };
-
-  explicit SubprocessExecutor(Config config) : config_(std::move(config)) {}
-
-  JobResult execute(const JobSpec& spec, std::uint64_t timeout_ms,
-                    const CancelToken& cancel) override;
-  bool enforces_timeout() const override { return true; }
-
-  const Config& config() const { return config_; }
-
- private:
-  Config config_;
-};
+/// `bin_dir` holds the gen_fs_<machine> binaries.
+JobResult run_subprocess(const JobSpec& spec, std::uint64_t timeout_ms,
+                         const std::string& bin_dir);
 
 }  // namespace rcpn::farm

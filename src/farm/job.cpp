@@ -1,7 +1,8 @@
 #include "farm/job.hpp"
 
-#include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "core/options_signature.hpp"
@@ -65,14 +66,13 @@ bool is_description_job(const JobSpec& spec) {
 
 bool is_fuzz_job(const JobSpec& spec, unsigned& seed) {
   if (spec.machine == "fuzz") {
+    if (spec.seed > std::numeric_limits<std::uint32_t>::max()) return false;
     seed = static_cast<unsigned>(spec.seed);
     return true;
   }
-  if (spec.machine.rfind("fuzz-", 0) == 0) {
-    seed = static_cast<unsigned>(std::strtoul(spec.machine.c_str() + 5, nullptr, 10));
-    return true;
-  }
-  return false;
+  const std::optional<unsigned> named = machines::parse_fuzz_model_name(spec.machine);
+  if (named) seed = *named;
+  return named.has_value();
 }
 
 std::uint64_t effective_cycle_budget(const JobSpec& spec) {

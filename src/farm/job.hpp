@@ -26,17 +26,16 @@ namespace rcpn::farm {
 /// this process (interpreted/compiled/registered-generated backends);
 /// `subprocess` spawns the machine's freestanding gen_fs_<machine> binary and
 /// parses its golden-format trace — full address-space isolation, and the
-/// only executor whose timeout can hard-kill a wedged simulation.
+/// only executor whose timeout can stop a simulation stuck inside one cycle.
 enum class ExecutorKind : std::uint8_t { in_process, subprocess };
 
 const char* executor_name(ExecutorKind kind);
 const char* backend_name(core::Backend backend);
 
 /// Fault-injection machine keys understood by the in-process executor: a
-/// job that throws, and a job that spins until cancelled. They exist so the
-/// farm's failure paths (exception capture, timeout supervision) are
-/// exercisable from tests and from the rcpn_farm CLI without a real broken
-/// model.
+/// job that throws, and a job that sleeps until its own deadline. They exist
+/// so the farm's failure paths (exception capture, timeouts) are exercisable
+/// from tests and from the rcpn_farm CLI without a real broken model.
 inline constexpr const char* kThrowJobKey = "__throw__";
 inline constexpr const char* kHangJobKey = "__hang__";
 
@@ -69,7 +68,10 @@ struct JobSpec {
 bool is_description_job(const JobSpec& spec);
 
 /// True when spec.machine names a seeded fuzz model ("fuzz" seeded by
-/// spec.seed, or "fuzz-<n>"); fills `seed` accordingly.
+/// spec.seed, or "fuzz-<n>" exactly as machines::fuzz_model_name prints it);
+/// fills `seed` accordingly. False for malformed fuzz names ("fuzz-12x",
+/// "fuzz-007", "fuzz-4294967296") and for "fuzz" with a seed above
+/// 4294967295: such jobs fail as unknown machines.
 bool is_fuzz_job(const JobSpec& spec, unsigned& seed);
 
 /// The cycle budget the executors actually enforce for `spec` — the value

@@ -92,7 +92,7 @@ FarmAggregate FarmReport::aggregate() const {
 std::string FarmReport::render_json(bool include_timing) const {
   const FarmAggregate a = aggregate();
   std::ostringstream out;
-  out << "{\n  \"schema\": \"rcpn-farm-report/2\",\n";
+  out << "{\n  \"schema\": \"rcpn-farm-report/3\",\n";
   if (include_timing) {
     out << "  \"workers\": " << workers << ",\n";
     out << "  \"wall_seconds\": " << wall_seconds << ",\n";
@@ -112,14 +112,12 @@ std::string FarmReport::render_json(bool include_timing) const {
     const FarmTelemetry& t = telemetry;
     out << "  \"telemetry\": {\"executed\": " << t.executed
         << ", \"cache_hits\": " << t.cache_hits << ", \"timeouts\": " << t.timeouts
-        << ", \"replacements\": " << t.replacements << ", \"steals\": " << t.steals
         << ", \"queue_wait_ms_mean\": " << fmt3(t.queue_wait_ms_mean)
         << ", \"queue_wait_ms_max\": " << fmt3(t.queue_wait_ms_max)
         << ", \"workers\": [";
     for (std::size_t i = 0; i < t.workers.size(); ++i) {
       const WorkerTelemetry& w = t.workers[i];
       out << (i == 0 ? "" : ", ") << "{\"jobs\": " << w.jobs
-          << ", \"steals\": " << w.steals
           << ", \"busy_seconds\": " << fmt3(w.busy_seconds) << "}";
     }
     out << "]},\n";

@@ -4,7 +4,7 @@
 // result (status, stats, trace digest, wall time, failure reason); the
 // aggregate rolls those up into counts, total simulated work and wall-time
 // percentiles. to_json() emits the full report under the
-// "rcpn-farm-report/1" schema; stable_json() strips every field that
+// "rcpn-farm-report/3" schema; stable_json() strips every field that
 // legitimately varies between runs of the same grid (wall times, worker
 // count, cache-hit flags) so two reports from the same grid compare equal
 // byte-for-byte exactly when the *simulations* behaved identically — the
@@ -45,27 +45,26 @@ struct FarmAggregate {
   double wall_ms_max = 0.0;
 };
 
-/// Per-worker-slot execution counters (a replacement worker inherits its
-/// predecessor's slot, so the slot's numbers survive timeout abandonment).
+/// One worker thread's execution counters.
 struct WorkerTelemetry {
-  std::size_t jobs = 0;    // jobs this slot completed (including abandoned)
-  std::size_t steals = 0;  // jobs taken from another worker's deque
+  std::size_t jobs = 0;  // jobs this worker executed (cache hits excluded)
   double busy_seconds = 0.0;
 };
 
-/// Run-wide scheduling telemetry: additive observability (schema bump to
-/// rcpn-farm-report/2), emitted only in the timing report — stable_json()
-/// stays byte-identical across worker counts and machine load.
+/// Run-wide scheduling telemetry, emitted only in the timing report —
+/// stable_json() stays byte-identical across worker counts and machine load.
 struct FarmTelemetry {
   std::size_t executed = 0;    // jobs that actually ran (non-cached)
   std::size_t cache_hits = 0;  // jobs satisfied from the result cache
-  std::size_t timeouts = 0;    // jobs abandoned by the monitor
-  std::size_t replacements = 0;  // workers spawned to replace stuck ones
-  std::size_t steals = 0;        // sum of WorkerTelemetry::steals
-  /// Queue wait: submission (run start) -> job pickup, over executed jobs.
+  std::size_t timeouts = 0;    // jobs whose result is `timeout`, either executor
+  /// Always 0: workers share one job cursor and never steal. Kept only
+  /// because perfbench/src/sweep.cpp reads it; to_json() omits it.
+  std::size_t steals = 0;
+  /// Queue wait: submission (run start) -> job pickup, over executed and
+  /// cache-served jobs.
   double queue_wait_ms_mean = 0.0;
   double queue_wait_ms_max = 0.0;
-  std::vector<WorkerTelemetry> workers;  // indexed by worker slot
+  std::vector<WorkerTelemetry> workers;  // one per worker thread
 };
 
 struct FarmReport {
@@ -77,7 +76,7 @@ struct FarmReport {
   FarmAggregate aggregate() const;
   std::size_t count(JobStatus status) const;
 
-  /// Full JSON report (schema "rcpn-farm-report/2"): metadata, aggregate,
+  /// Full JSON report (schema "rcpn-farm-report/3"): metadata, aggregate,
   /// telemetry, one object per job. Hashes and digests are 16-digit hex
   /// strings.
   std::string to_json() const { return render_json(true); }

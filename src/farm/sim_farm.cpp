@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <deque>
+#include <exception>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 #include "farm/executor.hpp"
@@ -18,11 +18,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr std::size_t kNoJob = static_cast<std::size_t>(-1);
-
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
+
+/// One worker's counters, written by that worker alone and merged into the
+/// FarmTelemetry once every worker has joined.
+struct WorkerTally {
+  WorkerTelemetry telemetry;
+  std::size_t cache_hits = 0;
+  std::size_t timeouts = 0;
+  double queue_wait_ms_sum = 0.0;
+  double queue_wait_ms_max = 0.0;
+};
 
 }  // namespace
 
@@ -37,291 +45,23 @@ std::string default_bin_dir() {
 }
 
 struct SimFarm::Impl {
-  // All mutable state a worker touches after abandonment lives either in the
-  // shared RunState (kept alive by the worker's shared_ptr) or in this Impl
-  // (kept alive until ~Impl has joined the zombies) — an abandoned thread
-  // never dereferences freed farm memory.
-  struct Slot {
-    std::mutex mu;
-    std::size_t job = kNoJob;
-    Clock::time_point deadline{};
-    bool supervised = false;
-    std::shared_ptr<CancelToken> token;
-    /// Bumped when the monitor abandons this slot's thread; a worker whose
-    /// generation no longer matches must exit without committing anything.
-    std::uint64_t generation = 0;
-  };
-
-  struct WorkDeque {
-    std::mutex mu;
-    std::deque<std::size_t> q;
-  };
-
-  /// Per-worker-slot execution counters (FarmTelemetry source). Slot-indexed
-  /// like Slot itself, so a replacement worker keeps accumulating into its
-  /// predecessor's numbers — the slot's telemetry survives abandonment.
-  struct WorkerStats {
-    std::atomic<std::size_t> jobs{0};
-    std::atomic<std::size_t> steals{0};
-    std::atomic<std::uint64_t> busy_ns{0};
-  };
-
-  struct RunState {
-    std::vector<JobSpec> jobs;
-    std::vector<std::uint64_t> hashes;
-    std::vector<JobResult> results;
-    std::unique_ptr<std::atomic<bool>[]> claimed;  // exactly-once commit guard
-    std::atomic<std::size_t> done{0};
-    std::vector<std::unique_ptr<WorkDeque>> deques;  // one per worker slot
-    std::vector<std::unique_ptr<Slot>> slots;
-    std::mutex threads_mu;
-    std::vector<std::thread> threads;  // slot-indexed current worker thread
-    std::atomic<bool> monitor_stop{false};
-    std::mutex progress_mu;
-    // Run-scoped telemetry (FarmReport::telemetry). Lives in RunState, not
-    // Impl, so abandoned workers of a *previous* run can never race it.
-    Clock::time_point start{};
-    std::vector<std::unique_ptr<WorkerStats>> wstats;  // one per worker slot
-    std::atomic<std::size_t> run_executed{0};
-    std::atomic<std::size_t> run_hits{0};
-    std::atomic<std::size_t> run_timeouts{0};
-    std::atomic<std::size_t> run_replacements{0};
-    std::atomic<std::uint64_t> queue_wait_ns_total{0};
-    std::atomic<std::uint64_t> queue_wait_ns_max{0};
-
-    void record_queue_wait(std::uint64_t ns) {
-      queue_wait_ns_total.fetch_add(ns, std::memory_order_relaxed);
-      std::uint64_t prev = queue_wait_ns_max.load(std::memory_order_relaxed);
-      while (prev < ns && !queue_wait_ns_max.compare_exchange_weak(
-                              prev, ns, std::memory_order_relaxed)) {
-      }
-    }
-  };
-
   FarmOptions opts;
-  InProcessExecutor in_process;
-  SubprocessExecutor subprocess;
+  std::string bin_dir;
   ResultCache cache;
   std::atomic<std::uint64_t> executed{0};
   std::atomic<std::uint64_t> hits{0};
-  std::mutex zombies_mu;
-  std::vector<std::thread> zombies;  // abandoned workers, joined at teardown
 
   explicit Impl(FarmOptions o)
       : opts(std::move(o)),
-        subprocess(SubprocessExecutor::Config{
-            opts.bin_dir.empty() ? default_bin_dir() : opts.bin_dir}),
+        bin_dir(opts.bin_dir.empty() ? default_bin_dir() : opts.bin_dir),
         cache(opts.cache_entries) {}
 
-  ~Impl() {
-    // Zombies exit once their job's CancelToken fired (cancelled at the
-    // moment of abandonment) and the job code cooperates; see the hard-hang
-    // caveat in the header.
-    std::lock_guard<std::mutex> lock(zombies_mu);
-    for (std::thread& t : zombies)
-      if (t.joinable()) t.join();
-  }
-
-  JobExecutor& executor_for(const JobSpec& spec) {
+  JobResult execute(const JobSpec& spec) const {
+    const std::uint64_t timeout_ms =
+        spec.timeout_ms != 0 ? spec.timeout_ms : opts.default_timeout_ms;
     return spec.executor == ExecutorKind::subprocess
-               ? static_cast<JobExecutor&>(subprocess)
-               : static_cast<JobExecutor&>(in_process);
-  }
-
-  void commit(RunState& rs, std::size_t j, const JobResult& r) {
-    if (rs.claimed[j].exchange(true)) return;  // the monitor already timed it out
-    rs.results[j] = r;
-    const std::size_t done = rs.done.fetch_add(1) + 1;
-    if (opts.on_job_done) {
-      std::lock_guard<std::mutex> lock(rs.progress_mu);
-      opts.on_job_done(done, rs.jobs.size(), j, r);
-    }
-  }
-
-  /// Pop the next job: own deque from the back (LIFO keeps a worker on the
-  /// jobs it was dealt), then steal from the fronts of the others. All jobs
-  /// are enqueued before the workers start, so a full empty scan means the
-  /// grid is drained and the worker may exit. `stolen` reports whether the
-  /// job came from another worker's deque (telemetry).
-  std::size_t next_job(RunState& rs, std::size_t wi, bool& stolen) {
-    stolen = false;
-    {
-      WorkDeque& d = *rs.deques[wi];
-      std::lock_guard<std::mutex> lock(d.mu);
-      if (!d.q.empty()) {
-        const std::size_t j = d.q.back();
-        d.q.pop_back();
-        return j;
-      }
-    }
-    for (std::size_t off = 1; off < rs.deques.size(); ++off) {
-      WorkDeque& d = *rs.deques[(wi + off) % rs.deques.size()];
-      std::lock_guard<std::mutex> lock(d.mu);
-      if (!d.q.empty()) {
-        const std::size_t j = d.q.front();
-        d.q.pop_front();
-        stolen = true;
-        return j;
-      }
-    }
-    return kNoJob;
-  }
-
-  void worker_loop(std::shared_ptr<RunState> rs, std::size_t wi, std::uint64_t my_gen) {
-    WorkerStats& ws = *rs->wstats[wi];
-    for (;;) {
-      bool stolen = false;
-      const std::size_t j = next_job(*rs, wi, stolen);
-      if (j == kNoJob) return;
-      if (stolen) ws.steals.fetch_add(1, std::memory_order_relaxed);
-      // Queue wait: run start -> pickup. All jobs are enqueued up front, so
-      // this is exactly how long the job sat in a deque.
-      rs->record_queue_wait(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               rs->start)
-              .count()));
-
-      // Copy the spec so the executor never aliases the shared jobs vector,
-      // even from a thread the monitor has abandoned.
-      const JobSpec spec = rs->jobs[j];
-      JobResult result;
-      if (cache.lookup(rs->hashes[j], result)) {
-        hits.fetch_add(1, std::memory_order_relaxed);
-        rs->run_hits.fetch_add(1, std::memory_order_relaxed);
-        commit(*rs, j, result);
-        continue;
-      }
-
-      JobExecutor& ex = executor_for(spec);
-      const std::uint64_t timeout_ms =
-          spec.timeout_ms != 0 ? spec.timeout_ms : opts.default_timeout_ms;
-      auto token = std::make_shared<CancelToken>();
-      Slot& slot = *rs->slots[wi];
-      {
-        std::lock_guard<std::mutex> lock(slot.mu);
-        if (slot.generation != my_gen) return;
-        slot.job = j;
-        slot.deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-        slot.supervised = !ex.enforces_timeout();
-        slot.token = token;
-      }
-
-      const auto exec_t0 = Clock::now();
-      // Executors promise not to throw, but a worker thread has no handler
-      // above this frame — one escaped exception would std::terminate the
-      // process and take the whole grid down. Last-resort containment: the
-      // job fails, the farm lives.
-      try {
-        result = ex.execute(spec, timeout_ms, *token);
-      } catch (const std::exception& e) {
-        result = JobResult{};
-        result.status = JobStatus::failed;
-        result.error = std::string("executor threw: ") + e.what();
-      } catch (...) {
-        result = JobResult{};
-        result.status = JobStatus::failed;
-        result.error = "executor threw an unknown exception";
-      }
-      executed.fetch_add(1, std::memory_order_relaxed);
-      rs->run_executed.fetch_add(1, std::memory_order_relaxed);
-      ws.jobs.fetch_add(1, std::memory_order_relaxed);
-      ws.busy_ns.fetch_add(
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                                   exec_t0)
-                  .count()),
-          std::memory_order_relaxed);
-
-      bool still_mine = false;
-      {
-        std::lock_guard<std::mutex> lock(slot.mu);
-        still_mine = slot.generation == my_gen;
-        if (still_mine) {
-          slot.job = kNoJob;
-          slot.token.reset();
-        }
-      }
-      if (!still_mine) return;  // timed out and replaced: result discarded
-
-      if (result.status == JobStatus::ok) cache.insert(rs->hashes[j], result);
-      commit(*rs, j, result);
-    }
-  }
-
-  /// Fail every job still queued in deque `wi` (last-resort path when a
-  /// replacement worker cannot be spawned and no other worker exists to
-  /// steal the leftovers).
-  void drain_deque_as_failed(RunState& rs, std::size_t wi, const std::string& why) {
-    for (;;) {
-      std::size_t j = kNoJob;
-      {
-        WorkDeque& d = *rs.deques[wi];
-        std::lock_guard<std::mutex> lock(d.mu);
-        if (d.q.empty()) break;
-        j = d.q.back();
-        d.q.pop_back();
-      }
-      JobResult r;
-      r.status = JobStatus::failed;
-      r.error = why;
-      commit(rs, j, r);
-    }
-  }
-
-  void monitor_loop(std::shared_ptr<RunState> rs) {
-    while (!rs->monitor_stop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      const auto now = Clock::now();
-      for (std::size_t wi = 0; wi < rs->slots.size(); ++wi) {
-        Slot& slot = *rs->slots[wi];
-        std::size_t j = kNoJob;
-        std::uint64_t newgen = 0;
-        {
-          std::lock_guard<std::mutex> lock(slot.mu);
-          if (slot.job == kNoJob || !slot.supervised || now < slot.deadline) continue;
-          if (rs->claimed[slot.job].exchange(true)) continue;  // worker just won
-          j = slot.job;
-          slot.token->cancel();
-          slot.job = kNoJob;
-          slot.token.reset();
-          newgen = ++slot.generation;
-        }
-
-        const JobSpec& spec = rs->jobs[j];
-        const std::uint64_t timeout_ms =
-            spec.timeout_ms != 0 ? spec.timeout_ms : opts.default_timeout_ms;
-        JobResult r;
-        r.status = JobStatus::timeout;
-        r.error = "timed out after " + std::to_string(timeout_ms) +
-                  "ms (in-process worker abandoned, replacement spawned)";
-        rs->results[j] = r;
-        rs->run_timeouts.fetch_add(1, std::memory_order_relaxed);
-        const std::size_t done = rs->done.fetch_add(1) + 1;
-
-        {
-          std::lock_guard<std::mutex> lock(rs->threads_mu);
-          {
-            std::lock_guard<std::mutex> zlock(zombies_mu);
-            zombies.push_back(std::move(rs->threads[wi]));
-          }
-          try {
-            rs->threads[wi] = std::thread(&Impl::worker_loop, this, rs, wi, newgen);
-            rs->run_replacements.fetch_add(1, std::memory_order_relaxed);
-          } catch (const std::exception& e) {
-            // No replacement thread: other workers will steal this deque; if
-            // this was the only worker, fail the leftovers rather than hang.
-            std::fprintf(stderr, "rcpn-farm: worker replacement failed: %s\n", e.what());
-            if (rs->slots.size() == 1)
-              drain_deque_as_failed(*rs, wi, "worker replacement failed");
-          }
-        }
-
-        if (opts.on_job_done) {
-          std::lock_guard<std::mutex> lock(rs->progress_mu);
-          opts.on_job_done(done, rs->jobs.size(), j, r);
-        }
-      }
-    }
+               ? run_subprocess(spec, timeout_ms, bin_dir)
+               : run_in_process(spec, timeout_ms);
   }
 
   FarmReport run(std::vector<JobSpec> jobs) {
@@ -329,77 +69,78 @@ struct SimFarm::Impl {
     const unsigned hw = std::thread::hardware_concurrency();
     const unsigned nw =
         std::max(1u, opts.workers != 0 ? opts.workers : (hw != 0 ? hw : 4u));
-
-    auto rs = std::make_shared<RunState>();
-    rs->start = t0;
-    rs->jobs = std::move(jobs);
-    const std::size_t n = rs->jobs.size();
-    rs->hashes.resize(n);
-    rs->results.resize(n);
-    rs->claimed = std::make_unique<std::atomic<bool>[]>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      rs->hashes[i] = job_hash(rs->jobs[i]);
-      rs->claimed[i].store(false, std::memory_order_relaxed);
-    }
-    for (unsigned w = 0; w < nw; ++w) {
-      rs->deques.push_back(std::make_unique<WorkDeque>());
-      rs->slots.push_back(std::make_unique<Slot>());
-      rs->wstats.push_back(std::make_unique<WorkerStats>());
-    }
-    for (std::size_t i = 0; i < n; ++i) rs->deques[i % nw]->q.push_back(i);
-
-    std::thread monitor;
-    if (n != 0) {
-      rs->threads.reserve(nw);
-      for (unsigned w = 0; w < nw; ++w)
-        rs->threads.emplace_back(&Impl::worker_loop, this, rs, w, 0);
-      monitor = std::thread(&Impl::monitor_loop, this, rs);
-      while (rs->done.load(std::memory_order_acquire) < n)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      rs->monitor_stop.store(true, std::memory_order_relaxed);
-      monitor.join();
-      std::lock_guard<std::mutex> lock(rs->threads_mu);
-      for (std::thread& t : rs->threads)
-        if (t.joinable()) t.join();
-      rs->threads.clear();
-    }
+    const std::size_t n = jobs.size();
 
     FarmReport report;
     report.workers = nw;
-    report.wall_seconds = seconds_since(t0);
-    report.jobs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-      report.jobs.push_back(JobRecord{rs->jobs[i], rs->hashes[i], rs->results[i]});
+    report.jobs.resize(n);
+    for (std::size_t i = 0; i < n; ++i) report.jobs[i].spec = std::move(jobs[i]);
 
-    // Telemetry snapshot. Live workers and the monitor are joined; an
-    // abandoned zombie may still tick a counter after this point (it keeps
-    // RunState alive via its shared_ptr, so that is safe), but its job was
-    // already reported as a timeout — the snapshot is consistent.
+    std::atomic<std::size_t> cursor{0};
+    std::mutex progress_mu;
+    std::size_t done = 0;        // guarded by progress_mu
+    std::exception_ptr escaped;  // guarded by progress_mu
+    const auto work = [&](WorkerTally& tally) {
+      try {
+        for (std::size_t j = cursor++; j < n; j = cursor++) {
+          // Queue wait: run start -> pickup.
+          const double wait_ms = seconds_since(t0) * 1e3;
+          tally.queue_wait_ms_sum += wait_ms;
+          tally.queue_wait_ms_max = std::max(tally.queue_wait_ms_max, wait_ms);
+
+          JobRecord& rec = report.jobs[j];
+          rec.hash = job_hash(rec.spec);
+          if (cache.lookup(rec.hash, rec.result)) {
+            ++tally.cache_hits;
+          } else {
+            const auto exec_t0 = Clock::now();
+            rec.result = execute(rec.spec);
+            ++tally.telemetry.jobs;
+            tally.telemetry.busy_seconds += seconds_since(exec_t0);
+            if (rec.result.status == JobStatus::ok) cache.insert(rec.hash, rec.result);
+          }
+          if (rec.result.status == JobStatus::timeout) ++tally.timeouts;
+          if (opts.on_job_done) {
+            std::lock_guard<std::mutex> lock(progress_mu);
+            opts.on_job_done(++done, n, j, rec.result);
+          }
+        }
+      } catch (...) {
+        // The executors never throw, but the progress callback, hashing or
+        // the cache can: run() rethrows it once every worker has joined.
+        std::lock_guard<std::mutex> lock(progress_mu);
+        if (!escaped) escaped = std::current_exception();
+      }
+    };
+
+    std::vector<WorkerTally> tallies(nw);
+    std::vector<std::thread> threads;
+    threads.reserve(nw);
+    try {
+      for (WorkerTally& tally : tallies) threads.emplace_back(work, std::ref(tally));
+    } catch (const std::system_error&) {
+      // Out of threads: the workers already running drain the whole grid.
+      if (threads.empty()) throw;
+    }
+    for (std::thread& t : threads) t.join();
+    if (escaped) std::rethrow_exception(escaped);
+    report.wall_seconds = seconds_since(t0);
+
     FarmTelemetry& t = report.telemetry;
-    t.executed = rs->run_executed.load(std::memory_order_relaxed);
-    t.cache_hits = rs->run_hits.load(std::memory_order_relaxed);
-    t.timeouts = rs->run_timeouts.load(std::memory_order_relaxed);
-    t.replacements = rs->run_replacements.load(std::memory_order_relaxed);
+    double queue_wait_ms_sum = 0.0;
+    for (const WorkerTally& w : tallies) {
+      t.executed += w.telemetry.jobs;
+      t.cache_hits += w.cache_hits;
+      t.timeouts += w.timeouts;
+      queue_wait_ms_sum += w.queue_wait_ms_sum;
+      t.queue_wait_ms_max = std::max(t.queue_wait_ms_max, w.queue_wait_ms_max);
+      t.workers.push_back(w.telemetry);
+    }
     const std::size_t picked = t.executed + t.cache_hits;
     t.queue_wait_ms_mean =
-        picked == 0 ? 0.0
-                    : static_cast<double>(rs->queue_wait_ns_total.load(
-                          std::memory_order_relaxed)) /
-                          static_cast<double>(picked) / 1e6;
-    t.queue_wait_ms_max = static_cast<double>(rs->queue_wait_ns_max.load(
-                              std::memory_order_relaxed)) /
-                          1e6;
-    t.workers.reserve(nw);
-    for (unsigned w = 0; w < nw; ++w) {
-      const WorkerStats& ws = *rs->wstats[w];
-      WorkerTelemetry wt;
-      wt.jobs = ws.jobs.load(std::memory_order_relaxed);
-      wt.steals = ws.steals.load(std::memory_order_relaxed);
-      wt.busy_seconds =
-          static_cast<double>(ws.busy_ns.load(std::memory_order_relaxed)) / 1e9;
-      t.steals += wt.steals;
-      t.workers.push_back(wt);
-    }
+        picked == 0 ? 0.0 : queue_wait_ms_sum / static_cast<double>(picked);
+    executed += t.executed;
+    hits += t.cache_hits;
     return report;
   }
 };

@@ -1,28 +1,22 @@
-// SimFarm: the sharded batch-simulation engine.
+// SimFarm: the batch-simulation engine.
 //
-// run(jobs) distributes the jobs round-robin over per-worker work-stealing
-// deques (each worker pops its own deque from the back and steals from the
-// fronts of the others when empty), executes every job through its spec's
-// executor, and returns a FarmReport in submission order. Invariants:
+// run(jobs) starts the worker threads and joins them. Each worker takes the
+// next job index from one atomic cursor, hashes that job, checks the result
+// cache, executes it through the function its spec's executor names
+// (farm/executor.hpp) and commits the result; the report lists jobs in
+// submission order regardless of which worker ran them when. Invariants:
 //
-//  * A failing job never fails the farm. Executors convert exceptions into
-//    failed results; an in-process job that outlives its wall-clock timeout
-//    is claimed as `timeout` by the monitor thread, its CancelToken is
-//    cancelled, and the stuck worker thread is abandoned (parked until it
-//    cooperates) while a replacement thread takes over its deque — the rest
-//    of the grid always completes. Subprocess jobs enforce their own
-//    timeout with SIGKILL and need no supervision.
-//  * Each job's result is committed exactly once (worker/monitor races are
-//    resolved by an atomic claim), and the report lists jobs in submission
-//    order regardless of which worker ran them when.
+//  * A failing job never fails the farm. Both executors turn exceptions into
+//    failed results and enforce the job's wall-clock timeout themselves: an
+//    in-process job stops at the first chunk boundary past its deadline, a
+//    subprocess child is SIGKILLed. Either comes back `timeout`, and the rest
+//    of the grid completes.
 //  * Successful results enter a bounded LRU cache keyed by job_hash(); the
 //    cache persists across run() calls on the same farm, so re-running an
 //    identical grid does zero simulation work.
 //
-// Hard-hang caveat: an in-process job that never polls its CancelToken and
-// never trips the engine's deadlock watchdog cannot be killed — its thread
-// is abandoned and joined in ~SimFarm, which then blocks. Use the
-// subprocess executor when jobs are untrusted.
+// In-process code that never returns from a single cycle cannot be stopped;
+// use the subprocess executor for untrusted models.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +49,7 @@ struct FarmOptions {
 class SimFarm {
  public:
   explicit SimFarm(FarmOptions options = {});
-  ~SimFarm();  // joins abandoned (timed-out) worker threads
+  ~SimFarm();
   SimFarm(const SimFarm&) = delete;
   SimFarm& operator=(const SimFarm&) = delete;
 

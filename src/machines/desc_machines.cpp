@@ -17,26 +17,13 @@ namespace rcpn::machines {
 
 namespace {
 
-/// "fuzz-N" -> N; -1 when `model` is not a fuzz model name.
-int fuzz_seed_of(const std::string& model) {
-  if (model.rfind("fuzz-", 0) != 0 || model.size() == 5) return -1;
-  int seed = 0;
-  for (std::size_t i = 5; i < model.size(); ++i) {
-    const char c = model[i];
-    if (c < '0' || c > '9') return -1;
-    seed = seed * 10 + (c - '0');
-    if (seed > 1'000'000) return -1;
-  }
-  return seed;
-}
-
 /// Restore a loaded fuzz simulator's per-transition delegate parameters:
 /// replay describe_fuzz_model(seed) into a throwaway builder against the
 /// *live* machine. Declaration order is deterministic, so the throwaway ids
 /// equal the loaded ids and the guard_param/action_param arrays line up.
-void restore_fuzz_params(const desc::Description& d, int seed, FuzzMachine& m) {
+void restore_fuzz_params(const desc::Description& d, unsigned seed, FuzzMachine& m) {
   model::ModelBuilder<FuzzMachine> throwaway(d.model);
-  describe_fuzz_model(static_cast<unsigned>(seed), throwaway, m);
+  describe_fuzz_model(seed, throwaway, m);
 }
 
 }  // namespace
@@ -55,12 +42,11 @@ const desc::DelegateRegistry& delegates_for(const desc::Description& d) {
 
 desc::Description describe_machine(const std::string& key,
                                    core::EngineOptions options) {
-  const int seed = fuzz_seed_of(key);
-  if (seed >= 0) {
+  if (const std::optional<unsigned> seed = parse_fuzz_model_name(key)) {
     model::Simulator<FuzzMachine> sim(
         key, options,
-        [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-          describe_fuzz_model(static_cast<unsigned>(seed), b, m);
+        [s = *seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
+          describe_fuzz_model(s, b, m);
         },
         FuzzMachine{});
     return desc::describe_net(sim.net(), options);
@@ -72,93 +58,48 @@ desc::Description describe_machine(const std::string& key,
   return d;
 }
 
-GoldenRunResult run_description(const desc::Description& d, core::EngineOptions options,
-                                std::uint64_t max_cycles) {
+std::unique_ptr<GoldenSession> make_description_session(const desc::Description& d,
+                                                        core::EngineOptions options,
+                                                        std::uint64_t max_cycles) {
   const desc::DelegateRegistry& reg = delegates_for(d);
-  if (d.model == "Fig2") {
-    SimplePipeline sim(d, reg, options, 64);
-    return golden_finish_fig2(sim);
-  }
-  if (d.model == "Fig5") {
-    Fig5Processor sim(d, reg, options);
-    return golden_finish_fig5(sim);
-  }
-  if (d.model == "Tomasulo") {
-    TomasuloCore sim(d, reg, options);
-    return golden_finish_tomasulo(sim);
-  }
-  if (d.model == "StallCause") {
-    StallCauseModel sim(d, reg, options, 4);
-    return golden_finish_stallcause(sim);
-  }
+  if (d.model == "Fig2")
+    return golden_session_fig2(std::make_unique<SimplePipeline>(d, reg, options, 64));
+  if (d.model == "Fig5")
+    return golden_session_fig5(std::make_unique<Fig5Processor>(d, reg, options));
+  if (d.model == "Tomasulo")
+    return golden_session_tomasulo(std::make_unique<TomasuloCore>(d, reg, options));
+  if (d.model == "StallCause")
+    return golden_session_stallcause(
+        std::make_unique<StallCauseModel>(d, reg, options, 4));
   if (d.model == "StrongArm") {
     StrongArmConfig cfg;
     cfg.engine = options;
-    StrongArmSim sim(d, reg, cfg);
-    return golden_finish_strongarm_crc(sim);
+    return golden_session_strongarm_crc(std::make_unique<StrongArmSim>(d, reg, cfg));
   }
   if (d.model == "XScale") {
     XScaleConfig cfg;
     cfg.engine = options;
-    XScaleSim sim(d, reg, cfg);
-    return golden_finish_xscale_adpcm(sim);
+    return golden_session_xscale_adpcm(std::make_unique<XScaleSim>(d, reg, cfg));
   }
-  const int seed = fuzz_seed_of(d.model);
-  if (seed >= 0) {
-    model::Simulator<FuzzMachine> sim(d, reg, options, FuzzMachine{});
-    restore_fuzz_params(d, seed, sim.machine());
-    return golden_finish_fuzz(sim, d.model, max_cycles);
+  if (const std::optional<unsigned> seed = parse_fuzz_model_name(d.model)) {
+    auto sim = std::make_unique<model::Simulator<FuzzMachine>>(d, reg, options,
+                                                                FuzzMachine{});
+    restore_fuzz_params(d, *seed, sim->machine());
+    return make_fuzz_session(std::move(sim), max_cycles);
   }
   throw model::ModelError("description model '" + d.model +
                           "' names no machine family shipped with this library");
 }
 
+GoldenRunResult run_description(const desc::Description& d, core::EngineOptions options,
+                                std::uint64_t max_cycles) {
+  return finish_session(*make_description_session(d, options, max_cycles));
+}
+
 void inspect_description(const desc::Description& d, core::EngineOptions options,
                          const GoldenInspectFn& fn) {
-  const desc::DelegateRegistry& reg = delegates_for(d);
-  if (d.model == "Fig2") {
-    SimplePipeline sim(d, reg, options, 64);
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  if (d.model == "Fig5") {
-    Fig5Processor sim(d, reg, options);
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  if (d.model == "Tomasulo") {
-    TomasuloCore sim(d, reg, options);
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  if (d.model == "StallCause") {
-    StallCauseModel sim(d, reg, options, 4);
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  if (d.model == "StrongArm") {
-    StrongArmConfig cfg;
-    cfg.engine = options;
-    StrongArmSim sim(d, reg, cfg);
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  if (d.model == "XScale") {
-    XScaleConfig cfg;
-    cfg.engine = options;
-    XScaleSim sim(d, reg, cfg);
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  const int seed = fuzz_seed_of(d.model);
-  if (seed >= 0) {
-    model::Simulator<FuzzMachine> sim(d, reg, options, FuzzMachine{});
-    restore_fuzz_params(d, seed, sim.machine());
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  throw model::ModelError("description model '" + d.model +
-                          "' names no machine family shipped with this library");
+  const std::unique_ptr<GoldenSession> session = make_description_session(d, options);
+  fn(session->engine().net(), session->engine());
 }
 
 std::string description_machine_key(const desc::Description& d) {

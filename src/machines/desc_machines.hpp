@@ -12,10 +12,12 @@
 // The loaded path and the describe-callback path construct the same machine:
 // each wrapper class has a description constructor that replays the .rcpn
 // structure through ModelBuilderBase::from_description and then re-binds the
-// machine-context ids by *name* against the lowered net (bind_*_context), and
-// both paths share one golden_finish_* workload function — so round-trip
-// equality (build -> describe -> load -> build -> identical trace + stats) is
-// a meaningful check, not a tautology.
+// machine-context ids by *name* against the lowered net (bind_*_context). A
+// described machine runs as its family's golden session (golden_session_*
+// over the described simulator), the chunked path every in-process farm job
+// takes, while the builder path's golden_run_* is the straight loop — so
+// round-trip equality (build -> describe -> load -> session -> identical
+// trace + stats) is a meaningful check, not a tautology.
 #pragma once
 
 #include <string>
@@ -35,16 +37,22 @@ const desc::DelegateRegistry& delegates_for(const desc::Description& d);
 /// xscale_adpcm, stallcause) or "fuzz-N" for the seeded random model N.
 desc::Description describe_machine(const std::string& key, core::EngineOptions options);
 
-/// Construct the machine family `d.model` names from the description and run
-/// its fixed golden workload under `options` (the caller folds the
-/// description's own options in first via desc::engine_options if desired).
-/// `max_cycles` caps fuzz drains (0 = default). Throws model::ModelError for
-/// a model name no shipped machine family claims.
+/// Construct the machine family `d.model` names from the description as its
+/// golden session under `options` (workload loaded, nothing run; the caller
+/// folds the description's own options in first via desc::engine_options if
+/// desired). `max_cycles` caps fuzz drains (0 = default). Throws
+/// model::ModelError for a model name no shipped machine family claims.
+std::unique_ptr<GoldenSession> make_description_session(const desc::Description& d,
+                                                        core::EngineOptions options,
+                                                        std::uint64_t max_cycles = 0);
+
+/// make_description_session run to completion.
 GoldenRunResult run_description(const desc::Description& d, core::EngineOptions options,
                                 std::uint64_t max_cycles = 0);
 
-/// Construct from the description (engine built, workload NOT run) and hand
-/// the net + engine to `fn` — the emitter's lowering hook for .rcpn inputs.
+/// Construct from the description (engine built, workload loaded, nothing
+/// run) and hand the net + engine to `fn` — the emitter's lowering hook for
+/// .rcpn inputs.
 void inspect_description(const desc::Description& d, core::EngineOptions options,
                          const GoldenInspectFn& fn);
 

@@ -409,16 +409,16 @@ namespace {
 
 class Fig5Session final : public SessionBase {
  public:
-  explicit Fig5Session(core::EngineOptions options) : sim_(options) {
-    record_golden_retires(sim_.engine(), trace_);
-    sim_.load(fig5_golden_workload());
+  explicit Fig5Session(std::unique_ptr<Fig5Processor> sim) : sim_(std::move(sim)) {
+    record_golden_retires(sim_->engine(), trace_);
+    sim_->load(fig5_golden_workload());
   }
 
-  core::Engine& engine() override { return sim_.engine(); }
+  core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
     if (finished()) return false;
-    sim_.run(cycles);
+    sim_->run(cycles);
     return !finished();
   }
 
@@ -426,7 +426,7 @@ class Fig5Session final : public SessionBase {
   std::string workload_id() const override { return "golden-8"; }
 
   void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder& refs) const override {
-    const Fig5Machine& m = sim_.machine();
+    const Fig5Machine& m = sim_->machine();
     w.begin("fig5").field("pc", static_cast<std::uint64_t>(m.pc)).end();
     ckpt::save_register_file(w, m.rf, refs);
     ckpt::save_memory(w, m.mem);
@@ -434,7 +434,7 @@ class Fig5Session final : public SessionBase {
   }
 
   void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder& refs) override {
-    Fig5Machine& m = sim_.machine();
+    Fig5Machine& m = sim_->machine();
     r.next("fig5");
     m.pc = static_cast<std::uint32_t>(r.get_u64("pc"));
     ckpt::restore_register_file(r, m.rf, refs);
@@ -443,23 +443,27 @@ class Fig5Session final : public SessionBase {
   }
 
   core::InstructionToken* materialize(std::uint64_t pc, std::uint32_t raw) override {
-    return sim_.machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
+    return sim_->machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
   }
 
  private:
   bool finished() {
-    return sim_.engine().stopped() ||
-           (sim_.machine().pc >= sim_.machine().program.size() &&
-            sim_.engine().tokens_in_flight() == 0);
+    return sim_->engine().stopped() ||
+           (sim_->machine().pc >= sim_->machine().program.size() &&
+            sim_->engine().tokens_in_flight() == 0);
   }
 
-  Fig5Processor sim_;
+  std::unique_ptr<Fig5Processor> sim_;
 };
 
 }  // namespace
 
 std::unique_ptr<GoldenSession> golden_session_fig5(core::EngineOptions options) {
-  return std::make_unique<Fig5Session>(options);
+  return golden_session_fig5(std::make_unique<Fig5Processor>(options));
+}
+
+std::unique_ptr<GoldenSession> golden_session_fig5(std::unique_ptr<Fig5Processor> sim) {
+  return std::make_unique<Fig5Session>(std::move(sim));
 }
 
 }  // namespace rcpn::machines

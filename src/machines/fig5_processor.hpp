@@ -132,9 +132,13 @@ std::unique_ptr<GoldenSession> golden_session_fig5(core::EngineOptions options);
 
 class Fig5Processor;
 
-/// The golden workload itself (trace recording + load + run + stats),
-/// factored out so the describe-callback and description-loaded construction
-/// paths run byte-identical work.
+/// The same session over a simulator the caller built: the description
+/// loader (machines/desc_machines.hpp) hands over its described machine.
+std::unique_ptr<GoldenSession> golden_session_fig5(
+    std::unique_ptr<Fig5Processor> sim);
+
+/// The straight golden workload (trace recording + load + run + stats) on a
+/// caller-built simulator: golden_run_fig5's body, rerun by the reset tests.
 GoldenRunResult golden_finish_fig5(Fig5Processor& sim);
 
 class Fig5Processor {

@@ -1,5 +1,6 @@
 #include "machines/fuzz_model.hpp"
 
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -307,9 +308,30 @@ core::EngineOptions fuzz_options_for(unsigned seed, core::Backend backend) {
 
 std::string fuzz_model_name(unsigned seed) { return "fuzz-" + std::to_string(seed); }
 
-GoldenRunResult golden_finish_fuzz(model::Simulator<FuzzMachine>& sim,
-                                   const std::string& name,
-                                   std::uint64_t max_cycles) {
+std::optional<unsigned> parse_fuzz_model_name(std::string_view name) {
+  constexpr std::string_view kPrefix = "fuzz-";
+  if (!name.starts_with(kPrefix)) return std::nullopt;
+  const std::string_view digits = name.substr(kPrefix.size());
+  if (digits.empty() || digits.size() > 10 || (digits[0] == '0' && digits.size() > 1))
+    return std::nullopt;
+  std::uint64_t seed = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    seed = seed * 10 + static_cast<std::uint64_t>(c - '0');
+  }
+  if (seed > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  return static_cast<unsigned>(seed);
+}
+
+GoldenRunResult golden_run_fuzz(unsigned seed, core::EngineOptions options,
+                                std::uint64_t max_cycles) {
+  const std::string name = fuzz_model_name(seed);
+  model::Simulator<FuzzMachine> sim(
+      name, options,
+      [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
+        describe_fuzz_model(seed, b, m);
+      },
+      FuzzMachine{});
   GoldenRunResult r;
   record_golden_retires(sim.engine(), r.trace);
   const std::uint64_t kMaxCycles = max_cycles != 0 ? max_cycles : kFuzzDrainCap;
@@ -319,8 +341,7 @@ GoldenRunResult golden_finish_fuzz(model::Simulator<FuzzMachine>& sim,
         sim.engine().tokens_in_flight() == 0)
       break;
     if (!sim.step())
-      throw std::runtime_error(name +
-                               ": engine stopped (deadlocked model?) at cycle " +
+      throw std::runtime_error(name + ": engine stopped (deadlocked model?) at cycle " +
                                std::to_string(cycle));
   }
   if (cycle >= kMaxCycles) throw std::runtime_error(name + ": model did not drain");
@@ -328,57 +349,40 @@ GoldenRunResult golden_finish_fuzz(model::Simulator<FuzzMachine>& sim,
   return r;
 }
 
-GoldenRunResult golden_run_fuzz(unsigned seed, core::EngineOptions options,
-                                std::uint64_t max_cycles) {
-  model::Simulator<FuzzMachine> sim(
-      fuzz_model_name(seed), options,
-      [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-        describe_fuzz_model(seed, b, m);
-      },
-      FuzzMachine{});
-  return golden_finish_fuzz(sim, fuzz_model_name(seed), max_cycles);
-}
-
 namespace {
 
 class FuzzSession final : public SessionBase {
  public:
-  FuzzSession(unsigned seed, core::EngineOptions options, std::uint64_t max_cycles)
-      : name_(fuzz_model_name(seed)),
-        cap_(max_cycles != 0 ? max_cycles : kFuzzDrainCap),
-        sim_(
-            name_, options,
-            [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-              describe_fuzz_model(seed, b, m);
-            },
-            FuzzMachine{}) {
-    record_golden_retires(sim_.engine(), trace_);
+  FuzzSession(std::unique_ptr<model::Simulator<FuzzMachine>> sim,
+              std::uint64_t max_cycles)
+      : cap_(max_cycles != 0 ? max_cycles : kFuzzDrainCap), sim_(std::move(sim)) {
+    record_golden_retires(sim_->engine(), trace_);
   }
 
-  core::Engine& engine() override { return sim_.engine(); }
+  core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
-    // Same loop shape (and error behaviour) as golden_finish_fuzz: done is
+    // Same loop shape (and error behaviour) as golden_run_fuzz: done is
     // checked *before* each step, and the iteration counter equals the engine
     // clock because the straight run steps exactly once per iteration from
     // cycle 0 — so a resumed session picks the count up from the clock.
-    std::uint64_t cycle = sim_.engine().clock();
+    std::uint64_t cycle = sim_->engine().clock();
     for (std::uint64_t k = 0; k < cycles; ++k, ++cycle) {
-      if (cycle >= cap_) throw std::runtime_error(name_ + ": model did not drain");
+      if (cycle >= cap_) throw std::runtime_error(machine_key() + ": model did not drain");
       if (done()) return false;
-      if (!sim_.step())
-        throw std::runtime_error(name_ +
+      if (!sim_->step())
+        throw std::runtime_error(machine_key() +
                                  ": engine stopped (deadlocked model?) at cycle " +
                                  std::to_string(cycle));
     }
     return true;
   }
 
-  std::string machine_key() const override { return name_; }
+  std::string machine_key() const override { return sim_->net().name(); }
   std::string workload_id() const override { return "golden"; }
 
   void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder&) const override {
-    const FuzzMachine& m = sim_.machine();
+    const FuzzMachine& m = sim_->machine();
     w.begin("fuzz")
         .field("emitted", m.emitted)
         .field("actions_run", m.actions_run)
@@ -388,7 +392,7 @@ class FuzzSession final : public SessionBase {
   }
 
   void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder&) override {
-    FuzzMachine& m = sim_.machine();
+    FuzzMachine& m = sim_->machine();
     r.next("fuzz");
     m.emitted = r.get_u64("emitted");
     m.actions_run = r.get_u64("actions_run");
@@ -398,13 +402,12 @@ class FuzzSession final : public SessionBase {
 
  private:
   bool done() {
-    return sim_.machine().emitted >= sim_.machine().to_emit &&
-           sim_.engine().tokens_in_flight() == 0;
+    return sim_->machine().emitted >= sim_->machine().to_emit &&
+           sim_->engine().tokens_in_flight() == 0;
   }
 
-  std::string name_;
   std::uint64_t cap_;
-  model::Simulator<FuzzMachine> sim_;
+  std::unique_ptr<model::Simulator<FuzzMachine>> sim_;
 };
 
 }  // namespace
@@ -412,7 +415,19 @@ class FuzzSession final : public SessionBase {
 std::unique_ptr<GoldenSession> make_fuzz_session(unsigned seed,
                                                  core::EngineOptions options,
                                                  std::uint64_t max_cycles) {
-  return std::make_unique<FuzzSession>(seed, options, max_cycles);
+  return make_fuzz_session(
+      std::make_unique<model::Simulator<FuzzMachine>>(
+          fuzz_model_name(seed), options,
+          [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
+            describe_fuzz_model(seed, b, m);
+          },
+          FuzzMachine{}),
+      max_cycles);
+}
+
+std::unique_ptr<GoldenSession> make_fuzz_session(
+    std::unique_ptr<model::Simulator<FuzzMachine>> sim, std::uint64_t max_cycles) {
+  return std::make_unique<FuzzSession>(std::move(sim), max_cycles);
 }
 
 }  // namespace rcpn::machines

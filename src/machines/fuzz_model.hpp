@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "machines/golden_trace.hpp"
@@ -89,20 +91,18 @@ core::EngineOptions fuzz_options_for(unsigned seed, core::Backend backend);
 /// Model (net) name of a seed, e.g. "fuzz-7".
 std::string fuzz_model_name(unsigned seed);
 
+/// The seed a fuzz model name spells. Accepts exactly the names
+/// fuzz_model_name prints: "fuzz-" and a decimal seed with no sign, no
+/// leading zero and no trailing text, at most 4294967295. Every parser of
+/// "fuzz-<n>" keys (farm jobs, rcpn_emit, the description loader) uses this.
+std::optional<unsigned> parse_fuzz_model_name(std::string_view name);
+
 /// Golden-style runner: construct the seed's model under `options`, run it
 /// until every token drained, return the retire trace + stats. Throws
 /// std::runtime_error if the model wedges (deadlock watchdog / cycle cap).
-/// `max_cycles` overrides the drain cap (0 = the default 25000) — the farm's
-/// per-job cycle budget.
+/// `max_cycles` overrides the drain cap (0 = the default 25000).
 GoldenRunResult golden_run_fuzz(unsigned seed, core::EngineOptions options,
                                 std::uint64_t max_cycles = 0);
-
-/// The fuzz workload itself (trace recording + manual drain loop + stats),
-/// factored out so the describe-callback and description-loaded construction
-/// paths run byte-identical work. `name` labels the error messages.
-GoldenRunResult golden_finish_fuzz(model::Simulator<FuzzMachine>& sim,
-                                   const std::string& name,
-                                   std::uint64_t max_cycles = 0);
 
 /// Checkpointable session of a seed's model (machine key "fuzz-<seed>"):
 /// the same manual drain loop as golden_run_fuzz, advanceable in cycle
@@ -110,5 +110,12 @@ GoldenRunResult golden_finish_fuzz(model::Simulator<FuzzMachine>& sim,
 std::unique_ptr<GoldenSession> make_fuzz_session(unsigned seed,
                                                  core::EngineOptions options,
                                                  std::uint64_t max_cycles = 0);
+
+/// The same session over a fuzz simulator the caller built; its net name
+/// (fuzz_model_name of the seed) is the session's machine key. The
+/// description loader (machines/desc_machines.hpp) hands over its described
+/// model this way.
+std::unique_ptr<GoldenSession> make_fuzz_session(
+    std::unique_ptr<model::Simulator<FuzzMachine>> sim, std::uint64_t max_cycles = 0);
 
 }  // namespace rcpn::machines

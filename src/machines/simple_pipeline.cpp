@@ -86,15 +86,15 @@ namespace {
 
 class Fig2Session final : public SessionBase {
  public:
-  explicit Fig2Session(core::EngineOptions options) : sim_(64, options) {
-    record_golden_retires(sim_.engine(), trace_);
+  explicit Fig2Session(std::unique_ptr<SimplePipeline> sim) : sim_(std::move(sim)) {
+    record_golden_retires(sim_->engine(), trace_);
   }
 
-  core::Engine& engine() override { return sim_.engine(); }
+  core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
     if (finished()) return false;
-    sim_.run(cycles);
+    sim_->run(cycles);
     return !finished();
   }
 
@@ -102,28 +102,32 @@ class Fig2Session final : public SessionBase {
   std::string workload_id() const override { return "golden-64"; }
 
   void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder&) const override {
-    w.begin("fig2").field("generated", sim_.machine().generated).end();
+    w.begin("fig2").field("generated", sim_->machine().generated).end();
   }
 
   void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder&) override {
     r.next("fig2");
-    sim_.machine().generated = r.get_u64("generated");
+    sim_->machine().generated = r.get_u64("generated");
   }
 
  private:
   bool finished() {
-    return sim_.engine().stopped() ||
-           (sim_.machine().generated >= sim_.machine().to_generate &&
-            sim_.engine().tokens_in_flight() == 0);
+    return sim_->engine().stopped() ||
+           (sim_->machine().generated >= sim_->machine().to_generate &&
+            sim_->engine().tokens_in_flight() == 0);
   }
 
-  SimplePipeline sim_;
+  std::unique_ptr<SimplePipeline> sim_;
 };
 
 }  // namespace
 
 std::unique_ptr<GoldenSession> golden_session_fig2(core::EngineOptions options) {
-  return std::make_unique<Fig2Session>(options);
+  return golden_session_fig2(std::make_unique<SimplePipeline>(64, options));
+}
+
+std::unique_ptr<GoldenSession> golden_session_fig2(std::unique_ptr<SimplePipeline> sim) {
+  return std::make_unique<Fig2Session>(std::move(sim));
 }
 
 }  // namespace rcpn::machines

@@ -54,9 +54,13 @@ std::unique_ptr<GoldenSession> golden_session_fig2(core::EngineOptions options);
 
 class SimplePipeline;
 
-/// The golden workload itself (trace recording + run + stats), factored out
-/// so the describe-callback and description-loaded construction paths run
-/// byte-identical work.
+/// The same session over a simulator the caller built: the description
+/// loader (machines/desc_machines.hpp) hands over its described machine.
+std::unique_ptr<GoldenSession> golden_session_fig2(
+    std::unique_ptr<SimplePipeline> sim);
+
+/// The straight golden workload (trace recording + run + stats) on a
+/// caller-built simulator: golden_run_fig2's body, rerun by the reset tests.
 GoldenRunResult golden_finish_fig2(SimplePipeline& sim);
 
 class SimplePipeline {

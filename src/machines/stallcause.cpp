@@ -130,15 +130,16 @@ namespace {
 
 class StallCauseSession final : public SessionBase {
  public:
-  explicit StallCauseSession(core::EngineOptions options) : sim_(4, options) {
-    record_golden_retires(sim_.engine(), trace_);
+  explicit StallCauseSession(std::unique_ptr<StallCauseModel> sim)
+      : sim_(std::move(sim)) {
+    record_golden_retires(sim_->engine(), trace_);
   }
 
-  core::Engine& engine() override { return sim_.engine(); }
+  core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
     if (finished()) return false;
-    sim_.run(cycles);
+    sim_->run(cycles);
     return !finished();
   }
 
@@ -146,7 +147,7 @@ class StallCauseSession final : public SessionBase {
   std::string workload_id() const override { return "golden-4"; }
 
   void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder&) const override {
-    const StallCauseMachine& m = sim_.machine();
+    const StallCauseMachine& m = sim_->machine();
     w.begin("stallcause")
         .field("emitted", m.emitted)
         .field("counter", m.counter)
@@ -154,7 +155,7 @@ class StallCauseSession final : public SessionBase {
   }
 
   void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder&) override {
-    StallCauseMachine& m = sim_.machine();
+    StallCauseMachine& m = sim_->machine();
     r.next("stallcause");
     m.emitted = r.get_u64("emitted");
     m.counter = r.get_u64("counter");
@@ -162,18 +163,23 @@ class StallCauseSession final : public SessionBase {
 
  private:
   bool finished() {
-    return sim_.engine().stopped() ||
-           (sim_.machine().emitted >= sim_.machine().to_emit &&
-            sim_.engine().tokens_in_flight() == 0);
+    return sim_->engine().stopped() ||
+           (sim_->machine().emitted >= sim_->machine().to_emit &&
+            sim_->engine().tokens_in_flight() == 0);
   }
 
-  StallCauseModel sim_;
+  std::unique_ptr<StallCauseModel> sim_;
 };
 
 }  // namespace
 
 std::unique_ptr<GoldenSession> golden_session_stallcause(core::EngineOptions options) {
-  return std::make_unique<StallCauseSession>(options);
+  return golden_session_stallcause(std::make_unique<StallCauseModel>(4, options));
+}
+
+std::unique_ptr<GoldenSession> golden_session_stallcause(
+    std::unique_ptr<StallCauseModel> sim) {
+  return std::make_unique<StallCauseSession>(std::move(sim));
 }
 
 }  // namespace rcpn::machines

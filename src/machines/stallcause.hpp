@@ -70,9 +70,13 @@ std::unique_ptr<GoldenSession> golden_session_stallcause(core::EngineOptions opt
 
 class StallCauseModel;
 
-/// The golden workload itself (trace recording + run + stats), factored out
-/// so the describe-callback and description-loaded construction paths run
-/// byte-identical work.
+/// The same session over a simulator the caller built: the description
+/// loader (machines/desc_machines.hpp) hands over its described machine.
+std::unique_ptr<GoldenSession> golden_session_stallcause(
+    std::unique_ptr<StallCauseModel> sim);
+
+/// The straight golden workload (trace recording + run + stats) on a
+/// caller-built simulator: golden_run_stallcause's body, rerun by the reset tests.
 GoldenRunResult golden_finish_stallcause(StallCauseModel& sim);
 
 class StallCauseModel {

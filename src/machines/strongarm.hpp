@@ -87,8 +87,13 @@ void golden_inspect_strongarm_crc(core::EngineOptions options,
 std::unique_ptr<GoldenSession> golden_session_strongarm_crc(
     core::EngineOptions options);
 
-/// The golden workload itself (trace recording + crc window + stats),
-/// factored out so both construction paths run byte-identical work.
+/// The same session over a simulator the caller built: the description
+/// loader (machines/desc_machines.hpp) hands over its described machine.
+std::unique_ptr<GoldenSession> golden_session_strongarm_crc(
+    std::unique_ptr<StrongArmSim> sim);
+
+/// The straight golden workload (trace recording + crc window + stats) on a
+/// caller-built simulator: golden_run_strongarm_crc's body, rerun by the reset tests.
 GoldenRunResult golden_finish_strongarm_crc(StrongArmSim& sim);
 
 }  // namespace rcpn::machines

@@ -281,16 +281,16 @@ namespace {
 
 class TomasuloSession final : public SessionBase {
  public:
-  explicit TomasuloSession(core::EngineOptions options) : sim_(4, 2, options) {
-    record_golden_retires(sim_.engine(), trace_);
-    sim_.load(tomasulo_golden_workload());
+  explicit TomasuloSession(std::unique_ptr<TomasuloCore> sim) : sim_(std::move(sim)) {
+    record_golden_retires(sim_->engine(), trace_);
+    sim_->load(tomasulo_golden_workload());
   }
 
-  core::Engine& engine() override { return sim_.engine(); }
+  core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
     if (finished()) return false;
-    sim_.run(cycles);
+    sim_->run(cycles);
     return !finished();
   }
 
@@ -298,7 +298,7 @@ class TomasuloSession final : public SessionBase {
   std::string workload_id() const override { return "golden-6"; }
 
   void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder& refs) const override {
-    const TomasuloMachine& m = sim_.machine();
+    const TomasuloMachine& m = sim_->machine();
     w.begin("tomasulo")
         .field("pc", static_cast<std::uint64_t>(m.pc))
         .field("last_exec_seq", static_cast<std::uint64_t>(m.last_exec_seq))
@@ -308,7 +308,7 @@ class TomasuloSession final : public SessionBase {
   }
 
   void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder& refs) override {
-    TomasuloMachine& m = sim_.machine();
+    TomasuloMachine& m = sim_->machine();
     r.next("tomasulo");
     m.pc = static_cast<std::uint32_t>(r.get_u64("pc"));
     m.last_exec_seq = static_cast<std::uint32_t>(r.get_u64("last_exec_seq"));
@@ -317,23 +317,28 @@ class TomasuloSession final : public SessionBase {
   }
 
   core::InstructionToken* materialize(std::uint64_t pc, std::uint32_t raw) override {
-    return sim_.machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
+    return sim_->machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
   }
 
  private:
   bool finished() {
-    return sim_.engine().stopped() ||
-           (sim_.machine().pc >= sim_.machine().program.size() &&
-            sim_.engine().tokens_in_flight() == 0);
+    return sim_->engine().stopped() ||
+           (sim_->machine().pc >= sim_->machine().program.size() &&
+            sim_->engine().tokens_in_flight() == 0);
   }
 
-  TomasuloCore sim_;
+  std::unique_ptr<TomasuloCore> sim_;
 };
 
 }  // namespace
 
 std::unique_ptr<GoldenSession> golden_session_tomasulo(core::EngineOptions options) {
-  return std::make_unique<TomasuloSession>(options);
+  return golden_session_tomasulo(std::make_unique<TomasuloCore>(4, 2, options));
+}
+
+std::unique_ptr<GoldenSession> golden_session_tomasulo(
+    std::unique_ptr<TomasuloCore> sim) {
+  return std::make_unique<TomasuloSession>(std::move(sim));
 }
 
 }  // namespace rcpn::machines

@@ -82,9 +82,13 @@ std::unique_ptr<GoldenSession> golden_session_tomasulo(core::EngineOptions optio
 
 class TomasuloCore;
 
-/// The golden workload itself (trace recording + load + run + stats),
-/// factored out so the describe-callback and description-loaded construction
-/// paths run byte-identical work.
+/// The same session over a simulator the caller built: the description
+/// loader (machines/desc_machines.hpp) hands over its described machine.
+std::unique_ptr<GoldenSession> golden_session_tomasulo(
+    std::unique_ptr<TomasuloCore> sim);
+
+/// The straight golden workload (trace recording + load + run + stats) on a
+/// caller-built simulator: golden_run_tomasulo's body, rerun by the reset tests.
 GoldenRunResult golden_finish_tomasulo(TomasuloCore& sim);
 
 class TomasuloCore {

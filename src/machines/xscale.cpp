@@ -194,17 +194,17 @@ namespace {
 
 class XScaleAdpcmSession final : public SessionBase {
  public:
-  explicit XScaleAdpcmSession(core::EngineOptions options) : sim_(cfg_for(options)) {
-    record_golden_retires(sim_.engine(), trace_);
-    sim_.begin(workloads::build(*workloads::find("adpcm"), /*scale=*/1));
+  explicit XScaleAdpcmSession(std::unique_ptr<XScaleSim> sim) : sim_(std::move(sim)) {
+    record_golden_retires(sim_->engine(), trace_);
+    sim_->begin(workloads::build(*workloads::find("adpcm"), /*scale=*/1));
   }
 
-  core::Engine& engine() override { return sim_.engine(); }
+  core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
     if (finished()) return false;
-    const std::uint64_t left = kBudget - sim_.engine().clock();
-    sim_.advance(cycles < left ? cycles : left);
+    const std::uint64_t left = kBudget - sim_->engine().clock();
+    sim_->advance(cycles < left ? cycles : left);
     return !finished();
   }
 
@@ -212,13 +212,13 @@ class XScaleAdpcmSession final : public SessionBase {
   std::string workload_id() const override { return "adpcm-x1-1500"; }
 
   void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder& refs) const override {
-    save_arm_machine(w, sim_.machine(), refs);
+    save_arm_machine(w, sim_->machine(), refs);
   }
   void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder& refs) override {
-    restore_arm_machine(r, sim_.machine(), refs);
+    restore_arm_machine(r, sim_->machine(), refs);
   }
   core::InstructionToken* materialize(std::uint64_t pc, std::uint32_t raw) override {
-    return sim_.machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
+    return sim_->machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
   }
   void save_token_extra(ckpt::StateWriter& w,
                         const core::InstructionToken& t) const override {
@@ -237,24 +237,24 @@ class XScaleAdpcmSession final : public SessionBase {
  private:
   static constexpr std::uint64_t kBudget = 1500;  // golden_finish max_cycles
 
-  static XScaleConfig cfg_for(core::EngineOptions options) {
-    XScaleConfig cfg;
-    cfg.engine = options;
-    return cfg;
-  }
-
   bool finished() {
-    return sim_.engine().stopped() || sim_.engine().clock() >= kBudget;
+    return sim_->engine().stopped() || sim_->engine().clock() >= kBudget;
   }
 
-  XScaleSim sim_;
+  std::unique_ptr<XScaleSim> sim_;
 };
 
 }  // namespace
 
+std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(core::EngineOptions options) {
+  XScaleConfig cfg;
+  cfg.engine = options;
+  return golden_session_xscale_adpcm(std::make_unique<XScaleSim>(cfg));
+}
+
 std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(
-    core::EngineOptions options) {
-  return std::make_unique<XScaleAdpcmSession>(options);
+    std::unique_ptr<XScaleSim> sim) {
+  return std::make_unique<XScaleAdpcmSession>(std::move(sim));
 }
 
 }  // namespace rcpn::machines

@@ -76,8 +76,13 @@ void golden_inspect_xscale_adpcm(core::EngineOptions options,
 std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(
     core::EngineOptions options);
 
-/// The golden workload itself (trace recording + adpcm window + stats),
-/// factored out so both construction paths run byte-identical work.
+/// The same session over a simulator the caller built: the description
+/// loader (machines/desc_machines.hpp) hands over its described machine.
+std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(
+    std::unique_ptr<XScaleSim> sim);
+
+/// The straight golden workload (trace recording + adpcm window + stats) on a
+/// caller-built simulator: golden_run_xscale_adpcm's body, rerun by the reset tests.
 GoldenRunResult golden_finish_xscale_adpcm(XScaleSim& sim);
 
 }  // namespace rcpn::machines

@@ -333,6 +333,25 @@ TEST(DescRoundTripFuzz, SixteenSeededTopologiesMatchDirectBuilds) {
   }
 }
 
+// The sweep draws fuzz seeds up to 2^20: a seed past 10^6 must describe and
+// load like any other.
+TEST(DescRoundTripFuzz, SeedsBeyondAMillionDescribeAndLoad) {
+  const unsigned seed = 1u << 20;
+  const core::EngineOptions o = machines::fuzz_options_for(seed, core::Backend::compiled);
+  const desc::Description d = round_trip(machines::describe_machine("fuzz-1048576", o));
+  EXPECT_EQ(d.model, "fuzz-1048576");
+  expect_runs_equal(machines::golden_run_fuzz(seed, o), machines::run_description(d, o),
+                    "fuzz-1048576");
+}
+
+// Every name fuzz_model_name prints parses back, up to the 32-bit limit (the
+// rejections are FarmFaults.MalformedFuzzKeysFailTheJob's inputs).
+TEST(FuzzModelName, ParserAcceptsExactlyThePrintedNames) {
+  for (const unsigned seed : {0u, 7u, 1048576u, 4294967295u})
+    EXPECT_EQ(machines::parse_fuzz_model_name(machines::fuzz_model_name(seed)), seed);
+  EXPECT_FALSE(machines::parse_fuzz_model_name("fuzz-4294967296").has_value());
+}
+
 // -- emitted-artifact parity --------------------------------------------------
 
 TEST(DescEmit, SimulatorSourceFromDescriptionMatchesDirectEmission) {

@@ -1,6 +1,6 @@
 // SimFarm: job identity hashing, scheduling-independent determinism, fault
-// injection (throwing and hanging jobs), the result cache, and subprocess
-// executor parity with in-process runs.
+// injection (throwing, hanging and timed-out jobs), the result cache, and
+// subprocess executor parity with in-process runs.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -9,9 +9,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -181,6 +184,87 @@ TEST(FarmFaults, UnknownMachineKeyFailsTheJobNotTheFarm) {
   EXPECT_EQ(report.jobs[1].result.status, farm::JobStatus::ok);
 }
 
+// fuzz-177 never drains. With its deadlock watchdog raised past a 2*10^7
+// cycle budget it simulates for seconds; a 100 ms timeout must stop it at a
+// chunk boundary, free the only worker for the next job, and leave no thread
+// behind for ~SimFarm to wait on.
+TEST(FarmFaults, TimedOutJobStopsAtAChunkBoundaryAndFreesItsWorker) {
+  farm::JobSpec stuck;
+  stuck.machine = "fuzz-177";
+  stuck.options = machines::fuzz_options_for(177, core::Backend::compiled);
+  stuck.cycle_budget = 20'000'000;
+  stuck.options.deadlock_limit = 2 * stuck.cycle_budget;
+  stuck.timeout_ms = 100;
+
+  const auto t0 = std::chrono::steady_clock::now();
+  farm::FarmReport report;
+  {
+    farm::FarmOptions fo;
+    fo.workers = 1;
+    farm::SimFarm sim_farm(std::move(fo));
+    report = sim_farm.run({stuck, golden_spec("fig2")});
+  }
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+  ASSERT_EQ(report.jobs.size(), 2u);
+  const farm::JobResult& r = report.jobs[0].result;
+  ASSERT_EQ(r.status, farm::JobStatus::timeout) << r.error;
+  const std::size_t at = r.error.find(" at cycle ");
+  ASSERT_NE(at, std::string::npos) << r.error;
+  const std::uint64_t cycle = std::stoull(r.error.substr(at + 10));
+  EXPECT_GT(cycle, 0u) << r.error;
+  EXPECT_LT(cycle, stuck.cycle_budget) << r.error;
+  EXPECT_EQ(report.jobs[1].result.status, farm::JobStatus::ok)
+      << report.jobs[1].result.error;
+  EXPECT_EQ(report.telemetry.timeouts, 1u);
+  EXPECT_LT(seconds, 1.0);
+}
+
+// A timeout too large for the steady clock is no deadline, not an instant
+// one: the job runs to its natural end (fuzz-177 fails to drain).
+TEST(FarmFaults, TimeoutBeyondTheClockRangeMeansNoDeadline) {
+  farm::JobSpec spec;
+  spec.machine = "fuzz-177";
+  spec.options = machines::fuzz_options_for(177, core::Backend::compiled);
+  spec.cycle_budget = 200'000;
+  spec.options.deadlock_limit = 2 * spec.cycle_budget;
+  spec.timeout_ms = std::numeric_limits<std::uint64_t>::max();
+  const farm::FarmReport report = run_fresh({spec}, 1);
+  ASSERT_EQ(report.jobs.size(), 1u);
+  EXPECT_EQ(report.jobs[0].result.status, farm::JobStatus::failed);
+  EXPECT_NE(report.jobs[0].result.error.find("model did not drain"), std::string::npos)
+      << report.jobs[0].result.error;
+}
+
+// Fuzz keys are exactly the names machines::fuzz_model_name prints; anything
+// else — trailing text, a sign, a leading zero, a seed past 32 bits — is an
+// unknown machine, never a silently truncated or wrapped seed.
+TEST(FarmFaults, MalformedFuzzKeysFailTheJob) {
+  std::vector<farm::JobSpec> jobs;
+  for (const char* key : {"fuzz-12x", "fuzz-4294967308", "fuzz-", "fuzz--3", "fuzz-+3",
+                          "fuzz-012", "fuzz-12 "}) {
+    farm::JobSpec spec = fuzz_spec(0);
+    spec.machine = key;
+    jobs.push_back(spec);
+  }
+  jobs.push_back(fuzz_spec(std::uint64_t(1) << 32 | 12));  // "fuzz", seed past 32 bits
+  farm::JobSpec good = fuzz_spec(0);
+  good.machine = "fuzz-12";
+  jobs.push_back(good);
+
+  const farm::FarmReport report = run_fresh(jobs, 2);
+  ASSERT_EQ(report.jobs.size(), jobs.size());
+  for (std::size_t i = 0; i + 1 < jobs.size(); ++i) {
+    const farm::JobRecord& j = report.jobs[i];
+    EXPECT_EQ(j.result.status, farm::JobStatus::failed)
+        << "'" << j.spec.machine << "' seed " << j.spec.seed;
+    EXPECT_NE(j.result.error.find("unknown"), std::string::npos) << j.result.error;
+  }
+  EXPECT_EQ(report.jobs.back().result.status, farm::JobStatus::ok)
+      << report.jobs.back().result.error;
+}
+
 // -- result cache -------------------------------------------------------------
 
 TEST(FarmCache, RerunningTheSameGridDoesZeroSimulationWork) {
@@ -272,7 +356,7 @@ TEST(FarmCache, EquivalentBudgetsShareOneCacheEntry) {
 TEST(FarmReportJson, CarriesSchemaAndPerJobIdentity) {
   const farm::FarmReport report = run_fresh({golden_spec("fig2")}, 1);
   const std::string json = report.to_json();
-  EXPECT_NE(json.find("rcpn-farm-report/2"), std::string::npos);
+  EXPECT_NE(json.find("rcpn-farm-report/3"), std::string::npos);
   EXPECT_NE(json.find("\"machine\": \"fig2\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"digest\""), std::string::npos);
@@ -281,6 +365,7 @@ TEST(FarmReportJson, CarriesSchemaAndPerJobIdentity) {
   EXPECT_NE(json.find("\"telemetry\""), std::string::npos);
   EXPECT_NE(json.find("\"queue_wait_ms_mean\""), std::string::npos);
   EXPECT_NE(json.find("\"wall_ms_p95\""), std::string::npos);
+  EXPECT_EQ(json.find("steal"), std::string::npos);  // dropped in schema /3
   const std::string stable = report.stable_json();
   EXPECT_EQ(stable.find("wall_ms"), std::string::npos);
   EXPECT_EQ(stable.find("\"workers\""), std::string::npos);
@@ -358,15 +443,14 @@ TEST(FarmTelemetry, CountsExecutionsStealsAndWorkerSlots) {
   EXPECT_EQ(t.executed + t.cache_hits, jobs.size());
   EXPECT_EQ(t.cache_hits, 0u);  // fresh farm, nothing cached
   EXPECT_EQ(t.timeouts, 0u);
+  EXPECT_EQ(t.steals, 0u);  // one shared job cursor: nothing to steal
   ASSERT_EQ(t.workers.size(), 3u);
-  std::size_t per_worker_jobs = 0, per_worker_steals = 0;
+  std::size_t per_worker_jobs = 0;
   for (const farm::WorkerTelemetry& w : t.workers) {
     per_worker_jobs += w.jobs;
-    per_worker_steals += w.steals;
     EXPECT_GE(w.busy_seconds, 0.0);
   }
   EXPECT_EQ(per_worker_jobs, t.executed);
-  EXPECT_EQ(per_worker_steals, t.steals);
   EXPECT_GE(t.queue_wait_ms_max, t.queue_wait_ms_mean);
 }
 
@@ -400,6 +484,18 @@ TEST(FarmProgress, CallbackSeesEveryJobExactlyOnce) {
   sim_farm.run(jobs);
   EXPECT_EQ(calls.load(), jobs.size());
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], 1) << "job " << i;
+}
+
+// An exception escaping a worker (here from the progress callback) must
+// reach run()'s caller once the workers have joined, not end the process.
+TEST(FarmProgress, ThrowingCallbackIsRethrownByRun) {
+  farm::FarmOptions fo;
+  fo.workers = 2;
+  fo.on_job_done = [](std::size_t, std::size_t, std::size_t, const farm::JobResult&) {
+    throw std::runtime_error("callback failed");
+  };
+  farm::SimFarm sim_farm(std::move(fo));
+  EXPECT_THROW(sim_farm.run({golden_spec("fig2"), golden_spec("fig5")}), std::runtime_error);
 }
 
 // -- subprocess executor ------------------------------------------------------
@@ -451,12 +547,10 @@ TEST(FarmSubprocess, CaptureSurvivesSignalInterruptions) {
   itimerval old_timer{};
   ASSERT_EQ(::setitimer(ITIMER_REAL, &timer, &old_timer), 0);
 
-  farm::SubprocessExecutor executor({dir, "gen_fs_"});
   farm::JobSpec spec;
   spec.machine = "eintrtest";
   spec.options.backend = core::Backend::generated;  // no extra CLI flags
-  farm::CancelToken cancel;
-  const farm::JobResult result = executor.execute(spec, 10000, cancel);
+  const farm::JobResult result = farm::run_subprocess(spec, 10000, dir);
 
   ::setitimer(ITIMER_REAL, &old_timer, nullptr);
   ::sigaction(SIGALRM, &old_alrm, nullptr);
@@ -472,8 +566,8 @@ TEST(FarmSubprocess, CaptureSurvivesSignalInterruptions) {
 
 // Regression: a child killed mid-fprintf — its final trace line cut off
 // without a newline — must degrade to a failed job carrying the output tail,
-// and the rest of the grid must keep running. Before SubprocessExecutor's
-// execute() was exception-contained, anything thrown past it would
+// and the rest of the grid must keep running. Before the subprocess
+// executor was exception-contained, anything thrown past it would
 // std::terminate the whole farm.
 TEST(FarmSubprocess, ChildKilledMidLineFailsTheJobNotTheGrid) {
   char tmpl[] = "/tmp/rcpn_midkill_XXXXXX";
@@ -519,6 +613,37 @@ TEST(FarmSubprocess, ChildKilledMidLineFailsTheJobNotTheGrid) {
       << report.jobs[1].result.error;
 }
 
+// A child SIGKILLed at its deadline is a `timeout` result, and the farm's
+// telemetry counts it like an in-process timeout.
+TEST(FarmSubprocess, KilledChildIsCountedAsATimeout) {
+  char tmpl[] = "/tmp/rcpn_sleeper_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string script = dir + "/gen_fs_sleeper";
+  std::ofstream(script) << "#!/bin/sh\nexec sleep 5\n";
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+  farm::JobSpec spec;
+  spec.machine = "sleeper";
+  spec.options.backend = core::Backend::generated;
+  spec.executor = farm::ExecutorKind::subprocess;
+  spec.timeout_ms = 100;
+  farm::FarmOptions fo;
+  fo.workers = 1;
+  fo.bin_dir = dir;
+  farm::SimFarm sim_farm(std::move(fo));
+  const farm::FarmReport report = sim_farm.run({spec});
+
+  std::remove(script.c_str());
+  ::rmdir(dir.c_str());
+
+  ASSERT_EQ(report.jobs.size(), 1u);
+  EXPECT_EQ(report.jobs[0].result.status, farm::JobStatus::timeout)
+      << report.jobs[0].result.error;
+  EXPECT_EQ(report.telemetry.timeouts, 1u);
+  EXPECT_EQ(report.aggregate().timeout, 1u);
+}
+
 // -- resume-from-checkpoint jobs ----------------------------------------------
 
 // A JobSpec with resume_checkpoint set runs the tail of the checkpointed run;
@@ -537,9 +662,7 @@ TEST(FarmResume, InProcessResumeMatchesStraightRunDigest) {
 
   farm::JobSpec spec = golden_spec("fig5");
   spec.resume_checkpoint = path;
-  farm::InProcessExecutor exec;
-  farm::CancelToken cancel;
-  const farm::JobResult r = exec.execute(spec, 30000, cancel);
+  const farm::JobResult r = farm::run_in_process(spec, 30000);
   std::remove(path.c_str());
 
   ASSERT_EQ(r.status, farm::JobStatus::ok) << r.error;
@@ -587,21 +710,17 @@ TEST(FarmResume, SubprocessFuzzResumeIsRefusedLoudly) {
   farm::JobSpec spec = fuzz_spec(3);
   spec.executor = farm::ExecutorKind::subprocess;
   spec.resume_checkpoint = "/tmp/whatever.ckpt";
-  farm::SubprocessExecutor exec(farm::SubprocessExecutor::Config{"/nonexistent"});
-  farm::CancelToken cancel;
-  const farm::JobResult r = exec.execute(spec, 1000, cancel);
+  const farm::JobResult r = farm::run_subprocess(spec, 1000, "/nonexistent");
   EXPECT_EQ(r.status, farm::JobStatus::failed);
   EXPECT_NE(r.error.find("use in-process"), std::string::npos) << r.error;
 }
 
-// Described models have no session implementation yet: resuming one must be
-// a loud failure, not a silent straight run.
+// A checkpoint names a compiled-in machine key, not a description: resuming
+// a described model must be a loud failure, not a silent straight run.
 TEST(FarmResume, DescriptionResumeIsRefused) {
   farm::JobSpec spec = golden_spec("/tmp/any_model.rcpn");
   spec.resume_checkpoint = "/tmp/whatever.ckpt";
-  farm::InProcessExecutor exec;
-  farm::CancelToken cancel;
-  const farm::JobResult r = exec.execute(spec, 1000, cancel);
+  const farm::JobResult r = farm::run_in_process(spec, 1000);
   EXPECT_EQ(r.status, farm::JobStatus::failed);
   EXPECT_NE(r.error.find("cannot resume"), std::string::npos) << r.error;
 }
@@ -674,6 +793,22 @@ TEST(FarmResume, SubprocessGoldenResumeRestoresInTheFreestandingChild) {
   EXPECT_EQ(report.jobs[0].result.retired, direct.trace.size());
 }
 
+// The subprocess side of TimeoutBeyondTheClockRangeMeansNoDeadline: the
+// child is not killed at once but runs to completion.
+TEST(FarmSubprocess, TimeoutBeyondTheClockRangeMeansNoDeadline) {
+  farm::JobSpec spec = golden_spec("fig2");
+  spec.executor = farm::ExecutorKind::subprocess;
+  spec.options.backend = core::Backend::generated;
+  spec.timeout_ms = std::numeric_limits<std::uint64_t>::max();
+  farm::FarmOptions fo;
+  fo.bin_dir = RCPN_BIN_DIR;
+  farm::SimFarm sim_farm(std::move(fo));
+  const farm::FarmReport report = sim_farm.run({spec});
+  ASSERT_EQ(report.jobs.size(), 1u);
+  EXPECT_EQ(report.jobs[0].result.status, farm::JobStatus::ok)
+      << report.jobs[0].result.error;
+}
+
 TEST(FarmSubprocess, MissingBinaryFailsTheJobWithExitCode127) {
   farm::JobSpec spec = golden_spec("no_such_binary");
   spec.executor = farm::ExecutorKind::subprocess;
@@ -694,9 +829,7 @@ TEST(FarmSubprocess, MissingBinaryFailsTheJobWithExitCode127) {
 #ifdef RCPN_MODELS_DIR
 TEST(FarmDescription, RcpnJobRunsInProcessAndMatchesTheDirectRun) {
   const farm::JobSpec spec = golden_spec(std::string(RCPN_MODELS_DIR) + "/fig5.rcpn");
-  farm::InProcessExecutor exec;
-  farm::CancelToken cancel;
-  const farm::JobResult r = exec.execute(spec, 30000, cancel);
+  const farm::JobResult r = farm::run_in_process(spec, 30000);
   ASSERT_EQ(r.status, farm::JobStatus::ok) << r.error;
   const machines::GoldenRunResult direct =
       machines::run_golden_machine_full("fig5", spec.options);
@@ -724,9 +857,7 @@ TEST(FarmDescription, JobKeyFoldsTheFileContentNotJustThePath) {
 
 TEST(FarmDescription, SubprocessExecutorRejectsDescriptionJobs) {
   const farm::JobSpec spec = golden_spec(std::string(RCPN_MODELS_DIR) + "/fig2.rcpn");
-  farm::SubprocessExecutor exec(farm::SubprocessExecutor::Config{"/nonexistent"});
-  farm::CancelToken cancel;
-  const farm::JobResult r = exec.execute(spec, 1000, cancel);
+  const farm::JobResult r = farm::run_subprocess(spec, 1000, "/nonexistent");
   EXPECT_EQ(r.status, farm::JobStatus::failed);
   EXPECT_NE(r.error.find("in-process"), std::string::npos) << r.error;
 }
