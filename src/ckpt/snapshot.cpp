@@ -61,6 +61,19 @@ void check_ident(std::string_view what, std::string_view got,
                     std::string(want) + "'");
 }
 
+/// A token record's id field `key`, checked to name one of the `n` entries
+/// (`what`s) of a net table, or -1 (kNoPlace / kNoType) where `none_ok`:
+/// a forged id would index past the net's tables on insert or on the
+/// token's first firing.
+std::int64_t get_net_id(const StateReader& r, std::string_view key, unsigned n,
+                        std::string_view what, bool none_ok) {
+  const std::int64_t v = r.get_i64(key);
+  if (v >= (none_ok ? -1 : 0) && v < static_cast<std::int64_t>(n)) return v;
+  r.fail("token field '" + std::string(key) + "' = " + std::to_string(v) + " is not " +
+         (none_ok ? "-1 or " : "") + "a " + std::string(what) + " of the net (" +
+         std::to_string(n) + " " + std::string(what) + "s)");
+}
+
 struct PendingTag {
   regfile::RegRef* ref = nullptr;
   std::string tag;
@@ -328,14 +341,24 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   std::vector<PendingTag> pending;
   for (std::uint64_t k = 0; k < ntok; ++k) {
     r.next("token");
-    const auto stage = static_cast<core::StageId>(r.get_i64("stage"));
+    const auto stage = static_cast<core::StageId>(
+        get_net_id(r, "stage", net.num_stages(), "stage", false));
     const bool incoming = r.get_bool("incoming");
     const bool is_instr = r.get_bool("kind");
+    // Reservations carry kNoType; an instruction token must have a type.
+    const auto type = static_cast<core::TypeId>(
+        get_net_id(r, "type", net.num_types(), "type", !is_instr));
+    const auto place = static_cast<core::PlaceId>(
+        get_net_id(r, "place", net.num_places(), "place", false));
+    if (net.place(place).stage != stage)
+      r.fail("token field 'place' = " + std::to_string(place) + " is a place of stage " +
+             std::to_string(net.place(place).stage) + ", not of the record's stage " +
+             std::to_string(stage));
     if (!is_instr) {
       core::Token* t = eng.ckpt_acquire_reservation();
       t->kind = core::TokenKind::reservation;
-      t->type = static_cast<core::TypeId>(r.get_i64("type"));
-      t->place = static_cast<core::PlaceId>(r.get_i64("place"));
+      t->type = type;
+      t->place = place;
       t->ready = r.get_u64("ready");
       t->next_delay = static_cast<std::uint32_t>(r.get_u64("delay"));
       eng.ckpt_insert_token(t, stage, incoming);
@@ -343,16 +366,18 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
     }
     const std::uint64_t pc = r.get_u64("pc");
     const auto raw = static_cast<std::uint32_t>(r.get_u64("raw"));
+    const auto state = static_cast<core::PlaceId>(
+        get_net_id(r, "state", net.num_places(), "place", true));
     core::InstructionToken* it = io.materialize(pc, raw);
     if (it == nullptr) it = eng.acquire_pooled_instruction();
-    it->type = static_cast<core::TypeId>(r.get_i64("type"));
-    it->place = static_cast<core::PlaceId>(r.get_i64("place"));
+    it->type = type;
+    it->place = place;
     it->ready = r.get_u64("ready");
     it->next_delay = static_cast<std::uint32_t>(r.get_u64("delay"));
     it->pc = pc;
     it->raw = raw;
     it->seq = static_cast<std::uint32_t>(r.get_u64("seq"));
-    it->state = static_cast<core::PlaceId>(r.get_i64("state"));
+    it->state = state;
     it->in_flight = r.get_bool("in_flight");
     it->squashed = r.get_bool("squashed");
     eng.ckpt_insert_token(it, stage, incoming);

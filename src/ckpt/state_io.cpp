@@ -143,7 +143,9 @@ std::int64_t StateReader::get_i64(std::string_view key) const {
     tok.remove_prefix(1);
   }
   const std::uint64_t mag = parse_u64(tok, "field '" + std::string(key) + "'");
-  return neg ? -static_cast<std::int64_t>(mag) : static_cast<std::int64_t>(mag);
+  // Negated in unsigned arithmetic: -2^63 (or a wrapped magnitude) must not
+  // overflow a signed negation.
+  return static_cast<std::int64_t>(neg ? 0 - mag : mag);
 }
 
 bool StateReader::get_bool(std::string_view key) const {

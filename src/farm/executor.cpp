@@ -157,8 +157,18 @@ SpawnOutcome spawn_with_deadline(const std::vector<std::string>& argv,
   out.clear();
   exit_code = -1;
 
+  // Built before fork(): the child of a multi-threaded parent may only make
+  // async-signal-safe calls, so it must not allocate.
+  std::vector<char*> cargv;
+  cargv.reserve(argv.size() + 1);
+  for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
+  cargv.push_back(nullptr);
+
+  // Close-on-exec, so a child another worker forks meanwhile does not inherit
+  // this pipe: a leaked write end would hold back this capture's EOF until
+  // that unrelated child exits. dup2() clears the flag on stdout/stderr.
   int fds[2];
-  if (::pipe(fds) != 0) return SpawnOutcome::spawn_failed;
+  if (::pipe2(fds, O_CLOEXEC) != 0) return SpawnOutcome::spawn_failed;
 
   const pid_t pid = ::fork();
   if (pid < 0) {
@@ -171,10 +181,6 @@ SpawnOutcome spawn_with_deadline(const std::vector<std::string>& argv,
     ::dup2(fds[1], STDOUT_FILENO);
     ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[1]);
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string& a : argv) cargv.push_back(const_cast<char*>(a.c_str()));
-    cargv.push_back(nullptr);
     ::execv(cargv[0], cargv.data());
     ::_exit(127);  // exec failed (missing binary): a distinctive exit code
   }

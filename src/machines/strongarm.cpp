@@ -128,10 +128,21 @@ RunResult collect_result(const core::Engine& eng, const ArmMachine& m) {
   return r;
 }
 
+namespace {
+
+// The golden crc program, assembled once per process on first use.
+const sys::Program& crc_program() {
+  static const sys::Program program =
+      workloads::build(*workloads::find("crc"), /*scale=*/1);
+  return program;
+}
+
+}  // namespace
+
 GoldenRunResult golden_finish_strongarm_crc(StrongArmSim& sim) {
   GoldenRunResult r;
   record_golden_retires(sim.engine(), r.trace);
-  sim.run(workloads::build(*workloads::find("crc"), /*scale=*/1), /*max_cycles=*/1500);
+  sim.run(crc_program(), /*max_cycles=*/1500);
   r.stats = sim.engine().stats();
   return r;
 }
@@ -157,7 +168,7 @@ class StrongArmCrcSession final : public SessionBase {
  public:
   explicit StrongArmCrcSession(std::unique_ptr<StrongArmSim> sim) : sim_(std::move(sim)) {
     record_golden_retires(sim_->engine(), trace_);
-    sim_->begin(workloads::build(*workloads::find("crc"), /*scale=*/1));
+    sim_->begin(crc_program());
   }
 
   core::Engine& engine() override { return sim_->engine(); }

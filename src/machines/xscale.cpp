@@ -166,11 +166,21 @@ void XScaleSim::begin(const sys::Program& program) {
   machine().dcache.set_bypass(cfg_.decode_cache_bypass);
 }
 
+namespace {
+
+// The golden adpcm program, assembled once per process on first use.
+const sys::Program& adpcm_program() {
+  static const sys::Program program =
+      workloads::build(*workloads::find("adpcm"), /*scale=*/1);
+  return program;
+}
+
+}  // namespace
+
 GoldenRunResult golden_finish_xscale_adpcm(XScaleSim& sim) {
   GoldenRunResult r;
   record_golden_retires(sim.engine(), r.trace);
-  sim.run(workloads::build(*workloads::find("adpcm"), /*scale=*/1),
-          /*max_cycles=*/1500);
+  sim.run(adpcm_program(), /*max_cycles=*/1500);
   r.stats = sim.engine().stats();
   return r;
 }
@@ -196,7 +206,7 @@ class XScaleAdpcmSession final : public SessionBase {
  public:
   explicit XScaleAdpcmSession(std::unique_ptr<XScaleSim> sim) : sim_(std::move(sim)) {
     record_golden_retires(sim_->engine(), trace_);
-    sim_->begin(workloads::build(*workloads::find("adpcm"), /*scale=*/1));
+    sim_->begin(adpcm_program());
   }
 
   core::Engine& engine() override { return sim_->engine(); }

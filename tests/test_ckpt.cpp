@@ -16,8 +16,9 @@
 // Everything else a checkpoint could silently get wrong is pinned as an
 // error path: format-version, machine, model-digest, workload and
 // options-signature mismatches must be rejected with a CkptError naming the
-// offender (desc-style), and truncated files or forged element counts must
-// never half-restore or allocate from the forged count.
+// offender (desc-style), truncated files or forged element counts must never
+// half-restore or allocate from the forged count, and a token record's ids
+// must name entries of the restoring net.
 //
 // The reset oracle (the state-leak sweep): re-running a workload on an
 // already-used simulator — via the machine load path or a bare
@@ -27,6 +28,7 @@
 // survives a reset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -308,6 +310,56 @@ TEST(CkptErrors, ForgedCountsAreRejectedWithoutAllocating) {
   expect_rejects("fig5",
                  tamper(snap, "vec name=transition_fires n=", "18446744073709551615"),
                  "vector 'transition_fires' declares 18446744073709551615 elements");
+}
+
+// A token record's stage, place, type and state ids index the net's tables.
+// Restore must reject a forged one with the line and the field named, before
+// the token reaches a stage list: an out-of-range stage overflowed the heap
+// on insert, and an out-of-range type was read past the candidate table when
+// the restored run first processed the token.
+TEST(CkptErrors, OutOfRangeTokenIdsAreRejected) {
+  struct Forgery {
+    const char* field;
+    const char* value;
+    const char* needle;
+  };
+  // Each forges one field of the snapshot's first token record, an
+  // instruction token on both machines.
+  const Forgery forgeries[] = {
+      {"stage", "99", "token field 'stage' = 99 is not a stage of the net"},
+      {"stage", "-2", "token field 'stage' = -2 is not a stage of the net"},
+      {"stage", "-1", "token field 'stage' = -1 is not a stage of the net"},
+      {"stage", "-9223372036854775808", "token field 'stage' = -9223372036854775808"},
+      {"stage", "4294967297", "token field 'stage' = 4294967297"},
+      {"stage", "2", "not of the record's stage 2"},  // place 1 lives in stage 1
+      {"place", "99", "token field 'place' = 99 is not a place of the net"},
+      {"place", "-1", "token field 'place' = -1 is not a place of the net"},
+      {"type", "99", "token field 'type' = 99 is not a type of the net"},
+      {"type", "-1", "token field 'type' = -1 is not a type of the net"},
+      {"state", "99", "token field 'state' = 99 is not -1 or a place of the net"},
+      {"state", "-2", "token field 'state' = -2 is not -1 or a place of the net"},
+  };
+  for (const std::string key : {"fig2", "strongarm_crc"}) {
+    const std::string snap = snapshot_of(key, key == "fig2" ? 32 : mid_cycle(key));
+    const std::size_t rec = snap.find("\ntoken ") + 1;
+    ASSERT_NE(rec, 0u) << key;
+    const std::string first = snap.substr(rec, snap.find('\n', rec) - rec);
+    for (const char* want : {" stage=1 ", " kind=1 ", " place=1 "})
+      ASSERT_NE(first.find(want), std::string::npos) << key << ": " << first;
+    const std::string line =
+        "checkpoint line " +
+        std::to_string(std::count(snap.begin(), snap.begin() + rec, '\n') + 1) + ": ";
+    for (const Forgery& f : forgeries) {
+      const std::string field = " " + std::string(f.field) + "=";
+      const std::size_t start = snap.find(field, rec) + field.size();
+      const std::size_t end = snap.find_first_of(" \n", start);
+      std::string forged = snap;
+      forged.replace(start, end - start, f.value);
+      SCOPED_TRACE(key + ": " + f.field + "=" + f.value);
+      expect_rejects(key, forged, line);
+      expect_rejects(key, forged, f.needle);
+    }
+  }
 }
 
 // -- obs stream equality (probes compiled in only) ----------------------------

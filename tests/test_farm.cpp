@@ -12,8 +12,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +27,8 @@
 #include "farm/sim_farm.hpp"
 #include "machines/fuzz_model.hpp"
 #include "machines/golden_runner.hpp"
+#include "machines/strongarm.hpp"
+#include "machines/xscale.hpp"
 
 using namespace rcpn;
 
@@ -120,6 +125,35 @@ TEST(FarmJob, KeyIsStableAcrossCalls) {
 }
 
 // -- determinism --------------------------------------------------------------
+
+// StrongArm and XScale golden jobs share one assembled program per machine,
+// built on first use. This is the file's first test to run one, so four
+// workers race to build both programs (CI also runs it alone under TSan),
+// and every job must still match a direct run.
+TEST(FarmDeterminism, ArmGoldenJobsOnFourWorkersMatchDirectRuns) {
+  std::vector<farm::JobSpec> jobs;
+  for (std::uint64_t seed = 0; seed < 4; ++seed)
+    for (const char* key : {"strongarm_crc", "xscale_adpcm"})
+      for (const core::Backend backend :
+           {core::Backend::interpreted, core::Backend::compiled}) {
+        farm::JobSpec spec = golden_spec(key, seed);
+        spec.options.backend = backend;
+        jobs.push_back(spec);
+      }
+  const farm::FarmReport report = run_fresh(jobs, 4);
+
+  ASSERT_EQ(report.jobs.size(), jobs.size());
+  for (const farm::JobRecord& job : report.jobs) {
+    const std::string id = farm::job_key(job.spec);
+    ASSERT_EQ(job.result.status, farm::JobStatus::ok) << id << ": " << job.result.error;
+    const machines::GoldenRunResult direct =
+        job.spec.machine == "strongarm_crc"
+            ? machines::golden_run_strongarm_crc(job.spec.options)
+            : machines::golden_run_xscale_adpcm(job.spec.options);
+    EXPECT_EQ(job.result.digest, farm::trace_digest(direct.trace)) << id;
+    EXPECT_EQ(job.result.stats.cycles, direct.stats.cycles) << id;
+  }
+}
 
 TEST(FarmDeterminism, OneWorkerAndFourWorkersProduceIdenticalStableReports) {
   const std::vector<farm::JobSpec> jobs = mixed_grid();
@@ -642,6 +676,90 @@ TEST(FarmSubprocess, KilledChildIsCountedAsATimeout) {
       << report.jobs[0].result.error;
   EXPECT_EQ(report.telemetry.timeouts, 1u);
   EXPECT_EQ(report.aggregate().timeout, 1u);
+}
+
+namespace {
+
+/// The pipes a child listed in `fd_file` ("<fd> <link target>" lines) on an
+/// fd >= 3, other than its own stdout/stderr capture pipe.
+std::set<std::string> foreign_pipes(const std::string& fd_file) {
+  std::map<int, std::string> targets;
+  std::ifstream in(fd_file);
+  int fd = 0;
+  std::string target;
+  while (in >> fd >> target) targets[fd] = target;
+  const std::string own = targets[1];
+  std::set<std::string> pipes;
+  for (const auto& [n, t] : targets)
+    if (n >= 3 && t.rfind("pipe:", 0) == 0 && t != own) pipes.insert(t);
+  return pipes;
+}
+
+}  // namespace
+
+// Regression: the capture pipe is close-on-exec, so a child holds no pipe of
+// the jobs other workers have in flight. Before, nearly every child forked
+// next to other workers inherited some, and a leaked write end held back
+// that job's EOF until the unrelated child exited. A 1-worker control run
+// finds the pipes the test process itself passes on; only others count.
+TEST(FarmSubprocess, ChildrenInheritNoSiblingPipes) {
+  if (::access("/proc/self/fd", R_OK) != 0) GTEST_SKIP() << "no /proc/self/fd";
+  char tmpl[] = "/tmp/rcpn_fdleak_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string script = dir + "/gen_fs_fdlist";
+  // A fake gen_fs_* binary: lists the descriptors it holds into fds.<pid>,
+  // then reports an empty golden run. find writes the list itself: a shell
+  // redirection would move the shell's own stdout to another descriptor.
+  std::ofstream(script) << "#!/bin/sh\n"
+                           "find /proc/$$/fd -mindepth 1 -fprintf "
+                        << dir
+                        << "/fds.$$ '%f %l\\n'\n"
+                           "printf '# stats cycles=1 retired=0 fetched=0 squashed=0 "
+                           "reservations=0 firings=0\\n'\n";
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+
+  // Runs `n` children on `workers` workers; returns the foreign pipes of each.
+  const auto run = [&](unsigned workers, std::uint64_t n) {
+    std::vector<farm::JobSpec> jobs;
+    for (std::uint64_t seed = 0; seed < n; ++seed) {
+      farm::JobSpec spec;
+      spec.machine = "fdlist";
+      spec.seed = seed;  // distinct identities: no result-cache hits
+      spec.options.backend = core::Backend::generated;
+      spec.executor = farm::ExecutorKind::subprocess;
+      jobs.push_back(spec);
+    }
+    farm::FarmOptions fo;
+    fo.workers = workers;
+    fo.bin_dir = dir;
+    const farm::FarmReport report = farm::SimFarm(std::move(fo)).run(jobs);
+    EXPECT_EQ(report.count(farm::JobStatus::ok), n) << workers << " workers";
+    std::vector<std::set<std::string>> held;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.path().filename().string().rfind("fds.", 0) != 0) continue;
+      held.push_back(foreign_pipes(entry.path().string()));
+      std::filesystem::remove(entry.path());
+    }
+    EXPECT_EQ(held.size(), n) << workers << " workers";
+    return held;
+  };
+
+  std::set<std::string> inherited;
+  for (const std::set<std::string>& pipes : run(1, 50))
+    inherited.insert(pipes.begin(), pipes.end());
+  unsigned leaky = 0;
+  std::string example;
+  for (const std::set<std::string>& pipes : run(4, 200))
+    for (const std::string& p : pipes)
+      if (inherited.count(p) == 0) {
+        ++leaky;
+        example = p;
+        break;
+      }
+
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(leaky, 0u) << "children holding a sibling job's pipe, e.g. " << example;
 }
 
 // -- resume-from-checkpoint jobs ----------------------------------------------
