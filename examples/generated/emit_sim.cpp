@@ -36,7 +36,6 @@
 #include "machines/desc_machines.hpp"
 #include "machines/fuzz_model.hpp"
 #include "machines/golden_runner.hpp"
-#include "model/simulator.hpp"
 
 using namespace rcpn;
 
@@ -77,22 +76,6 @@ int usage(const char* argv0, int code) {
                "(machines/generic_main.hpp): positional arg = emit count,\n"
                "--cycles N = cycle budget.\n");
   return code;
-}
-
-/// Build machine `key` — a golden key or "fuzz-<seed>" — and hand its net and
-/// (compiled) engine to `fn`, like inspect_golden_machine but fuzz-aware.
-void inspect_machine(const std::string& key, core::EngineOptions options,
-                     const machines::GoldenInspectFn& fn) {
-  if (const std::optional<unsigned> seed = machines::parse_fuzz_model_name(key)) {
-    model::Simulator<machines::FuzzMachine> sim(
-        key, options,
-        [s = *seed](model::ModelBuilder<machines::FuzzMachine>& b,
-                    machines::FuzzMachine& m) { machines::describe_fuzz_model(s, b, m); },
-        machines::FuzzMachine{});
-    fn(sim.net(), sim.engine());
-    return;
-  }
-  machines::inspect_golden_machine(key, options, fn);
 }
 
 /// The generic-main expressions for a fuzz-<seed> model: re-create the seed's
@@ -243,38 +226,37 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       if (key.empty()) key = d.model;  // fuzz-<seed> descriptions
     }
     overrides.apply(options);
-    const bool fuzz = machines::parse_fuzz_model_name(key).has_value();
-    const machines::GoldenInspectFn lower = [&](core::Net& net, core::Engine& eng) {
-      auto& ce = dynamic_cast<gen::CompiledEngine&>(eng);
-      if (dot) {
-        source = gen::emit_dot(net);
-      } else if (tables) {
-        source = gen::emit_cpp(ce.compiled(), net);
-      } else {
-        gen::EmitSimOptions emit_opts;
-        emit_opts.engine_options = options;
-        if (freestanding) {
-          emit_opts.mode = gen::EmitMode::freestanding;
-          emit_opts.extra_roots.push_back(
-              fuzz ? "machines/fuzz_model.hpp" : machines::golden_run_header(key));
-          if (with_main && !fuzz) {
-            emit_opts.run_expr = machines::golden_run_expr(key);
-            emit_opts.session_expr = machines::golden_session_expr(key);
-          }
-        }
-        if (with_main) {
-          if (fuzz)
-            fill_fuzz_generic_main(key, emit_opts);
-          else
-            emit_opts.machine_key = key;
-        }
-        source = gen::emit_simulator(ce.compiled(), net, emit_opts);
+    const std::optional<unsigned> seed = machines::parse_fuzz_model_name(key);
+    // The machine to lower: its session, built on the compiled engine and
+    // never advanced.
+    const std::unique_ptr<machines::GoldenSession> session =
+        from_file ? machines::make_description_session(d, options)
+        : seed    ? machines::make_fuzz_session(*seed, options)
+                  : machines::make_golden_session(key, options);
+    const core::Net& net = session->engine().net();
+    const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session->engine());
+    if (dot) {
+      source = gen::emit_dot(net);
+    } else if (tables) {
+      source = gen::emit_cpp(ce.compiled(), net);
+    } else {
+      gen::EmitSimOptions emit_opts;
+      emit_opts.engine_options = options;
+      if (freestanding) {
+        emit_opts.mode = gen::EmitMode::freestanding;
+        emit_opts.extra_roots.push_back(
+            seed ? "machines/fuzz_model.hpp" : machines::golden_session_header(key));
+        if (with_main && !seed)
+          emit_opts.session_expr = machines::golden_session_expr(key);
       }
-    };
-    if (from_file)
-      machines::inspect_description(d, options, lower);
-    else
-      inspect_machine(key, options, lower);
+      if (with_main) {
+        if (seed)
+          fill_fuzz_generic_main(key, emit_opts);
+        else
+          emit_opts.machine_key = key;
+      }
+      source = gen::emit_simulator(ce.compiled(), net, emit_opts);
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "rcpn_emit: %s\n", e.what());
     return 1;

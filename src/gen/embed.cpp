@@ -78,12 +78,6 @@ std::vector<std::string> embedded_file_paths() {
 }
 
 std::string amalgamate_sources(const std::vector<std::string>& roots) {
-  if (kNumEmbeddedFiles == 0)
-    throw std::runtime_error(
-        "amalgamate_sources: the embedded source table is empty — this "
-        "library was built with RCPN_NO_EMBED=ON, which strips freestanding "
-        "emission support; rebuild with RCPN_NO_EMBED=OFF to emit "
-        "freestanding simulators");
   std::unordered_map<std::string, ParsedSource> parsed;
   const auto parsed_of = [&parsed](const std::string& path) -> const ParsedSource& {
     const auto it = parsed.find(path);

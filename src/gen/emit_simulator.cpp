@@ -103,15 +103,15 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         missing);
 
   const bool freestanding = options.mode == EmitMode::freestanding;
-  if (freestanding && !options.machine_key.empty() && options.run_expr.empty())
+  if (freestanding && !options.machine_key.empty() && options.session_expr.empty())
     throw std::runtime_error(
         "emit_simulator: freestanding main() for '" + options.machine_key +
-        "' needs EmitSimOptions::run_expr (the golden-runner call expression)");
+        "' needs EmitSimOptions::session_expr (the golden-session expression)");
   const bool generic_main = !options.generic_describe_expr.empty();
   if (generic_main && !options.machine_key.empty())
     throw std::runtime_error(
         "emit_simulator: machine_key and generic_describe_expr are mutually "
-        "exclusive (a golden-runner main or a generic main, not both)");
+        "exclusive (a golden-session main or a generic main, not both)");
 
   const core::EngineOptions& eo = options.engine_options;
   const std::uint32_t opt_key = generated_options_key(eo);
@@ -377,20 +377,11 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
           "\",\n"
           "      [](rcpn::core::EngineOptions options) {\n"
           "        return " +
-          options.run_expr +
+          options.session_expr +
           ";\n"
           "      },\n"
-          "      base";
-      if (!options.session_expr.empty()) {
-        out +=
-            ",\n"
-            "      [](rcpn::core::EngineOptions options) {\n"
-            "        return " +
-            options.session_expr +
-            ";\n"
-            "      }";
-      }
-      out += ");\n}\n";
+          "      base);\n"
+          "}\n";
     } else {
       out +=
           "\n"

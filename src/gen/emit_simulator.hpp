@@ -18,14 +18,14 @@
 //    optimization);
 //  * a static registrar so Backend::generated resolves to this engine (keyed
 //    by model name + options) when the TU is linked in, and optionally a
-//    main() that runs the machine's golden workload and diffs the retire
+//    main() that runs the machine's golden session and diffs the retire
 //    trace (the CI gate).
 //
 // Two emission modes:
 //  * EmitMode::linked (default) — the TU #includes the library headers and
 //    links against librcpn for the Engine/TokenStore services;
 //  * EmitMode::freestanding — the needed subset of the runtime (token
-//    storage, engine, model layer, the machine and its golden runner) is
+//    storage, engine, model layer, the machine and its golden session) is
 //    *inlined* into the TU from the embedded library sources
 //    (gen::amalgamate_sources), so the artifact compiles with zero repo
 //    includes and links against nothing but the C++ standard library:
@@ -58,7 +58,7 @@ enum class EmitMode : std::uint8_t {
 };
 
 struct EmitSimOptions {
-  /// Emit a main() that runs this golden-runner machine key (see
+  /// Emit a main() that runs this machine key's golden session (see
   /// machines/golden_runner.hpp) and prints/diffs the retire trace. Empty:
   /// emit only the engine + registrar (for linking into another binary).
   std::string machine_key;
@@ -72,25 +72,20 @@ struct EmitSimOptions {
   core::EngineOptions engine_options;
 
   /// Freestanding main() only: C++ expression (an `options` variable of type
-  /// core::EngineOptions is in scope) producing the machine's
-  /// machines::GoldenRunResult, e.g.
-  /// "rcpn::machines::golden_run_fig2(options)" (golden_run_expr()).
-  std::string run_expr;
-
-  /// Freestanding main() only, optional: C++ expression (same `options`
-  /// variable in scope) constructing the machine's checkpointable
+  /// core::EngineOptions is in scope) constructing the machine's
   /// machines::GoldenSession, e.g.
   /// "rcpn::machines::golden_session_fig2(options)" (golden_session_expr()).
-  /// When set, the emitted binary supports --checkpoint-*/--restore.
+  /// The emitted binary runs every mode, --checkpoint-*/--restore included,
+  /// as a session.
   std::string session_expr;
 
   /// Freestanding only: extra amalgamation root headers beyond the net's
-  /// emit_include()s — typically the header declaring run_expr's runner
-  /// (golden_run_header()).
+  /// emit_include()s — typically the header declaring session_expr's factory
+  /// (golden_session_header()).
   std::vector<std::string> extra_roots;
 
   /// Generic main() (machines/generic_main.hpp) for models *without* a
-  /// golden-runner key — mutually exclusive with machine_key. A C++ lambda
+  /// golden session — mutually exclusive with machine_key. A C++ lambda
   /// expression of type void(model::ModelBuilder<M>&, M&) re-creating the
   /// model description, e.g.
   ///   "[](rcpn::model::ModelBuilder<rcpn::machines::FuzzMachine>& b,

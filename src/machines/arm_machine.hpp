@@ -6,7 +6,8 @@
 // function) producing a customized sub-net instance carried by the token.
 // This file implements the per-class issue/execute/mem/writeback behaviours
 // once; the two pipeline models instantiate them as transitions over their
-// own stage structure.
+// own stage structure, and run their golden workloads through one session
+// template (ArmGoldenSession).
 #pragma once
 
 #include <memory>
@@ -16,6 +17,7 @@
 #include "arm/arm_isa.hpp"
 #include "core/engine.hpp"
 #include "isa/decoder.hpp"
+#include "machines/golden_session.hpp"
 #include "mem/memory_system.hpp"
 #include "predictor/predictor.hpp"
 #include "regfile/reg_ref.hpp"
@@ -187,12 +189,6 @@ namespace rcpn::desc {
 class DelegateRegistry;
 }
 
-namespace rcpn::ckpt {
-class StateWriter;
-class StateReader;
-class RefCoder;
-}
-
 namespace rcpn::machines {
 
 /// The shared ArmPipeMachine DelegateRegistry used by both the StrongArm and
@@ -219,5 +215,66 @@ void restore_arm_token_extra(ckpt::StateReader& r, core::InstructionToken& t);
 /// load/store-multiple register-list refs.
 unsigned arm_num_reg_refs(const core::InstructionToken& t);
 regfile::RegRef* arm_reg_ref(const core::InstructionToken& t, unsigned i);
+
+/// The golden session of both ARM pipeline models (Sim = StrongArmSim or
+/// XScaleSim): `program` loaded by Sim::begin and run under a fixed
+/// 1500-cycle budget — long enough to cover icache/dcache misses, hazards
+/// and branches, small enough to check in.
+template <typename Sim>
+class ArmGoldenSession final : public SessionBase {
+ public:
+  ArmGoldenSession(std::unique_ptr<Sim> sim, const char* key, const char* workload,
+                   const sys::Program& program)
+      : sim_(std::move(sim)), key_(key), workload_(workload) {
+    record_golden_retires(sim_->engine(), trace_);
+    sim_->begin(program);
+  }
+
+  core::Engine& engine() override { return sim_->engine(); }
+
+  bool advance(std::uint64_t cycles) override {
+    if (finished()) return false;
+    const std::uint64_t left = kBudget - sim_->engine().clock();
+    sim_->advance(cycles < left ? cycles : left);
+    return !finished();
+  }
+
+  std::string machine_key() const override { return key_; }
+  std::string workload_id() const override { return workload_; }
+
+  void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder& refs) const override {
+    save_arm_machine(w, sim_->machine(), refs);
+  }
+  void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder& refs) override {
+    restore_arm_machine(r, sim_->machine(), refs);
+  }
+  core::InstructionToken* materialize(std::uint64_t pc, std::uint32_t raw) override {
+    return sim_->machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
+  }
+  void save_token_extra(ckpt::StateWriter& w,
+                        const core::InstructionToken& t) const override {
+    save_arm_token_extra(w, t);
+  }
+  void restore_token_extra(ckpt::StateReader& r, core::InstructionToken& t) override {
+    restore_arm_token_extra(r, t);
+  }
+  unsigned num_reg_refs(const core::InstructionToken& t) const override {
+    return arm_num_reg_refs(t);
+  }
+  regfile::RegRef* reg_ref(const core::InstructionToken& t, unsigned i) const override {
+    return arm_reg_ref(t, i);
+  }
+
+ private:
+  static constexpr std::uint64_t kBudget = 1500;
+
+  bool finished() {
+    return sim_->engine().stopped() || sim_->engine().clock() >= kBudget;
+  }
+
+  std::unique_ptr<Sim> sim_;
+  const char* key_;
+  const char* workload_;
+};
 
 }  // namespace rcpn::machines

@@ -42,20 +42,10 @@ const desc::DelegateRegistry& delegates_for(const desc::Description& d) {
 
 desc::Description describe_machine(const std::string& key,
                                    core::EngineOptions options) {
-  if (const std::optional<unsigned> seed = parse_fuzz_model_name(key)) {
-    model::Simulator<FuzzMachine> sim(
-        key, options,
-        [s = *seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-          describe_fuzz_model(s, b, m);
-        },
-        FuzzMachine{});
-    return desc::describe_net(sim.net(), options);
-  }
-  desc::Description d;
-  inspect_golden_machine(key, options, [&](core::Net& net, core::Engine&) {
-    d = desc::describe_net(net, options);
-  });
-  return d;
+  const std::optional<unsigned> seed = parse_fuzz_model_name(key);
+  const std::unique_ptr<GoldenSession> s =
+      seed ? make_fuzz_session(*seed, options) : make_golden_session(key, options);
+  return desc::describe_net(s->engine().net(), options);
 }
 
 std::unique_ptr<GoldenSession> make_description_session(const desc::Description& d,
@@ -94,12 +84,6 @@ std::unique_ptr<GoldenSession> make_description_session(const desc::Description&
 GoldenRunResult run_description(const desc::Description& d, core::EngineOptions options,
                                 std::uint64_t max_cycles) {
   return finish_session(*make_description_session(d, options, max_cycles));
-}
-
-void inspect_description(const desc::Description& d, core::EngineOptions options,
-                         const GoldenInspectFn& fn) {
-  const std::unique_ptr<GoldenSession> session = make_description_session(d, options);
-  fn(session->engine().net(), session->engine());
 }
 
 std::string description_machine_key(const desc::Description& d) {

@@ -9,15 +9,15 @@
 // .rcpn reader into the single-file artifact. desc_machines.cpp is excluded
 // from the embedded-source set for the same reason (cmake/EmbedSources.cmake).
 //
-// The loaded path and the describe-callback path construct the same machine:
-// each wrapper class has a description constructor that replays the .rcpn
-// structure through ModelBuilderBase::from_description and then re-binds the
-// machine-context ids by *name* against the lowered net (bind_*_context). A
-// described machine runs as its family's golden session (golden_session_*
-// over the described simulator), the chunked path every in-process farm job
-// takes, while the builder path's golden_run_* is the straight loop — so
-// round-trip equality (build -> describe -> load -> session -> identical
-// trace + stats) is a meaningful check, not a tautology.
+// The loaded path and the describe-callback path construct the same machine
+// two different ways: each wrapper class has a description constructor that
+// replays the .rcpn structure through ModelBuilderBase::from_description and
+// then re-binds the machine-context ids by *name* against the lowered net
+// (bind_*_context), where the builder path runs the machine's own
+// ModelBuilder calls. Both run as the family's golden session
+// (golden_session_* over either simulator) — so round-trip equality (build
+// -> describe -> load -> session -> identical trace + stats) compares the
+// two constructions, not one construction with itself.
 #pragma once
 
 #include <string>
@@ -49,12 +49,6 @@ std::unique_ptr<GoldenSession> make_description_session(const desc::Description&
 /// make_description_session run to completion.
 GoldenRunResult run_description(const desc::Description& d, core::EngineOptions options,
                                 std::uint64_t max_cycles = 0);
-
-/// Construct from the description (engine built, workload loaded, nothing
-/// run) and hand the net + engine to `fn` — the emitter's lowering hook for
-/// .rcpn inputs.
-void inspect_description(const desc::Description& d, core::EngineOptions options,
-                         const GoldenInspectFn& fn);
 
 /// Golden machine key of a description's model name ("Fig2" -> "fig2"), or
 /// "" when the model is not a golden machine (e.g. fuzz-N).

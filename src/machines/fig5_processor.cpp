@@ -1,6 +1,8 @@
 #include "machines/fig5_processor.hpp"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "desc/delegate_registry.hpp"
 #include "isa/operation_class.hpp"
@@ -100,6 +102,13 @@ void Fig5Machine::load(std::vector<Fig5Instr> p) {
 }
 
 void Fig5Machine::bind(isa::DecodeCache::Entry& e) {
+  // A decode miss past the program — a fetch guard that lets pc run off
+  // the end, or a restored token whose pc was never fetched — is an error,
+  // not a read beyond the vector.
+  if (e.pc >= program.size())
+    throw std::out_of_range("Fig5: no instruction at pc " + std::to_string(e.pc) +
+                            " (the program has " + std::to_string(program.size()) +
+                            " instructions)");
   auto pl = std::make_unique<Payload>();
   pl->instr = program[e.pc];
   const Fig5Instr& i = pl->instr;
@@ -383,29 +392,6 @@ std::vector<Fig5Instr> fig5_golden_workload() {
       I::alu(I::AluOp::xor_op, 6, 5, 1),
   };
 }
-
-}  // namespace
-
-GoldenRunResult golden_finish_fig5(Fig5Processor& sim) {
-  GoldenRunResult r;
-  record_golden_retires(sim.engine(), r.trace);
-  sim.load(fig5_golden_workload());
-  sim.run();
-  r.stats = sim.engine().stats();
-  return r;
-}
-
-GoldenRunResult golden_run_fig5(core::EngineOptions options) {
-  Fig5Processor sim(options);
-  return golden_finish_fig5(sim);
-}
-
-void golden_inspect_fig5(core::EngineOptions options, const GoldenInspectFn& fn) {
-  Fig5Processor sim(options);
-  fn(sim.net(), sim.engine());
-}
-
-namespace {
 
 class Fig5Session final : public SessionBase {
  public:

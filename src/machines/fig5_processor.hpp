@@ -121,13 +121,9 @@ const desc::DelegateRegistry& fig5_delegates();
 /// lowered net — shared by both construction paths.
 void bind_fig5_context(const core::Net& net, Fig5Machine& m);
 
-/// Golden-workload runner/inspector (key "fig5"): the fixed eight-instruction
-/// hazard/branch/memory mix of tests/golden/fig5.trace.
-GoldenRunResult golden_run_fig5(core::EngineOptions options);
-void golden_inspect_fig5(core::EngineOptions options, const GoldenInspectFn& fn);
-
-/// Checkpointable golden session (same eight-instruction workload,
-/// advanceable in cycle chunks; see machines/golden_trace.hpp).
+/// Golden session (key "fig5"): the fixed eight-instruction
+/// hazard/branch/memory mix of tests/golden/fig5.trace, advanceable in cycle
+/// chunks (see machines/golden_trace.hpp).
 std::unique_ptr<GoldenSession> golden_session_fig5(core::EngineOptions options);
 
 class Fig5Processor;
@@ -136,10 +132,6 @@ class Fig5Processor;
 /// loader (machines/desc_machines.hpp) hands over its described machine.
 std::unique_ptr<GoldenSession> golden_session_fig5(
     std::unique_ptr<Fig5Processor> sim);
-
-/// The straight golden workload (trace recording + load + run + stats) on a
-/// caller-built simulator: golden_run_fig5's body, rerun by the reset tests.
-GoldenRunResult golden_finish_fig5(Fig5Processor& sim);
 
 class Fig5Processor {
  public:

@@ -323,32 +323,6 @@ std::optional<unsigned> parse_fuzz_model_name(std::string_view name) {
   return static_cast<unsigned>(seed);
 }
 
-GoldenRunResult golden_run_fuzz(unsigned seed, core::EngineOptions options,
-                                std::uint64_t max_cycles) {
-  const std::string name = fuzz_model_name(seed);
-  model::Simulator<FuzzMachine> sim(
-      name, options,
-      [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-        describe_fuzz_model(seed, b, m);
-      },
-      FuzzMachine{});
-  GoldenRunResult r;
-  record_golden_retires(sim.engine(), r.trace);
-  const std::uint64_t kMaxCycles = max_cycles != 0 ? max_cycles : kFuzzDrainCap;
-  std::uint64_t cycle = 0;
-  for (; cycle < kMaxCycles; ++cycle) {
-    if (sim.machine().emitted >= sim.machine().to_emit &&
-        sim.engine().tokens_in_flight() == 0)
-      break;
-    if (!sim.step())
-      throw std::runtime_error(name + ": engine stopped (deadlocked model?) at cycle " +
-                               std::to_string(cycle));
-  }
-  if (cycle >= kMaxCycles) throw std::runtime_error(name + ": model did not drain");
-  r.stats = sim.engine().stats();
-  return r;
-}
-
 namespace {
 
 class FuzzSession final : public SessionBase {
@@ -362,9 +336,8 @@ class FuzzSession final : public SessionBase {
   core::Engine& engine() override { return sim_->engine(); }
 
   bool advance(std::uint64_t cycles) override {
-    // Same loop shape (and error behaviour) as golden_run_fuzz: done is
-    // checked *before* each step, and the iteration counter equals the engine
-    // clock because the straight run steps exactly once per iteration from
+    // Done is checked *before* each step, and the iteration counter equals
+    // the engine clock because the run steps exactly once per iteration from
     // cycle 0 — so a resumed session picks the count up from the clock.
     std::uint64_t cycle = sim_->engine().clock();
     for (std::uint64_t k = 0; k < cycles; ++k, ++cycle) {

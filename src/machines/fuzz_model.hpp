@@ -15,7 +15,7 @@
 // so any seeded topology is fully emittable by gen::emit_simulator,
 // including EmitMode::freestanding. That is the point: the lockstep fuzz
 // suite (tests/test_fuzz_lockstep.cpp) reaches the emitter with randomized
-// models, not just the five curated machines.
+// models, not just the six curated machines.
 #pragma once
 
 #include <cstdint>
@@ -97,16 +97,11 @@ std::string fuzz_model_name(unsigned seed);
 /// "fuzz-<n>" keys (farm jobs, rcpn_emit, the description loader) uses this.
 std::optional<unsigned> parse_fuzz_model_name(std::string_view name);
 
-/// Golden-style runner: construct the seed's model under `options`, run it
-/// until every token drained, return the retire trace + stats. Throws
-/// std::runtime_error if the model wedges (deadlock watchdog / cycle cap).
-/// `max_cycles` overrides the drain cap (0 = the default 25000).
-GoldenRunResult golden_run_fuzz(unsigned seed, core::EngineOptions options,
-                                std::uint64_t max_cycles = 0);
-
-/// Checkpointable session of a seed's model (machine key "fuzz-<seed>"):
-/// the same manual drain loop as golden_run_fuzz, advanceable in cycle
-/// chunks. `max_cycles` overrides the drain cap (0 = the default 25000).
+/// Golden-style session of a seed's model (machine key "fuzz-<seed>"):
+/// construct it under `options` and, advanced in cycle chunks, run it until
+/// every token drained; finish_session returns the retire trace + stats.
+/// Advancing throws std::runtime_error if the model wedges (deadlock watchdog
+/// / cycle cap). `max_cycles` overrides the drain cap (0 = the default 25000).
 std::unique_ptr<GoldenSession> make_fuzz_session(unsigned seed,
                                                  core::EngineOptions options,
                                                  std::uint64_t max_cycles = 0);

@@ -1,12 +1,14 @@
 // Generic CLI entry point for *arbitrary* user models — the counterpart of
 // golden_cli_main for machines that have no fixed golden workload.
 //
-// golden_cli_main assumes a self-contained GoldenRunFn; this header turns a
-// (describe, workload, done) triple into one, so any Simulator<M>-described
-// machine becomes a runnable binary — including a freestanding one
-// (gen::emit_simulator's generic_describe_expr emits a main() calling here,
-// and this header is part of the embedded source table) — and therefore a
-// SimFarm subprocess work unit. On top of golden_cli_main's flags it adds:
+// golden_cli_main runs golden machines as sessions; a user model has no
+// checkpoint serializer, so this header turns a (describe, workload, done)
+// triple into the GoldenRunFn golden_cli_main takes in a session's place. Any
+// Simulator<M>-described machine becomes a runnable binary — including a
+// freestanding one (gen::emit_simulator's generic_describe_expr emits a
+// main() calling here, and this header is part of the embedded source
+// table) — and therefore a SimFarm subprocess work unit. On top of
+// golden_cli_main's flags it adds:
 //
 //   --cycles N          cycle cap for the run (default 100000)
 //   <positional args>   handed to `apply_workload(machine, args)` before the
@@ -76,7 +78,8 @@ int generic_cli_main(int argc, char** argv, const std::string& name,
     r.stats = sim.engine().stats();
     return r;
   };
-  return golden_cli_main(static_cast<int>(fwd.size()), fwd.data(), name, run, base);
+  return golden_cli_main(static_cast<int>(fwd.size()), fwd.data(), name,
+                         /*session=*/{}, base, run);
 }
 
 }  // namespace rcpn::machines

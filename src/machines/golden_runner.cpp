@@ -14,39 +14,23 @@ namespace rcpn::machines {
 namespace {
 
 /// One golden machine: the key-indexed dispatch row tying the per-machine
-/// runner (defined next to its machine, so it is freestanding-emittable) to
-/// the metadata the emitter needs to call it from a generated main().
+/// session (defined next to its machine, so it is freestanding-emittable,
+/// and named golden_session_<key>) to the header the emitter inlines.
 struct GoldenMachine {
   const char* key;
   const char* model;
-  GoldenRunResult (*run)(core::EngineOptions);
-  void (*inspect)(core::EngineOptions, const GoldenInspectFn&);
-  const char* run_symbol;
   const char* header;
   std::unique_ptr<GoldenSession> (*session)(core::EngineOptions);
-  const char* session_symbol;
 };
 
 constexpr GoldenMachine kGoldenMachines[] = {
-    {"fig2", "Fig2", &golden_run_fig2, &golden_inspect_fig2,
-     "rcpn::machines::golden_run_fig2", "machines/simple_pipeline.hpp",
-     &golden_session_fig2, "rcpn::machines::golden_session_fig2"},
-    {"fig5", "Fig5", &golden_run_fig5, &golden_inspect_fig5,
-     "rcpn::machines::golden_run_fig5", "machines/fig5_processor.hpp",
-     &golden_session_fig5, "rcpn::machines::golden_session_fig5"},
-    {"tomasulo", "Tomasulo", &golden_run_tomasulo, &golden_inspect_tomasulo,
-     "rcpn::machines::golden_run_tomasulo", "machines/tomasulo.hpp",
-     &golden_session_tomasulo, "rcpn::machines::golden_session_tomasulo"},
-    {"strongarm_crc", "StrongArm", &golden_run_strongarm_crc,
-     &golden_inspect_strongarm_crc, "rcpn::machines::golden_run_strongarm_crc",
-     "machines/strongarm.hpp", &golden_session_strongarm_crc,
-     "rcpn::machines::golden_session_strongarm_crc"},
-    {"xscale_adpcm", "XScale", &golden_run_xscale_adpcm, &golden_inspect_xscale_adpcm,
-     "rcpn::machines::golden_run_xscale_adpcm", "machines/xscale.hpp",
-     &golden_session_xscale_adpcm, "rcpn::machines::golden_session_xscale_adpcm"},
-    {"stallcause", "StallCause", &golden_run_stallcause, &golden_inspect_stallcause,
-     "rcpn::machines::golden_run_stallcause", "machines/stallcause.hpp",
-     &golden_session_stallcause, "rcpn::machines::golden_session_stallcause"},
+    {"fig2", "Fig2", "machines/simple_pipeline.hpp", &golden_session_fig2},
+    {"fig5", "Fig5", "machines/fig5_processor.hpp", &golden_session_fig5},
+    {"tomasulo", "Tomasulo", "machines/tomasulo.hpp", &golden_session_tomasulo},
+    {"strongarm_crc", "StrongArm", "machines/strongarm.hpp",
+     &golden_session_strongarm_crc},
+    {"xscale_adpcm", "XScale", "machines/xscale.hpp", &golden_session_xscale_adpcm},
+    {"stallcause", "StallCause", "machines/stallcause.hpp", &golden_session_stallcause},
 };
 
 const GoldenMachine& find_machine(const std::string& key) {
@@ -68,45 +52,27 @@ const std::vector<std::string>& golden_machine_keys() {
 
 std::string golden_model_name(const std::string& key) { return find_machine(key).model; }
 
-std::vector<GoldenRetireEvent> run_golden_machine(const std::string& key,
-                                                  core::EngineOptions options) {
-  return run_golden_machine_full(key, options).trace;
-}
-
-GoldenRunResult run_golden_machine_full(const std::string& key,
-                                        core::EngineOptions options) {
-  return find_machine(key).run(options);
-}
-
-void inspect_golden_machine(const std::string& key, core::EngineOptions options,
-                            const GoldenInspectFn& fn) {
-  find_machine(key).inspect(options, fn);
-}
-
 std::unique_ptr<GoldenSession> make_golden_session(const std::string& key,
                                                    core::EngineOptions options) {
   return find_machine(key).session(options);
 }
 
-std::string golden_run_expr(const std::string& key) {
-  return std::string(find_machine(key).run_symbol) + "(options)";
+GoldenRunResult run_golden_machine_full(const std::string& key,
+                                        core::EngineOptions options) {
+  return finish_session(*make_golden_session(key, options));
 }
 
 std::string golden_session_expr(const std::string& key) {
-  return std::string(find_machine(key).session_symbol) + "(options)";
+  return "rcpn::machines::golden_session_" + std::string(find_machine(key).key) +
+         "(options)";
 }
 
-std::string golden_run_header(const std::string& key) {
+std::string golden_session_header(const std::string& key) {
   return find_machine(key).header;
 }
 
 int generated_main(int argc, char** argv, const std::string& machine_key) {
-  const GoldenMachine& m = find_machine(machine_key);
-  return golden_cli_main(
-      argc, argv, machine_key,
-      [&m](core::EngineOptions options) { return m.run(options); },
-      /*base=*/{},
-      [&m](core::EngineOptions options) { return m.session(options); });
+  return golden_cli_main(argc, argv, machine_key, find_machine(machine_key).session);
 }
 
 }  // namespace rcpn::machines

@@ -1,18 +1,22 @@
-// Golden-workload runner: the ONE definition of "run machine X on its small
-// fixed workload and record the cycle-stamped retire trace".
+// Golden-workload dispatch: the ONE key-indexed table of "machine X on its
+// small fixed workload".
 //
-// The trace format, diff and CLI live in machines/golden_trace.hpp; the
-// per-machine runners (golden_run_fig2, golden_run_strongarm_crc, ...) live
-// next to their machines so a freestanding generated simulator can inline
-// exactly one of them. This header adds the key-indexed dispatch the
-// machine-generic consumers share:
+// The trace format, diff, session interface and CLI live in
+// machines/golden_trace.hpp; the per-machine sessions (golden_session_fig2,
+// golden_session_strongarm_crc, ...) live next to their machines so a
+// freestanding generated simulator can inline exactly one of them. This
+// header adds the key-indexed dispatch the machine-generic consumers share:
 //  * tests/test_golden_traces.cpp / tests/test_freestanding.cpp — diff the
 //    library backends against the checked-in tests/golden/*.trace files;
-//  * the rcpn_emit tool (examples/generated/) — builds the machine to lower
-//    and emit its standalone generated simulator;
+//  * the rcpn_emit tool (examples/generated/) — builds the machine's session
+//    to lower and emit its standalone generated simulator;
+//  * the farm's in-process executor — runs every golden job as a session;
 //  * generated_main() — the entry point emitted into every *linked-mode*
 //    generated simulator (freestanding artifacts call golden_cli_main with
-//    their machine's runner directly and never touch this dispatch).
+//    their machine's session factory directly and never touch this dispatch).
+//
+// A machine that is built but has not run is a fresh session: read its
+// engine() and engine().net().
 //
 // Machine keys: fig2, fig5, tomasulo, strongarm_crc, xscale_adpcm, stallcause.
 #pragma once
@@ -31,46 +35,33 @@ const std::vector<std::string>& golden_machine_keys();
 /// unknown key.
 std::string golden_model_name(const std::string& key);
 
-/// Construct machine `key`, run its fixed golden workload on the engine
-/// `options` selects, and return the retire trace. Throws on an unknown key.
-std::vector<GoldenRetireEvent> run_golden_machine(const std::string& key,
-                                                  core::EngineOptions options);
-
-/// Same, returning the trace together with the engine's end-of-run
-/// statistics (the four-way differential harness compares both).
-GoldenRunResult run_golden_machine_full(const std::string& key,
-                                        core::EngineOptions options);
-
-/// Construct machine `key` (engine built, workload NOT run) and hand its net
-/// and engine to `fn` — the emitter's hook for lowering a model without
-/// simulating it.
-void inspect_golden_machine(const std::string& key, core::EngineOptions options,
-                            const GoldenInspectFn& fn);
-
 /// Construct machine `key` as a checkpointable golden session (workload
-/// loaded, nothing run) — the snapshot/restore entry point for the golden
-/// machines. Throws on an unknown key.
+/// loaded, nothing run) on the engine `options` selects. Throws on an
+/// unknown key.
 std::unique_ptr<GoldenSession> make_golden_session(const std::string& key,
                                                    core::EngineOptions options);
 
+/// Machine `key`'s golden workload run to completion: the retire trace
+/// together with the engine's end-of-run statistics (the four-way
+/// differential harness compares both). Throws on an unknown key.
+GoldenRunResult run_golden_machine_full(const std::string& key,
+                                        core::EngineOptions options);
+
 // -- emission metadata (rcpn_emit --freestanding) -----------------------------
 
-/// C++ expression calling machine `key`'s golden runner with an
-/// `options` variable in scope, e.g. "rcpn::machines::golden_run_fig2(options)".
-std::string golden_run_expr(const std::string& key);
-
 /// C++ expression constructing machine `key`'s golden session with an
-/// `options` variable in scope — stamped into freestanding mains so emitted
-/// binaries support --checkpoint-*/--restore too.
+/// `options` variable in scope, e.g.
+/// "rcpn::machines::golden_session_fig2(options)" — the whole run of a
+/// freestanding main, --checkpoint-*/--restore included.
 std::string golden_session_expr(const std::string& key);
 
-/// Repo-relative header declaring that runner (and the machine it
+/// Repo-relative header declaring that session factory (and the machine it
 /// constructs), e.g. "machines/simple_pipeline.hpp".
-std::string golden_run_header(const std::string& key);
+std::string golden_session_header(const std::string& key);
 
 /// Entry point of a linked-mode generated simulator binary
 /// (gen::emit_simulator emits a main() forwarding here). Thin wrapper over
-/// golden_cli_main with machine `key`'s runner and default options.
+/// golden_cli_main with machine `key`'s session and default options.
 int generated_main(int argc, char** argv, const std::string& machine_key);
 
 }  // namespace rcpn::machines

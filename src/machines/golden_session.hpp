@@ -2,8 +2,8 @@
 // ...): every session owns its retire trace (hooked into the engine at
 // construction, repopulated by read_checkpoint) and doubles as the machine's
 // ckpt::MachineIO. Machine .cpp files include this next to their model and
-// implement the per-machine pieces: the workload, the advance loop (exactly
-// the golden runner's loop shape) and the machine-context serialization.
+// implement the per-machine pieces: the workload, the advance loop (the only
+// run loop of the golden workload) and the machine-context serialization.
 #pragma once
 
 #include "ckpt/components.hpp"

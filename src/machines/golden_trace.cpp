@@ -189,8 +189,8 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int golden_cli_main(int argc, char** argv, const std::string& name,
-                    const GoldenRunFn& run, core::EngineOptions base,
-                    const GoldenSessionFn& session) {
+                    const GoldenSessionFn& session, core::EngineOptions base,
+                    const GoldenRunFn& run) {
   std::string golden_path;
   std::string trace_json_path;
   std::string ckpt_out;
@@ -289,8 +289,8 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   if (want_ckpt) {
     if (!session) {
       std::fprintf(stderr,
-                   "%s: this binary was built without a checkpoint session for "
-                   "its machine (re-emit it to pick one up)\n",
+                   "%s: this model has no checkpoint serializer (it runs "
+                   "without a golden session)\n",
                    name.c_str());
       return 2;
     }
@@ -333,13 +333,17 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   if (want_obs) options.obs = &obs_hub;
 #endif
 
+  // The plain and --time modes: a fresh session finished in one chunk.
+  const GoldenRunFn run_once =
+      run ? run
+          : [&session](core::EngineOptions o) { return finish_session(*session(o)); };
   if (reps > 0) {
     try {
-      run(options);  // warm-up: pools, page faults, branch predictors
+      run_once(options);  // warm-up: pools, page faults, branch predictors
       std::uint64_t cycles = 0, retired = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (long i = 0; i < reps; ++i) {
-        const GoldenRunResult r = run(options);
+        const GoldenRunResult r = run_once(options);
         cycles += r.stats.cycles;
         retired += r.trace.size();
       }
@@ -405,7 +409,7 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
         result = finish_session(*s);
       }
     } else {
-      result = run(options);
+      result = run_once(options);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());

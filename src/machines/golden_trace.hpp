@@ -1,12 +1,13 @@
 // Golden-trace plumbing: the cycle-stamped retire-trace format of
-// tests/golden/*.trace, the first-diverging-cycle diff, and the generic CLI
-// main every golden-workload binary fronts.
+// tests/golden/*.trace, the first-diverging-cycle diff, the checkpointable
+// golden session every golden workload runs as, and the generic CLI main
+// every golden-workload binary fronts.
 //
 // This file is deliberately free of machine includes so that a *freestanding*
 // generated simulator (gen::emit_simulator, EmitMode::freestanding) can inline
-// it next to one machine without dragging the other four in: the five
-// per-machine runners (golden_run_fig2, ... — declared in their machines'
-// own headers) and machines/golden_runner.hpp's key-dispatch both build on
+// it next to one machine without dragging the other five in: the per-machine
+// sessions (golden_session_fig2, ... — declared in their machines' own
+// headers) and machines/golden_runner.hpp's key-dispatch both build on
 // exactly this module, so the library build and every emitted artifact share
 // one definition of "run the golden workload and diff the trace".
 #pragma once
@@ -39,14 +40,11 @@ struct GoldenRunResult {
   core::Stats stats;
 };
 
-/// Run the machine's fixed golden workload under `options`; per-machine
-/// implementations live next to their machines (golden_run_fig2, ...).
+/// Run a workload under `options` start to finish: what golden_cli_main
+/// calls for a model without a checkpoint serializer (generic_cli_main).
 using GoldenRunFn = std::function<GoldenRunResult(core::EngineOptions)>;
-/// Hand a constructed-but-not-run machine's net and engine to the caller
-/// (the emitter's hook for lowering a model without simulating it).
-using GoldenInspectFn = std::function<void(core::Net&, core::Engine&)>;
 
-/// Install an on_retire hook appending to `out` (shared by every runner).
+/// Install an on_retire hook appending to `out` (shared by every session).
 void record_golden_retires(core::Engine& eng, std::vector<GoldenRetireEvent>& out);
 
 // -- trace file format (tests/golden/*.trace) ---------------------------------
@@ -92,12 +90,14 @@ std::string diff_golden_traces(const std::vector<GoldenRetireEvent>& golden,
 // -- checkpointable golden sessions -------------------------------------------
 
 /// An in-progress golden-workload run that can be advanced in cycle chunks
-/// and snapshotted between chunks. One implementation per machine, defined
-/// next to the machine (golden_session_fig2, ...) so a freestanding generated
-/// simulator inlines exactly one of them; each implementation replicates its
-/// golden runner's exact loop shape, which is what makes
+/// and snapshotted between chunks — the one way a golden workload runs. One
+/// implementation per machine, defined next to the machine
+/// (golden_session_fig2, ...) so a freestanding generated simulator inlines
+/// exactly one of them. The straight run is a session finished in one chunk
+/// (finish_session); since every chunk size walks the same loop, the farm's
+/// fixed-size chunks and
 ///   advance(T) + write_checkpoint + [new process] read_checkpoint + finish
-/// byte-identical — trace, stats, obs stream — to the straight run.
+/// are byte-identical — trace, stats, obs stream — to it.
 class GoldenSession {
  public:
   virtual ~GoldenSession() = default;
@@ -137,11 +137,13 @@ void read_checkpoint(GoldenSession& s, const std::string& text);
 /// Advance the session to completion and return its result.
 GoldenRunResult finish_session(GoldenSession& s);
 
-/// Entry point of a golden-workload simulator binary. Runs `run` on
-/// Backend::generated over `base` options (the options the artifact was
-/// emitted for — schedule-affecting flags must match the generated tables or
-/// the engine's build() verification throws). Default: print the trace
-/// (golden format) to stdout. Flags:
+/// Entry point of a golden-workload simulator binary. Every mode runs a fresh
+/// `session(options)` on Backend::generated over `base` options (the options
+/// the artifact was emitted for — schedule-affecting flags must match the
+/// generated tables or the engine's build() verification throws). A model
+/// without a checkpoint serializer (generic_cli_main) passes an empty
+/// `session` and its `run` instead, which serves the plain and --time modes.
+/// Default: print the trace (golden format) to stdout. Flags:
 ///   --golden FILE                     diff against FILE; exit 1 naming the
 ///                                     first diverging cycle
 ///   --stats                           also print the `# stats ...` line
@@ -161,7 +163,7 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     tables were not emitted for — combine
 ///                                     with --backend compiled)
 ///
-/// Checkpoint/restore flags (need a `session` factory; exit 2 otherwise):
+/// Checkpoint/restore flags (need a `session`; exit 2 otherwise):
 ///   --checkpoint-at T --checkpoint-out FILE
 ///                                     run to cycle T, write the snapshot to
 ///                                     FILE and exit without finishing
@@ -173,7 +175,7 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     run to completion; stdout is
 ///                                     byte-identical to the straight run
 int golden_cli_main(int argc, char** argv, const std::string& name,
-                    const GoldenRunFn& run, core::EngineOptions base = {},
-                    const GoldenSessionFn& session = {});
+                    const GoldenSessionFn& session, core::EngineOptions base = {},
+                    const GoldenRunFn& run = {});
 
 }  // namespace rcpn::machines

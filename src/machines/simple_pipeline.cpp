@@ -64,24 +64,6 @@ std::uint64_t SimplePipeline::run(std::uint64_t max_cycles) {
                     max_cycles);
 }
 
-GoldenRunResult golden_finish_fig2(SimplePipeline& sim) {
-  GoldenRunResult r;
-  record_golden_retires(sim.engine(), r.trace);
-  sim.run();
-  r.stats = sim.engine().stats();
-  return r;
-}
-
-GoldenRunResult golden_run_fig2(core::EngineOptions options) {
-  SimplePipeline sim(64, options);
-  return golden_finish_fig2(sim);
-}
-
-void golden_inspect_fig2(core::EngineOptions options, const GoldenInspectFn& fn) {
-  SimplePipeline sim(64, options);
-  fn(sim.net(), sim.engine());
-}
-
 namespace {
 
 class Fig2Session final : public SessionBase {

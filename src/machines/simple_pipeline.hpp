@@ -42,14 +42,9 @@ const desc::DelegateRegistry& fig2_delegates();
 /// description-loading construction paths.
 void bind_fig2_context(const core::Net& net, Fig2Machine& m);
 
-/// Golden-workload runner/inspector (key "fig2" in machines/golden_runner.hpp
-/// and in every generated simulator emitted for this model): 64 tokens
-/// through the Fig 2 pipeline.
-GoldenRunResult golden_run_fig2(core::EngineOptions options);
-void golden_inspect_fig2(core::EngineOptions options, const GoldenInspectFn& fn);
-
-/// Checkpointable golden session (same 64-token workload, advanceable in
-/// cycle chunks; see machines/golden_trace.hpp).
+/// Golden session (key "fig2" in machines/golden_runner.hpp and in every
+/// generated simulator emitted for this model): 64 tokens through the Fig 2
+/// pipeline, advanceable in cycle chunks (see machines/golden_trace.hpp).
 std::unique_ptr<GoldenSession> golden_session_fig2(core::EngineOptions options);
 
 class SimplePipeline;
@@ -58,10 +53,6 @@ class SimplePipeline;
 /// loader (machines/desc_machines.hpp) hands over its described machine.
 std::unique_ptr<GoldenSession> golden_session_fig2(
     std::unique_ptr<SimplePipeline> sim);
-
-/// The straight golden workload (trace recording + run + stats) on a
-/// caller-built simulator: golden_run_fig2's body, rerun by the reset tests.
-GoldenRunResult golden_finish_fig2(SimplePipeline& sim);
 
 class SimplePipeline {
  public:

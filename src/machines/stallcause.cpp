@@ -108,24 +108,6 @@ std::uint64_t StallCauseModel::run(std::uint64_t max_cycles) {
       [](const StallCauseMachine& m) { return m.emitted >= m.to_emit; }, max_cycles);
 }
 
-GoldenRunResult golden_finish_stallcause(StallCauseModel& sim) {
-  GoldenRunResult r;
-  record_golden_retires(sim.engine(), r.trace);
-  sim.run();
-  r.stats = sim.engine().stats();
-  return r;
-}
-
-GoldenRunResult golden_run_stallcause(core::EngineOptions options) {
-  StallCauseModel sim(4, options);
-  return golden_finish_stallcause(sim);
-}
-
-void golden_inspect_stallcause(core::EngineOptions options, const GoldenInspectFn& fn) {
-  StallCauseModel sim(4, options);
-  fn(sim.net(), sim.engine());
-}
-
 namespace {
 
 class StallCauseSession final : public SessionBase {

@@ -59,13 +59,9 @@ const desc::DelegateRegistry& stallcause_delegates();
 /// place) by name from the lowered net — shared by both construction paths.
 void bind_stallcause_context(const core::Net& net, StallCauseMachine& m);
 
-/// Golden-workload runner/inspector (key "stallcause"): one parker plus three
-/// workers through the PA/PB/PC net of tests/golden/stallcause.trace.
-GoldenRunResult golden_run_stallcause(core::EngineOptions options);
-void golden_inspect_stallcause(core::EngineOptions options, const GoldenInspectFn& fn);
-
-/// Checkpointable golden session (same parker+workers workload, advanceable
-/// in cycle chunks; see machines/golden_trace.hpp).
+/// Golden session (key "stallcause"): one parker plus three workers through
+/// the PA/PB/PC net of tests/golden/stallcause.trace, advanceable in cycle
+/// chunks (see machines/golden_trace.hpp).
 std::unique_ptr<GoldenSession> golden_session_stallcause(core::EngineOptions options);
 
 class StallCauseModel;
@@ -74,10 +70,6 @@ class StallCauseModel;
 /// loader (machines/desc_machines.hpp) hands over its described machine.
 std::unique_ptr<GoldenSession> golden_session_stallcause(
     std::unique_ptr<StallCauseModel> sim);
-
-/// The straight golden workload (trace recording + run + stats) on a
-/// caller-built simulator: golden_run_stallcause's body, rerun by the reset tests.
-GoldenRunResult golden_finish_stallcause(StallCauseModel& sim);
 
 class StallCauseModel {
  public:

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "desc/delegate_registry.hpp"
-#include "machines/golden_session.hpp"
 #include "workloads/workloads.hpp"
 
 namespace rcpn::machines {
@@ -139,85 +138,6 @@ const sys::Program& crc_program() {
 
 }  // namespace
 
-GoldenRunResult golden_finish_strongarm_crc(StrongArmSim& sim) {
-  GoldenRunResult r;
-  record_golden_retires(sim.engine(), r.trace);
-  sim.run(crc_program(), /*max_cycles=*/1500);
-  r.stats = sim.engine().stats();
-  return r;
-}
-
-GoldenRunResult golden_run_strongarm_crc(core::EngineOptions options) {
-  StrongArmConfig cfg;
-  cfg.engine = options;
-  StrongArmSim sim(cfg);
-  return golden_finish_strongarm_crc(sim);
-}
-
-void golden_inspect_strongarm_crc(core::EngineOptions options,
-                                  const GoldenInspectFn& fn) {
-  StrongArmConfig cfg;
-  cfg.engine = options;
-  StrongArmSim sim(cfg);
-  fn(sim.net(), sim.engine());
-}
-
-namespace {
-
-class StrongArmCrcSession final : public SessionBase {
- public:
-  explicit StrongArmCrcSession(std::unique_ptr<StrongArmSim> sim) : sim_(std::move(sim)) {
-    record_golden_retires(sim_->engine(), trace_);
-    sim_->begin(crc_program());
-  }
-
-  core::Engine& engine() override { return sim_->engine(); }
-
-  bool advance(std::uint64_t cycles) override {
-    if (finished()) return false;
-    const std::uint64_t left = kBudget - sim_->engine().clock();
-    sim_->advance(cycles < left ? cycles : left);
-    return !finished();
-  }
-
-  std::string machine_key() const override { return "strongarm_crc"; }
-  std::string workload_id() const override { return "crc-x1-1500"; }
-
-  void save_machine(ckpt::StateWriter& w, const ckpt::RefCoder& refs) const override {
-    save_arm_machine(w, sim_->machine(), refs);
-  }
-  void restore_machine(ckpt::StateReader& r, const ckpt::RefCoder& refs) override {
-    restore_arm_machine(r, sim_->machine(), refs);
-  }
-  core::InstructionToken* materialize(std::uint64_t pc, std::uint32_t raw) override {
-    return sim_->machine().dcache.get(static_cast<std::uint32_t>(pc), raw);
-  }
-  void save_token_extra(ckpt::StateWriter& w,
-                        const core::InstructionToken& t) const override {
-    save_arm_token_extra(w, t);
-  }
-  void restore_token_extra(ckpt::StateReader& r, core::InstructionToken& t) override {
-    restore_arm_token_extra(r, t);
-  }
-  unsigned num_reg_refs(const core::InstructionToken& t) const override {
-    return arm_num_reg_refs(t);
-  }
-  regfile::RegRef* reg_ref(const core::InstructionToken& t, unsigned i) const override {
-    return arm_reg_ref(t, i);
-  }
-
- private:
-  static constexpr std::uint64_t kBudget = 1500;  // golden_finish max_cycles
-
-  bool finished() {
-    return sim_->engine().stopped() || sim_->engine().clock() >= kBudget;
-  }
-
-  std::unique_ptr<StrongArmSim> sim_;
-};
-
-}  // namespace
-
 std::unique_ptr<GoldenSession> golden_session_strongarm_crc(core::EngineOptions options) {
   StrongArmConfig cfg;
   cfg.engine = options;
@@ -226,7 +146,8 @@ std::unique_ptr<GoldenSession> golden_session_strongarm_crc(core::EngineOptions 
 
 std::unique_ptr<GoldenSession> golden_session_strongarm_crc(
     std::unique_ptr<StrongArmSim> sim) {
-  return std::make_unique<StrongArmCrcSession>(std::move(sim));
+  return std::make_unique<ArmGoldenSession<StrongArmSim>>(
+      std::move(sim), "strongarm_crc", "crc-x1-1500", crc_program());
 }
 
 }  // namespace rcpn::machines

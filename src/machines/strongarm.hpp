@@ -49,7 +49,7 @@ class StrongArmSim {
   /// Run `program` to completion (SWI exit) or `max_cycles`.
   RunResult run(const sys::Program& program, std::uint64_t max_cycles = ~0ull);
 
-  /// Checkpoint-session support: load `program` (same ordering as run())
+  /// Golden-session support: load `program` (same ordering as run())
   /// without running anything.
   void begin(const sys::Program& program);
   /// Continue an in-progress run for up to `cycles` more cycles.
@@ -75,15 +75,9 @@ RunResult collect_result(const core::Engine& eng, const ArmMachine& m);
 /// describe-callback and description-loaded construction paths.
 void bind_strongarm_context(const core::Net& net, ArmPipeMachine& mc);
 
-/// Golden-workload runner/inspector (key "strongarm_crc"): a fixed 1500-cycle
-/// window of the crc kernel — long enough to cover icache/dcache misses,
-/// hazards and branches, small enough to check in.
-GoldenRunResult golden_run_strongarm_crc(core::EngineOptions options);
-void golden_inspect_strongarm_crc(core::EngineOptions options,
-                                  const GoldenInspectFn& fn);
-
-/// Checkpointable golden session (same crc ×1 workload under the same
-/// 1500-cycle budget; see machines/golden_trace.hpp).
+/// Golden session (key "strongarm_crc"): a fixed 1500-cycle window of the
+/// crc kernel (×1), advanceable in cycle chunks (see ArmGoldenSession and
+/// machines/golden_trace.hpp).
 std::unique_ptr<GoldenSession> golden_session_strongarm_crc(
     core::EngineOptions options);
 
@@ -91,9 +85,5 @@ std::unique_ptr<GoldenSession> golden_session_strongarm_crc(
 /// loader (machines/desc_machines.hpp) hands over its described machine.
 std::unique_ptr<GoldenSession> golden_session_strongarm_crc(
     std::unique_ptr<StrongArmSim> sim);
-
-/// The straight golden workload (trace recording + crc window + stats) on a
-/// caller-built simulator: golden_run_strongarm_crc's body, rerun by the reset tests.
-GoldenRunResult golden_finish_strongarm_crc(StrongArmSim& sim);
 
 }  // namespace rcpn::machines

@@ -1,5 +1,8 @@
 #include "machines/tomasulo.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "desc/delegate_registry.hpp"
 #include "isa/operation_class.hpp"
 #include "machines/golden_session.hpp"
@@ -72,6 +75,11 @@ void TomasuloMachine::load(std::vector<Fig5Instr> p) {
 }
 
 void TomasuloMachine::bind(isa::DecodeCache::Entry& e) {
+  // Decode misses only: the same bound as Fig5Machine::bind.
+  if (e.pc >= program.size())
+    throw std::out_of_range("Tomasulo: no instruction at pc " + std::to_string(e.pc) +
+                            " (the program has " + std::to_string(program.size()) +
+                            " instructions)");
   auto pl = std::make_unique<Payload>();
   pl->instr = program[e.pc];
   const Fig5Instr& i = pl->instr;
@@ -255,29 +263,6 @@ std::vector<Fig5Instr> tomasulo_golden_workload() {
       I::alu(I::AluOp::xor_op, 6, 3, 5),
   };
 }
-
-}  // namespace
-
-GoldenRunResult golden_finish_tomasulo(TomasuloCore& sim) {
-  GoldenRunResult r;
-  record_golden_retires(sim.engine(), r.trace);
-  sim.load(tomasulo_golden_workload());
-  sim.run();
-  r.stats = sim.engine().stats();
-  return r;
-}
-
-GoldenRunResult golden_run_tomasulo(core::EngineOptions options) {
-  TomasuloCore sim(4, 2, options);
-  return golden_finish_tomasulo(sim);
-}
-
-void golden_inspect_tomasulo(core::EngineOptions options, const GoldenInspectFn& fn) {
-  TomasuloCore sim(4, 2, options);
-  fn(sim.net(), sim.engine());
-}
-
-namespace {
 
 class TomasuloSession final : public SessionBase {
  public:

@@ -71,13 +71,9 @@ const desc::DelegateRegistry& tomasulo_delegates();
 /// lowered net — shared by both construction paths.
 void bind_tomasulo_context(const core::Net& net, TomasuloMachine& m);
 
-/// Golden-workload runner/inspector (key "tomasulo"): the fixed
-/// six-instruction dependent/independent mix of tests/golden/tomasulo.trace.
-GoldenRunResult golden_run_tomasulo(core::EngineOptions options);
-void golden_inspect_tomasulo(core::EngineOptions options, const GoldenInspectFn& fn);
-
-/// Checkpointable golden session (same six-instruction workload, advanceable
-/// in cycle chunks; see machines/golden_trace.hpp).
+/// Golden session (key "tomasulo"): the fixed six-instruction
+/// dependent/independent mix of tests/golden/tomasulo.trace, advanceable in
+/// cycle chunks (see machines/golden_trace.hpp).
 std::unique_ptr<GoldenSession> golden_session_tomasulo(core::EngineOptions options);
 
 class TomasuloCore;
@@ -86,10 +82,6 @@ class TomasuloCore;
 /// loader (machines/desc_machines.hpp) hands over its described machine.
 std::unique_ptr<GoldenSession> golden_session_tomasulo(
     std::unique_ptr<TomasuloCore> sim);
-
-/// The straight golden workload (trace recording + load + run + stats) on a
-/// caller-built simulator: golden_run_tomasulo's body, rerun by the reset tests.
-GoldenRunResult golden_finish_tomasulo(TomasuloCore& sim);
 
 class TomasuloCore {
  public:

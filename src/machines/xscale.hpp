@@ -42,7 +42,7 @@ class XScaleSim {
 
   RunResult run(const sys::Program& program, std::uint64_t max_cycles = ~0ull);
 
-  /// Checkpoint-session support: load `program` (same ordering as run())
+  /// Golden-session support: load `program` (same ordering as run())
   /// without running anything.
   void begin(const sys::Program& program);
   /// Continue an in-progress run for up to `cycles` more cycles.
@@ -65,14 +65,9 @@ class XScaleSim {
 /// describe-callback and description-loaded construction paths.
 void bind_xscale_context(const core::Net& net, ArmPipeMachine& mc);
 
-/// Golden-workload runner/inspector (key "xscale_adpcm"): a fixed 1500-cycle
-/// window of the adpcm kernel.
-GoldenRunResult golden_run_xscale_adpcm(core::EngineOptions options);
-void golden_inspect_xscale_adpcm(core::EngineOptions options,
-                                 const GoldenInspectFn& fn);
-
-/// Checkpointable golden session (same adpcm ×1 workload under the same
-/// 1500-cycle budget; see machines/golden_trace.hpp).
+/// Golden session (key "xscale_adpcm"): a fixed 1500-cycle window of the
+/// adpcm kernel (×1), advanceable in cycle chunks (see ArmGoldenSession and
+/// machines/golden_trace.hpp).
 std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(
     core::EngineOptions options);
 
@@ -80,9 +75,5 @@ std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(
 /// loader (machines/desc_machines.hpp) hands over its described machine.
 std::unique_ptr<GoldenSession> golden_session_xscale_adpcm(
     std::unique_ptr<XScaleSim> sim);
-
-/// The straight golden workload (trace recording + adpcm window + stats) on a
-/// caller-built simulator: golden_run_xscale_adpcm's body, rerun by the reset tests.
-GoldenRunResult golden_finish_xscale_adpcm(XScaleSim& sim);
 
 }  // namespace rcpn::machines

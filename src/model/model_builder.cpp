@@ -172,6 +172,7 @@ void ModelBuilderBase::validate() const {
     for (const PlaceHandle& p : t.state_refs)
       check_handle(p, "place", places_.size(), ctx + " reads_state");
 
+    if (moves > 1) fail(ctx + ": a transition moves its token to one place, got several");
     if (t.independent) {
       if (triggers != 0)
         fail(ctx + ": instruction-independent transitions cannot have trigger arcs");
@@ -186,7 +187,6 @@ void ModelBuilderBase::validate() const {
       if (moves == 0)
         fail(ctx + ": the instruction token is never moved (missing to(); route finished "
                    "instructions to end())");
-      if (moves > 1) fail(ctx + ": a transition moves its token to one place, got several");
       if (t.max_fires != 1)
         fail(ctx + ": max_fires_per_cycle applies to independent transitions only");
     }

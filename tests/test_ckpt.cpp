@@ -20,8 +20,8 @@
 // half-restore or allocate from the forged count, and a token record's ids
 // must name entries of the restoring net.
 //
-// The reset oracle (the state-leak sweep): re-running a workload on an
-// already-used simulator — via the machine load path or a bare
+// The reset oracle (the state-leak sweep): the golden session of an
+// already-used simulator — reset via the machine load path or a bare
 // Engine::reset() — must be byte-identical to a fresh construction. This is
 // what makes restore-into-reused-context sound, and it pins that no hidden
 // state (decode-cache runtime entries, predictor or syscall residue)
@@ -32,8 +32,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifdef RCPN_HAVE_FS_BINARIES
@@ -51,6 +54,7 @@
 #include "machines/tomasulo.hpp"
 #include "machines/xscale.hpp"
 #include "obs/probe.hpp"
+#include "workloads/workloads.hpp"
 
 namespace rcpn {
 namespace {
@@ -182,6 +186,39 @@ TEST(SnapshotEdges, SnapshotAfterCompletionRestoresFinishedRun) {
   EXPECT_EQ(formatted(key, resumed), formatted(key, straight));
 }
 
+// -- chunk size ---------------------------------------------------------------
+
+// The farm advances a session in 4,096-cycle chunks, a --checkpoint-every K
+// ring in K-cycle chunks and finish_session in a single one: the chunk size
+// must never change a run. Every golden machine and fuzz seeds 1-4, advanced
+// in chunks of 1, 7 and 4,096 cycles on both library backends, must print
+// the same trace, stats line and stall causes as finish_session.
+TEST(GoldenSessions, ChunkSizeDoesNotChangeTheRun) {
+  using MakeSession =
+      std::function<std::unique_ptr<machines::GoldenSession>(core::Backend)>;
+  std::vector<std::pair<std::string, MakeSession>> runs;
+  for (const std::string& key : machines::golden_machine_keys())
+    runs.emplace_back(key, [key](core::Backend b) {
+      return machines::make_golden_session(key, options_for(b));
+    });
+  for (unsigned seed = 1; seed <= 4; ++seed)
+    runs.emplace_back(machines::fuzz_model_name(seed), [seed](core::Backend b) {
+      return machines::make_fuzz_session(seed, machines::fuzz_options_for(seed, b));
+    });
+  for (const auto& [name, make] : runs)
+    for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
+      const std::string whole = formatted(name, machines::finish_session(*make(backend)));
+      for (const std::uint64_t chunk : {1u, 7u, 4096u}) {
+        const std::unique_ptr<machines::GoldenSession> s = make(backend);
+        while (s->advance(chunk)) {
+        }
+        EXPECT_EQ(formatted(name, s->result()), whole)
+            << name << " on backend " << static_cast<int>(backend) << " in chunks of "
+            << chunk << " cycles";
+      }
+    }
+}
+
 // -- fuzz shard ---------------------------------------------------------------
 
 // Eight generated topologies: snapshot the interpreted engine at a
@@ -194,7 +231,8 @@ TEST(CkptFuzz, EightSeedSnapshotAtSeededCycleRestoresAcrossBackends) {
         machines::fuzz_options_for(seed, core::Backend::interpreted);
     const core::EngineOptions oc =
         machines::fuzz_options_for(seed, core::Backend::compiled);
-    const GoldenRunResult straight = machines::golden_run_fuzz(seed, oc);
+    const GoldenRunResult straight =
+        machines::finish_session(*machines::make_fuzz_session(seed, oc));
     ASSERT_FALSE(straight.trace.empty()) << "seed=" << seed;
 
     // Deterministic pseudo-random split point strictly inside the run.
@@ -362,6 +400,36 @@ TEST(CkptErrors, OutOfRangeTokenIdsAreRejected) {
   }
 }
 
+// A token record's pc is decoded again on restore (materialize). Fig5 and
+// Tomasulo decode by indexing their program, so a pc past it must be
+// rejected naming the pc and the program length, not read beyond the program.
+void expect_token_pc_past_program_rejected(const std::string& key, std::uint64_t t,
+                                           const std::string& needle) {
+  std::string snap = snapshot_of(key, t);
+  const std::size_t rec = snap.find("\ntoken ");
+  ASSERT_NE(rec, std::string::npos) << key;
+  const std::size_t start = snap.find(" pc=", rec) + 4;
+  snap.replace(start, snap.find(' ', start) - start, "100000");
+  auto s = machines::make_golden_session(key, options_for(core::Backend::interpreted));
+  try {
+    machines::read_checkpoint(*s, snap);
+    ADD_FAILURE() << key << ": restore accepted a token at pc 100000";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(CkptErrors, Fig5TokenPcPastTheProgramIsRejected) {
+  expect_token_pc_past_program_rejected(
+      "fig5", 7, "Fig5: no instruction at pc 100000 (the program has 8 instructions)");
+}
+
+TEST(CkptErrors, TomasuloTokenPcPastTheProgramIsRejected) {
+  expect_token_pc_past_program_rejected(
+      "tomasulo", 5,
+      "Tomasulo: no instruction at pc 100000 (the program has 6 instructions)");
+}
+
 // -- obs stream equality (probes compiled in only) ----------------------------
 
 // With a Hub attached on both sides, the restored run's event stream and
@@ -403,15 +471,13 @@ TEST(CkptObs, RestoredRunReplaysIdenticalEventStreamAndProfile) {
 
 // -- the reset oracle (state-leak sweep) --------------------------------------
 
-/// Re-running the golden workload on an already-used simulator must be
-/// byte-identical to a fresh construction — no hidden state survives the
-/// machine's load path (decode-cache runtime entries, syscall capture,
-/// predictor history) or the engine's reset.
-template <typename Sim, typename Finish>
-void reset_rerun_expect(const std::string& key, core::Backend backend, Sim& sim,
-                        Finish finish) {
-  (void)finish(sim);  // first run: dirties every piece of run state
-  const GoldenRunResult again = finish(sim);
+/// The golden session of an already-used simulator must finish
+/// byte-identical to a fresh run — no hidden state survives the machine's
+/// load path (decode-cache runtime entries, syscall capture, predictor
+/// history) or the engine's reset.
+void reset_rerun_expect(const std::string& key, core::Backend backend,
+                        const std::unique_ptr<machines::GoldenSession>& used) {
+  const GoldenRunResult again = machines::finish_session(*used);
   const GoldenRunResult fresh =
       machines::run_golden_machine_full(key, options_for(backend));
   EXPECT_EQ(formatted(key, again), formatted(key, fresh))
@@ -420,38 +486,53 @@ void reset_rerun_expect(const std::string& key, core::Backend backend, Sim& sim,
 }
 
 TEST(ResetOracle, Fig5RerunEqualsFreshRun) {
+  using I = machines::Fig5Instr;
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
-    machines::Fig5Processor sim(options_for(backend));
-    reset_rerun_expect("fig5", backend, sim,
-                       [](auto& s) { return machines::golden_finish_fig5(s); });
+    auto sim = std::make_unique<machines::Fig5Processor>(options_for(backend));
+    // Leaves registers, memory, the data cache and the decode cache holding
+    // state the golden workload never produces.
+    sim->load({I::alui(I::AluOp::add, 7, 0, 5), I::store(7, 0x40), I::load(3, 0x40),
+               I::branch(2), I::alui(I::AluOp::add, 4, 0, 1),
+               I::alu(I::AluOp::mul, 5, 3, 7)});
+    sim->run();
+    reset_rerun_expect("fig5", backend, machines::golden_session_fig5(std::move(sim)));
   }
 }
 
 TEST(ResetOracle, TomasuloRerunEqualsFreshRun) {
+  using I = machines::Fig5Instr;
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
-    machines::TomasuloCore sim(4, 2, options_for(backend));
-    reset_rerun_expect("tomasulo", backend, sim,
-                       [](auto& s) { return machines::golden_finish_tomasulo(s); });
+    auto sim = std::make_unique<machines::TomasuloCore>(4, 2, options_for(backend));
+    // Tomasulo issues every instruction as ALU.
+    sim->load({I::alui(I::AluOp::add, 1, 0, 9), I::alu(I::AluOp::mul, 2, 1, 1),
+               I::alui(I::AluOp::sub, 7, 2, 4), I::alu(I::AluOp::xor_op, 3, 7, 1)});
+    sim->run();
+    reset_rerun_expect("tomasulo", backend,
+                       machines::golden_session_tomasulo(std::move(sim)));
   }
 }
 
 TEST(ResetOracle, StrongArmRerunEqualsFreshRun) {
+  const sys::Program crc = workloads::build(*workloads::find("crc"), 1);
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
     machines::StrongArmConfig cfg;
     cfg.engine = options_for(backend);
-    machines::StrongArmSim sim(cfg);
-    reset_rerun_expect("strongarm_crc", backend, sim,
-                       [](auto& s) { return machines::golden_finish_strongarm_crc(s); });
+    auto sim = std::make_unique<machines::StrongArmSim>(cfg);
+    sim->run(crc, 1500);  // stops mid-kernel, tokens in flight
+    reset_rerun_expect("strongarm_crc", backend,
+                       machines::golden_session_strongarm_crc(std::move(sim)));
   }
 }
 
 TEST(ResetOracle, XScaleRerunEqualsFreshRun) {
+  const sys::Program adpcm = workloads::build(*workloads::find("adpcm"), 1);
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
     machines::XScaleConfig cfg;
     cfg.engine = options_for(backend);
-    machines::XScaleSim sim(cfg);
-    reset_rerun_expect("xscale_adpcm", backend, sim,
-                       [](auto& s) { return machines::golden_finish_xscale_adpcm(s); });
+    auto sim = std::make_unique<machines::XScaleSim>(cfg);
+    sim->run(adpcm, 1500);  // stops mid-kernel, tokens in flight
+    reset_rerun_expect("xscale_adpcm", backend,
+                       machines::golden_session_xscale_adpcm(std::move(sim)));
   }
 }
 
@@ -460,11 +541,12 @@ TEST(ResetOracle, XScaleRerunEqualsFreshRun) {
 // including the stall-cause tables.
 TEST(ResetOracle, BareEngineResetClearsAllRunState) {
   for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
-    machines::SimplePipeline sim(64, options_for(backend));
-    (void)machines::golden_finish_fig2(sim);
-    sim.engine().reset();
-    sim.machine().generated = 0;  // the machine context's only mutable field
-    const GoldenRunResult again = machines::golden_finish_fig2(sim);
+    auto sim = std::make_unique<machines::SimplePipeline>(64, options_for(backend));
+    sim->run();
+    sim->engine().reset();
+    sim->machine().generated = 0;  // the machine context's only mutable field
+    const GoldenRunResult again =
+        machines::finish_session(*machines::golden_session_fig2(std::move(sim)));
     const GoldenRunResult fresh =
         machines::run_golden_machine_full("fig2", options_for(backend));
     EXPECT_EQ(formatted("fig2", again), formatted("fig2", fresh))
@@ -519,7 +601,7 @@ int run_capture(const std::string& cmd, std::string& out) {
 TEST(CkptFreestanding, RoundTripAndCrossBuildRestore) {
 #ifndef RCPN_HAVE_FS_BINARIES
   GTEST_SKIP() << "no freestanding binaries in this build "
-                  "(RCPN_GENERATED_SIMS=OFF or RCPN_NO_EMBED=ON)";
+                  "(RCPN_GENERATED_SIMS=OFF)";
 #else
   const std::string key = "strongarm_crc";
   const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_" + key;

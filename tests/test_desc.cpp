@@ -9,6 +9,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,6 @@
 #include "desc/delegate_registry.hpp"
 #include "desc/description.hpp"
 #include "gen/compiled_engine.hpp"
-#include "gen/embed.hpp"
 #include "gen/emit_simulator.hpp"
 #include "machines/desc_machines.hpp"
 #include "machines/fuzz_model.hpp"
@@ -322,7 +322,8 @@ TEST(DescRoundTripFuzz, SixteenSeededTopologiesMatchDirectBuilds) {
     for (const core::Backend backend :
          {core::Backend::interpreted, core::Backend::compiled}) {
       const core::EngineOptions o = machines::fuzz_options_for(seed, backend);
-      const machines::GoldenRunResult direct = machines::golden_run_fuzz(seed, o);
+      const machines::GoldenRunResult direct =
+          machines::finish_session(*machines::make_fuzz_session(seed, o));
       const desc::Description d = round_trip(
           machines::describe_machine("fuzz-" + std::to_string(seed), o));
       const machines::GoldenRunResult loaded = machines::run_description(d, o);
@@ -340,8 +341,8 @@ TEST(DescRoundTripFuzz, SeedsBeyondAMillionDescribeAndLoad) {
   const core::EngineOptions o = machines::fuzz_options_for(seed, core::Backend::compiled);
   const desc::Description d = round_trip(machines::describe_machine("fuzz-1048576", o));
   EXPECT_EQ(d.model, "fuzz-1048576");
-  expect_runs_equal(machines::golden_run_fuzz(seed, o), machines::run_description(d, o),
-                    "fuzz-1048576");
+  expect_runs_equal(machines::finish_session(*machines::make_fuzz_session(seed, o)),
+                    machines::run_description(d, o), "fuzz-1048576");
 }
 
 // Every name fuzz_model_name prints parses back, up to the 32-bit limit (the
@@ -362,34 +363,26 @@ TEST(DescEmit, SimulatorSourceFromDescriptionMatchesDirectEmission) {
   const std::string key = "strongarm_crc";
   const core::EngineOptions o = opts_for(core::Backend::compiled);
 
-  const auto emit_from = [&](auto&& fn_runner) {
-    std::string linked, freestanding;
-    fn_runner([&](core::Net& net, core::Engine& eng) {
-      auto& ce = dynamic_cast<gen::CompiledEngine&>(eng);
-      gen::EmitSimOptions main_opts;
-      main_opts.machine_key = key;
-      main_opts.engine_options = o;
-      linked = gen::emit_simulator(ce.compiled(), net, main_opts);
-      if (!gen::embedded_file_paths().empty()) {
-        gen::EmitSimOptions fs;
-        fs.mode = gen::EmitMode::freestanding;
-        fs.engine_options = o;
-        fs.machine_key = key;
-        fs.run_expr = machines::golden_run_expr(key);
-        fs.extra_roots.push_back(machines::golden_run_header(key));
-        freestanding = gen::emit_simulator(ce.compiled(), net, fs);
-      }
-    });
-    return std::pair<std::string, std::string>{linked, freestanding};
+  const auto emit_from = [&](machines::GoldenSession& session) {
+    const core::Net& net = session.engine().net();
+    const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session.engine());
+    gen::EmitSimOptions main_opts;
+    main_opts.machine_key = key;
+    main_opts.engine_options = o;
+    gen::EmitSimOptions fs;
+    fs.mode = gen::EmitMode::freestanding;
+    fs.engine_options = o;
+    fs.machine_key = key;
+    fs.session_expr = machines::golden_session_expr(key);
+    fs.extra_roots.push_back(machines::golden_session_header(key));
+    return std::pair<std::string, std::string>{
+        gen::emit_simulator(ce.compiled(), net, main_opts),
+        gen::emit_simulator(ce.compiled(), net, fs)};
   };
 
-  const auto direct = emit_from([&](const machines::GoldenInspectFn& fn) {
-    machines::inspect_golden_machine(key, o, fn);
-  });
+  const auto direct = emit_from(*machines::make_golden_session(key, o));
   const desc::Description d = round_trip(machines::describe_machine(key, o));
-  const auto loaded = emit_from([&](const machines::GoldenInspectFn& fn) {
-    machines::inspect_description(d, o, fn);
-  });
+  const auto loaded = emit_from(*machines::make_description_session(d, o));
   EXPECT_EQ(direct.first, loaded.first);
   EXPECT_EQ(direct.second, loaded.second);
 }
@@ -431,6 +424,57 @@ TEST(DescZoo, ZooFilesLoadAndRunEveryMachine) {
     const machines::GoldenRunResult loaded = machines::run_description(d, o);
     expect_runs_equal(machines::run_golden_machine_full(key, o), loaded, key);
   }
+}
+
+/// `models/<file>` with the first occurrence of `from` replaced by `to`.
+std::string zoo_variant(const std::string& file, const std::string& from,
+                        const std::string& to) {
+  std::string text = read_text_file(std::string(RCPN_MODELS_DIR) + "/" + file);
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << file << ": " << from;
+  return at == std::string::npos ? text : text.replace(at, from.size(), to);
+}
+
+TEST(DescLimits, IndependentTransitionWithTwoMoveArcsIsRejected) {
+  const desc::Description d = desc::parse(
+      zoo_variant("tomasulo.rcpn", "independent Fetch\n  to DISP\n",
+                  "independent Fetch\n  to DISP\n  to DISP\n"));
+  try {
+    machines::run_description(d, desc::engine_options(d, opts_for(core::Backend::compiled)));
+    ADD_FAILURE() << "loaded an independent transition with two move arcs";
+  } catch (const model::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("transition 'Fetch'"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Run `file` with its fetch guard deleted: fetch runs past the end of the
+/// program, and decoding that pc must throw naming it and the program length
+/// instead of reading past the program.
+void expect_fetch_past_program_throws(const std::string& file, const std::string& guard,
+                                      const std::string& needle) {
+  const desc::Description d = desc::parse(zoo_variant(file, guard, ""));
+  for (const core::Backend b : {core::Backend::interpreted, core::Backend::compiled}) {
+    try {
+      machines::run_description(d, desc::engine_options(d, opts_for(b)));
+      ADD_FAILURE() << file << " on backend " << static_cast<int>(b)
+                    << " ran past the end of its program";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(DescBounds, Fig5FetchPastTheProgramThrows) {
+  expect_fetch_past_program_throws(
+      "fig5.rcpn", "  guard rcpn::machines::fig5_fetch_guard machine\n",
+      "Fig5: no instruction at pc 8 (the program has 8 instructions)");
+}
+
+TEST(DescBounds, TomasuloFetchPastTheProgramThrows) {
+  expect_fetch_past_program_throws(
+      "tomasulo.rcpn", "  guard rcpn::machines::tomasulo_fetch_guard machine\n",
+      "Tomasulo: no instruction at pc 6 (the program has 6 instructions)");
 }
 
 TEST(DescHazard, StrongArmWithoutIssueGuardThrowsHazardError) {

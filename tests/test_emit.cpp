@@ -7,7 +7,7 @@
 //  * coverage — all five machines are fully emittable (every guard/action a
 //    named delegate, machine type + includes registered), and the emitted
 //    source contains the direct-call dispatch, the registrar and (when asked
-//    for) the golden-runner main();
+//    for) the golden-session main();
 //  * refusal — models with anonymous closures are rejected with the offending
 //    transitions named; Backend::generated without a linked generated TU is a
 //    ModelError, not a silent fallback.
@@ -23,7 +23,6 @@
 
 #include "core/options_signature.hpp"
 #include "gen/compiled_engine.hpp"
-#include "gen/embed.hpp"
 #include "gen/emit.hpp"
 #include "gen/emit_simulator.hpp"
 #include "gen/generated.hpp"
@@ -43,28 +42,24 @@ struct Emitted {
 Emitted emit_machine(const std::string& key, core::EngineOptions opts = {}) {
   opts.backend = core::Backend::compiled;
   Emitted out;
-  machines::inspect_golden_machine(key, opts, [&](core::Net& net, core::Engine& eng) {
-    auto& ce = dynamic_cast<gen::CompiledEngine&>(eng);
-    out.tables = gen::emit_cpp(ce.compiled(), net);
-    gen::EmitSimOptions main_opts;
-    main_opts.machine_key = key;
-    main_opts.engine_options = opts;
-    out.simulator = gen::emit_simulator(ce.compiled(), net, main_opts);
-    gen::EmitSimOptions no_main;
-    no_main.engine_options = opts;
-    out.simulator_no_main = gen::emit_simulator(ce.compiled(), net, no_main);
-    // Freestanding emission needs the embedded source table; builds with
-    // RCPN_NO_EMBED=ON leave out.freestanding empty and skip its assertions.
-    if (!gen::embedded_file_paths().empty()) {
-      gen::EmitSimOptions fs;
-      fs.mode = gen::EmitMode::freestanding;
-      fs.engine_options = opts;
-      fs.machine_key = key;
-      fs.run_expr = machines::golden_run_expr(key);
-      fs.extra_roots.push_back(machines::golden_run_header(key));
-      out.freestanding = gen::emit_simulator(ce.compiled(), net, fs);
-    }
-  });
+  const auto session = machines::make_golden_session(key, opts);
+  const core::Net& net = session->engine().net();
+  const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session->engine());
+  out.tables = gen::emit_cpp(ce.compiled(), net);
+  gen::EmitSimOptions main_opts;
+  main_opts.machine_key = key;
+  main_opts.engine_options = opts;
+  out.simulator = gen::emit_simulator(ce.compiled(), net, main_opts);
+  gen::EmitSimOptions no_main;
+  no_main.engine_options = opts;
+  out.simulator_no_main = gen::emit_simulator(ce.compiled(), net, no_main);
+  gen::EmitSimOptions fs;
+  fs.mode = gen::EmitMode::freestanding;
+  fs.engine_options = opts;
+  fs.machine_key = key;
+  fs.session_expr = machines::golden_session_expr(key);
+  fs.extra_roots.push_back(machines::golden_session_header(key));
+  out.freestanding = gen::emit_simulator(ce.compiled(), net, fs);
   return out;
 }
 
@@ -83,15 +78,13 @@ TEST_P(Emitter, DeterministicByteIdenticalAcrossConstructions) {
 }
 
 TEST_P(Emitter, FreestandingInlinesTheRuntimeWithZeroRepoIncludes) {
-  if (gen::embedded_file_paths().empty())
-    GTEST_SKIP() << "embedded source table stripped (RCPN_NO_EMBED=ON)";
   const std::string key = GetParam();
   const Emitted e = emit_machine(key);
 
   // Zero quoted includes anywhere: the whole runtime subset is inlined.
   EXPECT_EQ(e.freestanding.find("#include \""), std::string::npos);
   // The inlined pieces the tentpole names: token storage + arena, the static
-  // engine, the model layer, and the golden-runner trace IO + CLI.
+  // engine, the model layer, and the golden-session trace IO + CLI.
   EXPECT_NE(e.freestanding.find("class TokenStore"), std::string::npos);
   EXPECT_NE(e.freestanding.find("class TokenArena"), std::string::npos);
   EXPECT_NE(e.freestanding.find("class StaticEngine"), std::string::npos);
@@ -125,8 +118,7 @@ TEST_P(Emitter, EmitsAblationVariantSchedules) {
   const Emitted all = emit_machine(key, two_list_all);
   EXPECT_NE(all.simulator_no_main.find(key_stamp(two_list_all)), std::string::npos);
   EXPECT_NE(all.simulator_no_main.find("force_two_list_all=1"), std::string::npos);
-  if (!all.freestanding.empty())
-    EXPECT_NE(all.freestanding.find(key_stamp(two_list_all)), std::string::npos);
+  EXPECT_NE(all.freestanding.find(key_stamp(two_list_all)), std::string::npos);
   EXPECT_NE(all.simulator_no_main, def.simulator_no_main)
       << key << ": variant schedule emitted identical to the default";
   EXPECT_EQ(all.simulator_no_main, emit_machine(key, two_list_all).simulator_no_main)
@@ -302,8 +294,6 @@ TEST(GeneratedBackend, RegistryRoundTripKeyedByOptions) {
 // mode, and a model whose emit_include() is outside the embedded source set
 // is rejected naming the offending path.
 TEST(Emitter, FreestandingRejectsAnonymousClosures) {
-  if (gen::embedded_file_paths().empty())
-    GTEST_SKIP() << "embedded source table stripped (RCPN_NO_EMBED=ON)";
   core::EngineOptions opts;
   opts.backend = core::Backend::compiled;
   model::Simulator<ClosureMachine> sim(
@@ -333,8 +323,6 @@ TEST(Emitter, FreestandingRejectsAnonymousClosures) {
 }
 
 TEST(Emitter, FreestandingRejectsIncludesOutsideTheEmbeddedSet) {
-  if (gen::embedded_file_paths().empty())
-    GTEST_SKIP() << "embedded source table stripped (RCPN_NO_EMBED=ON)";
   core::EngineOptions opts;
   opts.backend = core::Backend::compiled;
   model::Simulator<ClosureMachine> sim(

@@ -147,9 +147,7 @@ TEST(FarmDeterminism, ArmGoldenJobsOnFourWorkersMatchDirectRuns) {
     const std::string id = farm::job_key(job.spec);
     ASSERT_EQ(job.result.status, farm::JobStatus::ok) << id << ": " << job.result.error;
     const machines::GoldenRunResult direct =
-        job.spec.machine == "strongarm_crc"
-            ? machines::golden_run_strongarm_crc(job.spec.options)
-            : machines::golden_run_xscale_adpcm(job.spec.options);
+        machines::run_golden_machine_full(job.spec.machine, job.spec.options);
     EXPECT_EQ(job.result.digest, farm::trace_digest(direct.trace)) << id;
     EXPECT_EQ(job.result.stats.cycles, direct.stats.cycles) << id;
   }
@@ -340,7 +338,8 @@ TEST(FarmCache, CycleBudgetTruncationIsPartOfTheCacheIdentity) {
   const unsigned seed = 7;
   core::EngineOptions opts;
   opts.backend = core::Backend::compiled;
-  const machines::GoldenRunResult full = machines::golden_run_fuzz(seed, opts);
+  const machines::GoldenRunResult full =
+      machines::finish_session(*machines::make_fuzz_session(seed, opts));
   const std::uint64_t n = full.stats.cycles;
   ASSERT_GT(n, 1u);
 

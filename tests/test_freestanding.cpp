@@ -16,10 +16,9 @@
 // particular the freestanding artifact, whose whole runtime is an inlined
 // copy — can drift from the others.
 //
-// Leg 3 needs the generated TUs (RCPN_GENERATED_SIMS=ON defines
-// RCPN_HAVE_GENERATED); leg 4 additionally needs the emitted gen_fs_*
-// binaries, which require the embedded source table (RCPN_NO_EMBED=OFF
-// defines RCPN_HAVE_FS_BINARIES). Builds without either run only legs 1-2.
+// Legs 3 and 4 need the generated TUs and the emitted gen_fs_* binaries
+// (RCPN_GENERATED_SIMS=ON defines RCPN_HAVE_GENERATED and
+// RCPN_HAVE_FS_BINARIES). Builds without them run only legs 1-2.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -117,7 +116,7 @@ TEST_P(FourWay, InProcessBackendsAndGoldenAgree) {
 TEST_P(FourWay, FreestandingBinaryMatchesInProcess) {
 #ifndef RCPN_HAVE_FS_BINARIES
   GTEST_SKIP() << "no freestanding binaries in this build "
-                  "(RCPN_GENERATED_SIMS=OFF or RCPN_NO_EMBED=ON)";
+                  "(RCPN_GENERATED_SIMS=OFF)";
 #else
   const std::string key = GetParam();
   const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_" + key;

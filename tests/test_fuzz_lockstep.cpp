@@ -31,7 +31,6 @@
 
 #include "gen/compiled_engine.hpp"
 #include "gen/emit_simulator.hpp"
-#include "gen/embed.hpp"
 #include "machines/fuzz_model.hpp"
 #include "machines/generic_main.hpp"
 #include "model/simulator.hpp"
@@ -211,8 +210,6 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
 #ifndef RCPN_CXX_COMPILER
   GTEST_SKIP() << "host compiler not configured (RCPN_CXX_COMPILER)";
 #else
-  if (gen::embedded_file_paths().empty())
-    GTEST_SKIP() << "embedded source table stripped (RCPN_NO_EMBED=ON)";
   const std::string dir = ::testing::TempDir() + "fuzz_freestanding";
   ASSERT_EQ(run_command("mkdir -p " + dir), 0);
 
@@ -236,8 +233,8 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
     fs.mode = gen::EmitMode::freestanding;
     fs.engine_options = opts;
     fs.machine_key = name;
-    fs.run_expr =
-        "rcpn::machines::golden_run_fuzz(" + std::to_string(seed) + "u, options)";
+    fs.session_expr =
+        "rcpn::machines::make_fuzz_session(" + std::to_string(seed) + "u, options)";
     fs.extra_roots.push_back("machines/fuzz_model.hpp");
     const std::string src = gen::emit_simulator(ce.compiled(), sim.net(), fs);
     ASSERT_EQ(src.find("#include \""), std::string::npos)
@@ -249,8 +246,9 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
     { std::ofstream(base + ".cpp") << src; }
 
     // The interpreted backend's trace is the reference the binary diffs.
-    const machines::GoldenRunResult interp = machines::golden_run_fuzz(
-        seed, machines::fuzz_options_for(seed, core::Backend::interpreted));
+    const machines::GoldenRunResult interp =
+        machines::finish_session(*machines::make_fuzz_session(
+            seed, machines::fuzz_options_for(seed, core::Backend::interpreted)));
     ASSERT_FALSE(interp.trace.empty());
     { std::ofstream(base + ".trace") << machines::format_golden_trace(name, interp.trace); }
 
@@ -273,14 +271,12 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
 
 // A freestanding artifact emitted with the *generic* main
 // (machines/generic_main.hpp, via generic_describe_expr) instead of a golden
-// runner: the binary must honour workload-from-argv (positional emit count)
+// session: the binary must honour workload-from-argv (positional emit count)
 // and --cycles, and replicate the in-process generic run loop exactly.
 TEST(FuzzFreestanding, GenericMainBinaryHonoursWorkloadArgsAndCycleCap) {
 #ifndef RCPN_CXX_COMPILER
   GTEST_SKIP() << "host compiler not configured (RCPN_CXX_COMPILER)";
 #else
-  if (gen::embedded_file_paths().empty())
-    GTEST_SKIP() << "embedded source table stripped (RCPN_NO_EMBED=ON)";
   const unsigned seed = 3;
   const std::uint64_t to_emit = 5;   // downward override: always completes
   const std::uint64_t cycles = 2000;

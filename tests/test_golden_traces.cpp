@@ -33,7 +33,7 @@ std::vector<GoldenRetireEvent> run_machine(const std::string& name,
                                            core::Backend backend) {
   core::EngineOptions opts;
   opts.backend = backend;
-  return machines::run_golden_machine(name, opts);
+  return machines::run_golden_machine_full(name, opts).trace;
 }
 
 std::string golden_path(const std::string& name) {

@@ -183,6 +183,18 @@ TEST(ModelValidation, IndependentTransitionWithTriggerArc) {
   expect_build_error(b, "cannot have trigger arcs");
 }
 
+// The one-move rule covers independent transitions too: the engines'
+// to() arc builder asserts it, so a second move arc must be a ModelError in
+// every build, not an abort (Debug) or a silently accepted model (release).
+TEST(ModelValidation, IndependentTransitionWithTwoMoveArcs) {
+  ModelBuilder<> b("m");
+  const StageHandle s = b.add_stage("S", 2);
+  const PlaceHandle p1 = b.add_place("P1", s);
+  const PlaceHandle p2 = b.add_place("P2", s);
+  b.add_independent_transition("Fetch").to(p1).to(p2);
+  expect_build_error(b, "transition 'Fetch': a transition moves its token to one place");
+}
+
 TEST(ModelValidation, DanglingTypeHandle) {
   ModelBuilder<> b("m");
   const StageHandle s = b.add_stage("S", 1);

@@ -372,8 +372,10 @@ TEST(ObsFuzz, EightSeedShardRunsLockstepWithProbesAttached) {
     core::EngineOptions oc = machines::fuzz_options_for(seed, core::Backend::compiled);
     oi.obs = &hub_i;
     oc.obs = &hub_c;
-    const machines::GoldenRunResult ri = machines::golden_run_fuzz(seed, oi);
-    const machines::GoldenRunResult rc = machines::golden_run_fuzz(seed, oc);
+    const machines::GoldenRunResult ri =
+        machines::finish_session(*machines::make_fuzz_session(seed, oi));
+    const machines::GoldenRunResult rc =
+        machines::finish_session(*machines::make_fuzz_session(seed, oc));
 
     ASSERT_FALSE(ri.trace.empty()) << "seed=" << seed;
     EXPECT_EQ(ri.trace, rc.trace) << "seed=" << seed;
@@ -451,20 +453,18 @@ TEST(ObsStreams, ExportedGoldenTraceIsValidJson) {
 // -- stall-cause attribution in Stats::report() -------------------------------
 
 TEST(ObsStallReport, StatsReportBreaksStallsDownByCause) {
-  machines::inspect_golden_machine(
-      "fig2", core::EngineOptions{}, [](core::Net& net, core::Engine&) {
-        core::Stats st;
-        st.reset(net.num_transitions(), net.num_places());
-        ASSERT_GE(net.num_places(), 2u);
-        st.place_stalls[1] = 3;
-        st.place_stall_causes[1 * core::kNumStallCauses + 0] = 1;
-        st.place_stall_causes[1 * core::kNumStallCauses + 1] = 2;
-        const std::string rep = st.report(net);
-        EXPECT_NE(rep.find("place stalls (no_ready/guard/capacity):"),
-                  std::string::npos)
-            << rep;
-        EXPECT_NE(rep.find(": 3 (1/2/0)"), std::string::npos) << rep;
-      });
+  const auto session = machines::make_golden_session("fig2", core::EngineOptions{});
+  const core::Net& net = session->engine().net();
+  core::Stats st;
+  st.reset(net.num_transitions(), net.num_places());
+  ASSERT_GE(net.num_places(), 2u);
+  st.place_stalls[1] = 3;
+  st.place_stall_causes[1 * core::kNumStallCauses + 0] = 1;
+  st.place_stall_causes[1 * core::kNumStallCauses + 1] = 2;
+  const std::string rep = st.report(net);
+  EXPECT_NE(rep.find("place stalls (no_ready/guard/capacity):"), std::string::npos)
+      << rep;
+  EXPECT_NE(rep.find(": 3 (1/2/0)"), std::string::npos) << rep;
 }
 
 }  // namespace rcpn
