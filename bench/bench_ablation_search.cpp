@@ -1,18 +1,15 @@
 // Ablation — the Fig 6 sorted per-(place, type) transition table vs the
 // CPN-style global enabled-transition search (paper §4: "Searching for
 // enabled transitions ... can be very time consuming in generic Petri Net
-// models"). Two measurements:
-//   1. the RCPN engine with linear_search forced on (same net, no table);
-//   2. a genuinely generic CPN simulator (NaiveEngine) running the
-//      *converted* Fig 2 net, whose every step re-scans all transitions and
-//      double-buffers all places.
+// models"): the RCPN engine on the Fig 2 net against a genuinely generic CPN
+// simulator (NaiveEngine) running the *converted* Fig 2 net, whose every
+// step re-scans all transitions and double-buffers all places.
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
 #include "cpn/naive_engine.hpp"
 #include "cpn/rcpn_to_cpn.hpp"
 #include "machines/simple_pipeline.hpp"
-#include "machines/strongarm.hpp"
 #include "util/table.hpp"
 
 using namespace rcpn;
@@ -21,23 +18,9 @@ int main() {
   std::printf("Ablation: Fig 6 sorted candidate table vs global search\n");
   std::printf("REPRO_SCALE=%.2f\n\n", bench::repro_scale());
 
-  // Part 1: StrongArm model, identical timing, different lookup strategy.
-  util::Table table({"configuration", "Mcyc/s", "cycles"});
-  const workloads::Workload* w = workloads::find("crc");
-  const sys::Program prog = workloads::build(*w, bench::scaled(*w));
-  for (const bool linear : {false, true}) {
-    machines::StrongArmConfig cfg;
-    cfg.engine.linear_search = linear;
-    machines::StrongArmSim sim(cfg);
-    const auto [r, secs] = bench::timed([&] { return sim.run(prog); });
-    table.add_row({linear ? "global search (CPN-style)" : "sorted table (Fig 6)",
-                   bench::mcps(r.cycles, secs), std::to_string(r.cycles)});
-  }
-  table.print();
-
-  // Part 2: generic CPN engine on the converted Fig 2 net vs the RCPN engine
-  // on the original — firings per second through the same structure.
-  std::printf("\nFig 2 pipeline, tokens through the net:\n");
+  // Generic CPN engine on the converted Fig 2 net vs the RCPN engine on the
+  // original — firings per second through the same structure.
+  std::printf("Fig 2 pipeline, tokens through the net:\n");
   const std::uint64_t kTokens = bench::scaled_count(400'000);
 
   machines::SimplePipeline pipe(kTokens);

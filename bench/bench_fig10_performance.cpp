@@ -12,8 +12,8 @@
 // Both RCPN models run on every available engine backend:
 //  * interpreted — core::Engine walking the net;
 //  * compiled (c) — gen::CompiledEngine over the flattened tables;
-//  * generated (g) — the standalone gen::emit_simulator artifact, present
-//    when the build linked the emitted no-main TUs in (RCPN_GENERATED_SIMS).
+//  * generated (g) — the standalone gen::emit_simulator artifact, from the
+//    emitted no-main TUs the build links in.
 // BENCH_fig10.json records compiled_vs_interpreted and, when available,
 // generated_vs_compiled ratios so the perf trajectory across PRs tracks both
 // devirtualization steps. CI fails if the compiled backend regresses below

@@ -15,7 +15,7 @@
 //                                      timeout/failed while the rest succeed
 //   rcpn_farm --json FILE              write the full report JSON
 //
-// Grid knobs: --machines a,b,c  --variants default,twolist,linear,nostateref
+// Grid knobs: --machines a,b,c  --variants default,twolist,nostateref
 // --seeds N  --executors in_process,subprocess  --cycles N (fuzz budget)
 // --workers N  --timeout-ms N  --bin-dir DIR  --quiet
 //
@@ -92,7 +92,7 @@ std::size_t scaled_default_seeds() {
   std::fprintf(stderr,
                "rcpn_farm: %s\n"
                "usage: rcpn_farm [--machines a,b,...] [--variants "
-               "default,twolist,linear,nostateref]\n"
+               "default,twolist,nostateref]\n"
                "                 [--executors in_process,subprocess] [--seeds N] "
                "[--cycles N]\n"
                "                 [--workers N] [--timeout-ms N] [--bin-dir DIR] "
@@ -148,7 +148,6 @@ core::EngineOptions variant_options(const std::string& variant,
                         : core::Backend::compiled;
   if (variant == "default") return options;
   if (variant == "twolist") options.force_two_list_all = true;
-  else if (variant == "linear") options.linear_search = true;
   else if (variant == "nostateref") options.two_list_state_refs = false;
   else usage_error(("unknown variant '" + variant + "'").c_str());
   return options;

@@ -60,39 +60,19 @@ int usage(const char* argv0, int code) {
   for (const std::string& key : machines::golden_machine_keys())
     std::fprintf(stderr, " %s", key.c_str());
   std::fprintf(stderr,
-               ", fuzz-<seed> (seeded random model, generic main),\n"
+               ", fuzz-<seed> (seeded random model),\n"
                "  or a path ending in .rcpn (the description's recorded engine\n"
                "  options are the base; explicit flags below override them)\n"
                "  schedule flags: --force-two-list-all --no-two-list-state-refs\n"
-               "                  --linear-search  (emit an ablation-variant\n"
-               "                  schedule, stamped and verified at build())\n"
+               "                  (emit an ablation-variant schedule, stamped and\n"
+               "                  verified at build())\n"
                "  --no-main: emit engine + registrar only (link into another binary)\n"
                "  --freestanding: inline the runtime subset — the emitted file\n"
                "                  compiles with no repo includes and links against\n"
                "                  nothing but the C++ standard library\n"
                "  --tables:  emit the static-schedule table dump (gen::emit_cpp)\n"
-               "  --dot:     emit the model structure for graphviz (gen::emit_dot)\n"
-               "A fuzz-<seed> artifact's main is the *generic* CLI\n"
-               "(machines/generic_main.hpp): positional arg = emit count,\n"
-               "--cycles N = cycle budget.\n");
+               "  --dot:     emit the model structure for graphviz (gen::emit_dot)\n");
   return code;
-}
-
-/// The generic-main expressions for a fuzz-<seed> model: re-create the seed's
-/// description, take the emit count from argv, drain when it is reached.
-void fill_fuzz_generic_main(const std::string& key, gen::EmitSimOptions& emit_opts) {
-  const std::string seed = key.substr(5);
-  const std::string m = "rcpn::machines::FuzzMachine";
-  emit_opts.generic_describe_expr =
-      "[](rcpn::model::ModelBuilder<" + m + ">& b, " + m +
-      "& m) { rcpn::machines::describe_fuzz_model(" + seed + "u, b, m); }";
-  emit_opts.generic_workload_expr =
-      "[](" + m +
-      "& m, const std::vector<std::string>& args) {\n"
-      "        if (!args.empty()) m.to_emit = std::strtoull(args[0].c_str(), nullptr, "
-      "10);\n"
-      "      }";
-  emit_opts.generic_done_expr = "[](const " + m + "& m) { return m.emitted >= m.to_emit; }";
 }
 
 /// Write `source` to `out_path`, or stdout when the path is empty.
@@ -117,12 +97,10 @@ int write_output(const std::string& source, const std::string& out_path) {
 struct ScheduleOverrides {
   bool force_two_list_all = false;
   bool no_two_list_state_refs = false;
-  bool linear_search = false;
 
   void apply(core::EngineOptions& options) const {
     if (force_two_list_all) options.force_two_list_all = true;
     if (no_two_list_state_refs) options.two_list_state_refs = false;
-    if (linear_search) options.linear_search = true;
   }
 };
 
@@ -132,8 +110,6 @@ bool parse_schedule_flag(const std::string& arg, ScheduleOverrides& seen) {
     seen.force_two_list_all = true;
   } else if (arg == "--no-two-list-state-refs") {
     seen.no_two_list_state_refs = true;
-  } else if (arg == "--linear-search") {
-    seen.linear_search = true;
   } else {
     return false;
   }
@@ -242,18 +218,17 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
     } else {
       gen::EmitSimOptions emit_opts;
       emit_opts.engine_options = options;
-      if (freestanding) {
-        emit_opts.mode = gen::EmitMode::freestanding;
+      if (freestanding) emit_opts.mode = gen::EmitMode::freestanding;
+      if (with_main) {
+        // The main runs the machine's session: the one fuzz shards and farm
+        // jobs run for fuzz-<seed>, the golden session otherwise.
+        emit_opts.machine_key = key;
+        emit_opts.session_expr =
+            seed ? "rcpn::machines::make_fuzz_session(" + std::to_string(*seed) +
+                       "u, options)"
+                 : machines::golden_session_expr(key);
         emit_opts.extra_roots.push_back(
             seed ? "machines/fuzz_model.hpp" : machines::golden_session_header(key));
-        if (with_main && !seed)
-          emit_opts.session_expr = machines::golden_session_expr(key);
-      }
-      if (with_main) {
-        if (seed)
-          fill_fuzz_generic_main(key, emit_opts);
-        else
-          emit_opts.machine_key = key;
       }
       source = gen::emit_simulator(ce.compiled(), net, emit_opts);
     }

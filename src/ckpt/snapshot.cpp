@@ -10,7 +10,7 @@ namespace rcpn::ckpt {
 
 namespace {
 
-constexpr std::string_view kVersion = "rcpn-ckpt/2";
+constexpr std::string_view kVersion = "rcpn-ckpt/3";
 
 void save_u64_vec(StateWriter& w, std::string_view name,
                   const std::vector<std::uint64_t>& v) {

@@ -13,7 +13,7 @@
 // valid for interpreted, compiled, generated(linked) and freestanding runs
 // alike.
 //
-// Format: versioned text ("rcpn-ckpt/2", see docs/ckpt-format.md), written
+// Format: versioned text ("rcpn-ckpt/3", see docs/ckpt-format.md), written
 // and parsed by ckpt::StateWriter/StateReader. Restore strictly verifies the
 // snapshot identity — format version, machine key, model name, structural
 // model digest, schedule-options signature, workload id — and rejects any

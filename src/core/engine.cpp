@@ -503,33 +503,12 @@ void Engine::process_place(PlaceId p) {
     // every backend, so the breakdown is backend-identical.
     reject_cause_ = StallCause::no_ready_token;
     bool fired = false;
-    if (!options_.linear_search) {
-      const auto& cands =
-          sorted_[static_cast<std::size_t>(p) * nt + static_cast<unsigned>(tok->type)];
-      for (const Transition* t : cands) {
-        if (try_fire(*t, tok)) {
-          fired = true;
-          break;
-        }
-      }
-    } else {
-      // Ablation: CPN-style global search over all transitions, repeated for
-      // every token — no Fig 6 precomputation.
-      std::vector<const Transition*> cands;
-      for (unsigned ti = 0; ti < net_.num_transitions(); ++ti) {
-        const Transition& t = net_.transition(static_cast<TransitionId>(ti));
-        if (!t.independent() && t.trigger_place() == p && t.subnet() == tok->type)
-          cands.push_back(&t);
-      }
-      std::stable_sort(cands.begin(), cands.end(),
-                       [](const Transition* a, const Transition* b) {
-                         return a->trigger_priority() < b->trigger_priority();
-                       });
-      for (const Transition* t : cands) {
-        if (try_fire(*t, tok)) {
-          fired = true;
-          break;
-        }
+    const auto& cands =
+        sorted_[static_cast<std::size_t>(p) * nt + static_cast<unsigned>(tok->type)];
+    for (const Transition* t : cands) {
+      if (try_fire(*t, tok)) {
+        fired = true;
+        break;
       }
     }
     if (!fired) count_stall(p, tok);

@@ -57,9 +57,6 @@ struct EngineOptions {
   /// Ablation: use the two-list algorithm for *every* stage (the
   /// "computationally expensive usual solution" of §4).
   bool force_two_list_all = false;
-  /// Ablation: ignore the Fig 6 sorted-transition table and search all
-  /// transitions of the net for every token (CPN-style global search).
-  bool linear_search = false;
   /// Stop with an error after this many cycles without any firing while
   /// tokens are still in flight (model deadlock watchdog).
   std::uint64_t deadlock_limit = 100000;

@@ -17,7 +17,6 @@ struct ScheduleOption {
 constexpr ScheduleOption kScheduleOptions[] = {
     {"two_list_state_refs", &EngineOptions::two_list_state_refs},
     {"force_two_list_all", &EngineOptions::force_two_list_all},
-    {"linear_search", &EngineOptions::linear_search},
 };
 
 constexpr unsigned kNumScheduleOptions =

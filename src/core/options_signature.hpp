@@ -7,7 +7,7 @@
 // table: a new flag is added here once and every encoder picks it up.
 //
 // "Schedule-affecting" means the flag changes which tokens fire when
-// (two-list analysis, candidate-search strategy).
+// (the two-list analysis).
 // Runtime knobs (backend, deadlock_limit, obs) are deliberately absent.
 #pragma once
 

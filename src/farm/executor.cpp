@@ -249,22 +249,12 @@ JobResult run_subprocess(const JobSpec& spec, std::uint64_t timeout_ms,
   // output tail, nothing worse.
   try {
     unsigned fuzz_seed = 0;
-    const bool fuzz = is_fuzz_job(spec, fuzz_seed);
-    if (is_description_job(spec)) {
-      // Description jobs resolve delegates through the in-process registries;
-      // there is no pre-built per-description binary to exec. Fail loudly
-      // instead of exec'ing a nonsense path.
-      result = failed_result(
-          "description job '" + spec.machine +
-          "' requires the in-process executor (no per-.rcpn binary to spawn)");
-    } else if (fuzz && !spec.resume_checkpoint.empty()) {
-      // The generic artifact CLI treats unknown arguments as workload
-      // positionals — silently ignoring the checkpoint would run (and cache)
-      // the wrong simulation. Refuse instead.
-      result = failed_result(
-          "fuzz job '" + spec.machine +
-          "' cannot resume from a checkpoint under the subprocess executor "
-          "(generic artifact CLI has no --restore); use in-process");
+    if (is_description_job(spec) || is_fuzz_job(spec, fuzz_seed)) {
+      // Descriptions and fuzz models have no pre-built gen_fs_<machine>
+      // binary; fail loudly instead of exec'ing a nonsense path.
+      result = failed_result("job '" + spec.machine +
+                             "' has no gen_fs_ binary to spawn (descriptions "
+                             "and fuzz models have none); use in-process executor");
     } else {
       std::vector<std::string> argv;
       argv.push_back(bin_dir + "/gen_fs_" + spec.machine);
@@ -279,15 +269,6 @@ JobResult run_subprocess(const JobSpec& spec, std::uint64_t timeout_ms,
       }
       if (spec.options.force_two_list_all) argv.push_back("--force-two-list-all");
       if (!spec.options.two_list_state_refs) argv.push_back("--no-two-list-state-refs");
-      if (spec.options.linear_search) argv.push_back("--linear-search");
-      if (fuzz) {
-        // Fuzz artifacts carry the generic --cycles cap. Without this the
-        // child would run its own default regardless of spec.cycle_budget —
-        // and the result cache, keyed on the budget, would retain a result
-        // the spec's truncation never produced.
-        argv.push_back("--cycles");
-        argv.push_back(std::to_string(effective_cycle_budget(spec)));
-      }
       if (!spec.resume_checkpoint.empty()) {
         argv.push_back("--restore");
         argv.push_back(spec.resume_checkpoint);

@@ -12,7 +12,9 @@
 // run_subprocess spawns the machine's freestanding gen_fs_<machine> binary
 // and parses its golden-format stdout — one fork/exec per job, but hard
 // isolation: a crash is an exit code, a child past its deadline is
-// SIGKILLed, and the simulation cannot corrupt farm memory.
+// SIGKILLed, and the simulation cannot corrupt farm memory. Description and
+// fuzz jobs have no such binary: it fails them, naming the in-process
+// executor.
 //
 // Both compute the job's deadline once, saturating: a timeout beyond the
 // steady clock's range means no deadline. Neither throws: every failure mode

@@ -27,6 +27,7 @@ namespace rcpn::farm {
 /// `subprocess` spawns the machine's freestanding gen_fs_<machine> binary and
 /// parses its golden-format trace — full address-space isolation, and the
 /// only executor whose timeout can stop a simulation stuck inside one cycle.
+/// Description and fuzz jobs run in-process only.
 enum class ExecutorKind : std::uint8_t { in_process, subprocess };
 
 const char* executor_name(ExecutorKind kind);
@@ -55,7 +56,7 @@ struct JobSpec {
   std::uint64_t cycle_budget = 0;
   /// Per-job wall-clock timeout; 0 = the farm's default_timeout_ms.
   std::uint64_t timeout_ms = 0;
-  /// Optional rcpn-ckpt/2 checkpoint file to resume from instead of starting
+  /// Optional rcpn-ckpt/3 checkpoint file to resume from instead of starting
   /// the workload at cycle 0 (golden machine keys and fuzz models). The
   /// file's *content* digest is folded into job_key/job_hash — the restored
   /// state is part of the simulation's identity, so editing or regenerating

@@ -13,9 +13,8 @@
 // Actions keep calling FireCtx::engine services unchanged: a CompiledEngine
 // IS-A core::Engine, so models never know which backend runs them.
 //
-// The `linear_search` ablation option is meaningless here (the compiled
-// tables *are* the Fig 6 precomputation) and is ignored; the two-list options
-// act at analysis time and are honored by every backend.
+// The two-list options act at analysis time and are honored by every
+// backend.
 #pragma once
 
 #include <cstdint>

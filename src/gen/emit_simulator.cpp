@@ -103,15 +103,11 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         missing);
 
   const bool freestanding = options.mode == EmitMode::freestanding;
-  if (freestanding && !options.machine_key.empty() && options.session_expr.empty())
+  const bool with_main = !options.machine_key.empty();
+  if (with_main && options.session_expr.empty())
     throw std::runtime_error(
-        "emit_simulator: freestanding main() for '" + options.machine_key +
-        "' needs EmitSimOptions::session_expr (the golden-session expression)");
-  const bool generic_main = !options.generic_describe_expr.empty();
-  if (generic_main && !options.machine_key.empty())
-    throw std::runtime_error(
-        "emit_simulator: machine_key and generic_describe_expr are mutually "
-        "exclusive (a golden-session main or a generic main, not both)");
+        "emit_simulator: main() for '" + options.machine_key +
+        "' needs EmitSimOptions::session_expr (the session expression)");
 
   const core::EngineOptions& eo = options.engine_options;
   const std::uint32_t opt_key = generated_options_key(eo);
@@ -137,6 +133,11 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
           core::options_signature(eo).c_str(),
           generated_options_desc(opt_key).c_str());
 
+  // The model's headers, then the main()'s: included in linked mode,
+  // inlined in freestanding mode.
+  std::vector<std::string> includes = net.emit_includes();
+  includes.insert(includes.end(), options.extra_roots.begin(), options.extra_roots.end());
+  if (with_main) includes.push_back("machines/golden_trace.hpp");
   if (freestanding) {
     out +=
         "//\n"
@@ -157,10 +158,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "#include <memory>\n"
         "\n";
     std::vector<std::string> roots = {"gen/static_engine.hpp", "gen/generated.hpp"};
-    for (const std::string& inc : net.emit_includes()) roots.push_back(inc);
-    for (const std::string& inc : options.extra_roots) roots.push_back(inc);
-    if (!options.machine_key.empty()) roots.push_back("machines/golden_trace.hpp");
-    if (generic_main) roots.push_back("machines/generic_main.hpp");
+    roots.insert(roots.end(), includes.begin(), includes.end());
     out += amalgamate_sources(roots);
   } else {
     out +=
@@ -171,16 +169,13 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "#include \"gen/generated.hpp\"\n"
         "#include \"gen/static_engine.hpp\"\n";
     std::vector<std::string> seen;
-    for (const std::string& inc : net.emit_includes()) {
+    for (const std::string& inc : includes) {
       bool dup = false;
       for (const std::string& s : seen) dup = dup || s == inc;
       if (dup) continue;
       seen.push_back(inc);
       out += "#include \"" + inc + "\"\n";
     }
-    if (!options.machine_key.empty())
-      out += "#include \"machines/golden_runner.hpp\"\n";
-    if (generic_main) out += "#include \"machines/generic_main.hpp\"\n";
   }
 
   out +=
@@ -360,72 +355,27 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
       "}  // namespace\n"
       "}  // namespace rcpn_gen\n";
 
-  if (!options.machine_key.empty()) {
-    if (freestanding) {
-      out +=
-          "\n"
-          "// Run the golden workload on the generated engine; with --golden FILE\n"
-          "// diff the cycle-stamped retire trace and report the first divergence.\n"
-          "// The base options reproduce the stamped emission variant.\n"
-          "int main(int argc, char** argv) {\n"
-          "  rcpn::core::EngineOptions base;\n";
-      emit_base_option_lines(out, eo);
-      out +=
-          "  return rcpn::machines::golden_cli_main(\n"
-          "      argc, argv, \"" +
-          options.machine_key +
-          "\",\n"
-          "      [](rcpn::core::EngineOptions options) {\n"
-          "        return " +
-          options.session_expr +
-          ";\n"
-          "      },\n"
-          "      base);\n"
-          "}\n";
-    } else {
-      out +=
-          "\n"
-          "// Run the golden workload on the generated engine; with --golden FILE\n"
-          "// diff the cycle-stamped retire trace and report the first divergence.\n"
-          "int main(int argc, char** argv) {\n"
-          "  return rcpn::machines::generated_main(argc, argv, \"" +
-          options.machine_key + "\");\n}\n";
-    }
-  }
-
-  if (generic_main) {
-    const std::string mtype = net.emit_machine_type();
-    const std::string workload =
-        !options.generic_workload_expr.empty()
-            ? options.generic_workload_expr
-            : "[](" + mtype + "&, const std::vector<std::string>&) {}";
-    const std::string done = !options.generic_done_expr.empty()
-                                 ? options.generic_done_expr
-                                 : "[](const " + mtype + "&) { return false; }";
+  if (with_main) {
     out +=
         "\n"
-        "// Generic CLI main: --cycles N caps the run, positional arguments are\n"
-        "// the workload; see machines/generic_main.hpp. The base options\n"
-        "// reproduce the stamped emission variant.\n"
+        "// Run the machine's session on the generated engine; with --golden FILE\n"
+        "// diff the cycle-stamped retire trace and report the first divergence.\n"
+        "// The base options reproduce the stamped emission variant.\n"
         "int main(int argc, char** argv) {\n"
         "  rcpn::core::EngineOptions base;\n";
     emit_base_option_lines(out, eo);
-    out += "  return rcpn::machines::generic_cli_main<" + mtype +
-           ">(\n"
-           "      argc, argv, \"" +
-           net.name() +
-           "\",\n"
-           "      " +
-           options.generic_describe_expr +
-           ",\n"
-           "      " +
-           workload +
-           ",\n"
-           "      " +
-           done +
-           ",\n"
-           "      base);\n"
-           "}\n";
+    out +=
+        "  return rcpn::machines::golden_cli_main(\n"
+        "      argc, argv, \"" +
+        options.machine_key +
+        "\",\n"
+        "      [](rcpn::core::EngineOptions options) {\n"
+        "        return " +
+        options.session_expr +
+        ";\n"
+        "      },\n"
+        "      base);\n"
+        "}\n";
   }
   return out;
 }

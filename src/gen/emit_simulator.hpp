@@ -18,8 +18,8 @@
 //    optimization);
 //  * a static registrar so Backend::generated resolves to this engine (keyed
 //    by model name + options) when the TU is linked in, and optionally a
-//    main() that runs the machine's golden session and diffs the retire
-//    trace (the CI gate).
+//    main() that runs the machine's session under the stamped options and
+//    diffs the retire trace (the CI gate) — the same main in both modes.
 //
 // Two emission modes:
 //  * EmitMode::linked (default) — the TU #includes the library headers and
@@ -58,9 +58,9 @@ enum class EmitMode : std::uint8_t {
 };
 
 struct EmitSimOptions {
-  /// Emit a main() that runs this machine key's golden session (see
-  /// machines/golden_runner.hpp) and prints/diffs the retire trace. Empty:
-  /// emit only the engine + registrar (for linking into another binary).
+  /// Emit a main() that runs this machine key's session (session_expr) and
+  /// prints/diffs the retire trace. Empty: emit only the engine + registrar
+  /// (for linking into another binary).
   std::string machine_key;
 
   EmitMode mode = EmitMode::linked;
@@ -71,39 +71,17 @@ struct EmitSimOptions {
   /// options, so ablation-variant artifacts can be emitted per options.
   core::EngineOptions engine_options;
 
-  /// Freestanding main() only: C++ expression (an `options` variable of type
-  /// core::EngineOptions is in scope) constructing the machine's
-  /// machines::GoldenSession, e.g.
-  /// "rcpn::machines::golden_session_fig2(options)" (golden_session_expr()).
-  /// The emitted binary runs every mode, --checkpoint-*/--restore included,
-  /// as a session.
+  /// Required with machine_key: C++ expression (an `options` variable of
+  /// type core::EngineOptions is in scope) constructing the machine's
+  /// machines::GoldenSession, e.g. "rcpn::machines::golden_session_fig2(options)"
+  /// (golden_session_expr()). The emitted binary runs every mode,
+  /// --checkpoint-*/--restore included, as a session.
   std::string session_expr;
 
-  /// Freestanding only: extra amalgamation root headers beyond the net's
-  /// emit_include()s — typically the header declaring session_expr's factory
-  /// (golden_session_header()).
+  /// Headers beyond the net's emit_include()s — typically the one declaring
+  /// session_expr's factory (golden_session_header()). #included in linked
+  /// mode, inlined in freestanding mode.
   std::vector<std::string> extra_roots;
-
-  /// Generic main() (machines/generic_main.hpp) for models *without* a
-  /// golden session — mutually exclusive with machine_key. A C++ lambda
-  /// expression of type void(model::ModelBuilder<M>&, M&) re-creating the
-  /// model description, e.g.
-  ///   "[](rcpn::model::ModelBuilder<rcpn::machines::FuzzMachine>& b,
-  ///       rcpn::machines::FuzzMachine& m) {
-  ///      rcpn::machines::describe_fuzz_model(7u, b, m); }"
-  /// The emitted main() supports --cycles N and workload-from-argv, so the
-  /// artifact is farm-runnable. Works in both emission modes.
-  std::string generic_describe_expr;
-
-  /// Optional with generic_describe_expr: a lambda expression of type
-  /// void(M&, const std::vector<std::string>&) applying the positional CLI
-  /// arguments to the machine before the run (default: ignore them).
-  std::string generic_workload_expr;
-
-  /// Optional with generic_describe_expr: a lambda expression of type
-  /// bool(const M&) — the completion predicate (default: run to the
-  /// --cycles cap).
-  std::string generic_done_expr;
 };
 
 /// Render the standalone simulator source. Throws std::runtime_error if the

@@ -38,7 +38,7 @@ std::uint32_t generated_options_key(const core::EngineOptions& options);
 
 /// Human-readable spelling of an options key (error messages, emitted
 /// header comments), e.g. "two_list_state_refs" or
-/// "force_two_list_all,linear_search".
+/// "two_list_state_refs,force_two_list_all".
 std::string generated_options_desc(std::uint32_t options_key);
 
 /// Register the generated engine for model `model` (the net name) under

@@ -71,8 +71,4 @@ std::string golden_session_header(const std::string& key) {
   return find_machine(key).header;
 }
 
-int generated_main(int argc, char** argv, const std::string& machine_key) {
-  return golden_cli_main(argc, argv, machine_key, find_machine(machine_key).session);
-}
-
 }  // namespace rcpn::machines

@@ -10,10 +10,10 @@
 //    library backends against the checked-in tests/golden/*.trace files;
 //  * the rcpn_emit tool (examples/generated/) — builds the machine's session
 //    to lower and emit its standalone generated simulator;
-//  * the farm's in-process executor — runs every golden job as a session;
-//  * generated_main() — the entry point emitted into every *linked-mode*
-//    generated simulator (freestanding artifacts call golden_cli_main with
-//    their machine's session factory directly and never touch this dispatch).
+//  * the farm's in-process executor — runs every golden job as a session.
+//
+// Emitted simulators never touch this dispatch: their main() calls
+// golden_cli_main with the machine's session factory directly.
 //
 // A machine that is built but has not run is a fresh session: read its
 // engine() and engine().net().
@@ -47,21 +47,16 @@ std::unique_ptr<GoldenSession> make_golden_session(const std::string& key,
 GoldenRunResult run_golden_machine_full(const std::string& key,
                                         core::EngineOptions options);
 
-// -- emission metadata (rcpn_emit --freestanding) -----------------------------
+// -- emission metadata (rcpn_emit) ---------------------------------------------
 
 /// C++ expression constructing machine `key`'s golden session with an
 /// `options` variable in scope, e.g.
-/// "rcpn::machines::golden_session_fig2(options)" — the whole run of a
-/// freestanding main, --checkpoint-*/--restore included.
+/// "rcpn::machines::golden_session_fig2(options)" — the whole run of an
+/// emitted main, --checkpoint-*/--restore included.
 std::string golden_session_expr(const std::string& key);
 
 /// Repo-relative header declaring that session factory (and the machine it
 /// constructs), e.g. "machines/simple_pipeline.hpp".
 std::string golden_session_header(const std::string& key);
-
-/// Entry point of a linked-mode generated simulator binary
-/// (gen::emit_simulator emits a main() forwarding here). Thin wrapper over
-/// golden_cli_main with machine `key`'s session and default options.
-int generated_main(int argc, char** argv, const std::string& machine_key);
 
 }  // namespace rcpn::machines

@@ -189,8 +189,7 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int golden_cli_main(int argc, char** argv, const std::string& name,
-                    const GoldenSessionFn& session, core::EngineOptions base,
-                    const GoldenRunFn& run) {
+                    const GoldenSessionFn& session, core::EngineOptions base) {
   std::string golden_path;
   std::string trace_json_path;
   std::string ckpt_out;
@@ -246,19 +245,16 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       options.force_two_list_all = true;
     } else if (arg == "--no-two-list-state-refs") {
       options.two_list_state_refs = false;
-    } else if (arg == "--linear-search") {
-      options.linear_search = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--golden FILE] [--stats] [--time N]\n"
           "       [--trace-json FILE] [--profile]\n"
           "       [--backend generated|compiled|interpreted]\n"
           "       [--force-two-list-all] [--no-two-list-state-refs]\n"
-          "       [--linear-search]\n"
           "       [--checkpoint-at T --checkpoint-out FILE]\n"
           "       [--checkpoint-every K --checkpoint-out FILE]\n"
           "       [--restore FILE]\n"
-          "Runs the %s golden workload on the generated simulator engine.\n"
+          "Runs the %s workload on the generated simulator engine.\n"
           "Default: print the cycle-stamped retire trace to stdout.\n"
           "--golden FILE: diff the trace against FILE; exit 1 on the first\n"
           "divergence, naming its cycle.\n"
@@ -272,7 +268,7 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
           "The schedule flags select ablation variants; the generated backend\n"
           "only accepts the options its tables were emitted for (use\n"
           "--backend compiled to run other schedules from this binary).\n"
-          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/2 snapshot\n"
+          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/3 snapshot\n"
           "to --checkpoint-out FILE and exit. --checkpoint-every K: run to\n"
           "completion, alternating FILE.0/FILE.1 every K cycles. --restore\n"
           "FILE: resume from a snapshot and run to completion; the printed\n"
@@ -287,13 +283,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
 
   const bool want_ckpt = have_ckpt_at || ckpt_every > 0 || !restore_path.empty();
   if (want_ckpt) {
-    if (!session) {
-      std::fprintf(stderr,
-                   "%s: this model has no checkpoint serializer (it runs "
-                   "without a golden session)\n",
-                   name.c_str());
-      return 2;
-    }
     if (reps > 0) {
       std::fprintf(stderr,
                    "--checkpoint-at/--checkpoint-every/--restore cannot be "
@@ -333,17 +322,14 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   if (want_obs) options.obs = &obs_hub;
 #endif
 
-  // The plain and --time modes: a fresh session finished in one chunk.
-  const GoldenRunFn run_once =
-      run ? run
-          : [&session](core::EngineOptions o) { return finish_session(*session(o)); };
+  // --time: fresh sessions, each finished in one chunk.
   if (reps > 0) {
     try {
-      run_once(options);  // warm-up: pools, page faults, branch predictors
+      finish_session(*session(options));  // warm-up: pools, page faults, branch predictors
       std::uint64_t cycles = 0, retired = 0;
       const auto t0 = std::chrono::steady_clock::now();
       for (long i = 0; i < reps; ++i) {
-        const GoldenRunResult r = run_once(options);
+        const GoldenRunResult r = finish_session(*session(options));
         cycles += r.stats.cycles;
         retired += r.trace.size();
       }
@@ -364,52 +350,45 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
 
   GoldenRunResult result;
   try {
-    if (want_ckpt) {
-      std::unique_ptr<GoldenSession> s = session(options);
-      if (!restore_path.empty()) {
-        std::ifstream in(restore_path, std::ios::binary);
-        if (!in.good()) {
-          std::fprintf(stderr, "%s: cannot read checkpoint %s\n", name.c_str(),
-                       restore_path.c_str());
+    std::unique_ptr<GoldenSession> s = session(options);
+    if (!restore_path.empty()) {
+      std::ifstream in(restore_path, std::ios::binary);
+      if (!in.good()) {
+        std::fprintf(stderr, "%s: cannot read checkpoint %s\n", name.c_str(),
+                     restore_path.c_str());
+        return 2;
+      }
+      std::ostringstream buf;
+      buf << in.rdbuf();
+      read_checkpoint(*s, buf.str());
+    }
+    if (have_ckpt_at) {
+      const core::Cycle now = s->engine().clock();
+      if (ckpt_at > now) s->advance(ckpt_at - now);
+      if (!write_file(ckpt_out, write_checkpoint(*s))) {
+        std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(), ckpt_out.c_str());
+        return 2;
+      }
+      std::fprintf(stderr, "%s: wrote checkpoint at cycle %llu to %s\n", name.c_str(),
+                   static_cast<unsigned long long>(s->engine().clock()),
+                   ckpt_out.c_str());
+      return 0;
+    }
+    if (ckpt_every > 0) {
+      // Two-slot ring: the last two periodic snapshots survive, so a crash
+      // while writing one slot always leaves the other intact.
+      unsigned slot = 0;
+      while (s->advance(ckpt_every)) {
+        const std::string path = ckpt_out + "." + std::to_string(slot % 2);
+        if (!write_file(path, write_checkpoint(*s))) {
+          std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(), path.c_str());
           return 2;
         }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        read_checkpoint(*s, buf.str());
+        ++slot;
       }
-      if (have_ckpt_at) {
-        const core::Cycle now = s->engine().clock();
-        if (ckpt_at > now) s->advance(ckpt_at - now);
-        if (!write_file(ckpt_out, write_checkpoint(*s))) {
-          std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(),
-                       ckpt_out.c_str());
-          return 2;
-        }
-        std::fprintf(stderr, "%s: wrote checkpoint at cycle %llu to %s\n",
-                     name.c_str(),
-                     static_cast<unsigned long long>(s->engine().clock()),
-                     ckpt_out.c_str());
-        return 0;
-      }
-      if (ckpt_every > 0) {
-        // Two-slot ring: the last two periodic snapshots survive, so a crash
-        // while writing one slot always leaves the other intact.
-        unsigned slot = 0;
-        while (s->advance(ckpt_every)) {
-          const std::string path = ckpt_out + "." + std::to_string(slot % 2);
-          if (!write_file(path, write_checkpoint(*s))) {
-            std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(),
-                         path.c_str());
-            return 2;
-          }
-          ++slot;
-        }
-        result = s->result();
-      } else {
-        result = finish_session(*s);
-      }
+      result = s->result();
     } else {
-      result = run_once(options);
+      result = finish_session(*s);
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());

@@ -1,7 +1,7 @@
 // Golden-trace plumbing: the cycle-stamped retire-trace format of
 // tests/golden/*.trace, the first-diverging-cycle diff, the checkpointable
-// golden session every golden workload runs as, and the generic CLI main
-// every golden-workload binary fronts.
+// golden session every golden workload runs as, and the CLI main every
+// emitted simulator binary fronts.
 //
 // This file is deliberately free of machine includes so that a *freestanding*
 // generated simulator (gen::emit_simulator, EmitMode::freestanding) can inline
@@ -39,10 +39,6 @@ struct GoldenRunResult {
   std::vector<GoldenRetireEvent> trace;
   core::Stats stats;
 };
-
-/// Run a workload under `options` start to finish: what golden_cli_main
-/// calls for a model without a checkpoint serializer (generic_cli_main).
-using GoldenRunFn = std::function<GoldenRunResult(core::EngineOptions)>;
 
 /// Install an on_retire hook appending to `out` (shared by every session).
 void record_golden_retires(core::Engine& eng, std::vector<GoldenRetireEvent>& out);
@@ -127,7 +123,7 @@ class GoldenSession {
 using GoldenSessionFn =
     std::function<std::unique_ptr<GoldenSession>(core::EngineOptions)>;
 
-/// Serialize the session's complete dynamic state (rcpn-ckpt/2).
+/// Serialize the session's complete dynamic state (rcpn-ckpt/3).
 std::string write_checkpoint(GoldenSession& s);
 
 /// Restore `text` into a *freshly constructed* session (workload loaded,
@@ -137,12 +133,10 @@ void read_checkpoint(GoldenSession& s, const std::string& text);
 /// Advance the session to completion and return its result.
 GoldenRunResult finish_session(GoldenSession& s);
 
-/// Entry point of a golden-workload simulator binary. Every mode runs a fresh
+/// Entry point of every emitted simulator binary. Every mode runs a fresh
 /// `session(options)` on Backend::generated over `base` options (the options
 /// the artifact was emitted for — schedule-affecting flags must match the
-/// generated tables or the engine's build() verification throws). A model
-/// without a checkpoint serializer (generic_cli_main) passes an empty
-/// `session` and its `run` instead, which serves the plain and --time modes.
+/// generated tables or the engine's build() verification throws).
 /// Default: print the trace (golden format) to stdout. Flags:
 ///   --golden FILE                     diff against FILE; exit 1 naming the
 ///                                     first diverging cycle
@@ -157,13 +151,13 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     profile (RCPN_OBS=ON builds)
 ///   --backend generated|compiled|interpreted
 ///                                     escape hatch for A/B timing
-///   --force-two-list-all, --no-two-list-state-refs, --linear-search
+///   --force-two-list-all, --no-two-list-state-refs
 ///                                     schedule-ablation variants (the
 ///                                     generated backend rejects options its
 ///                                     tables were not emitted for — combine
 ///                                     with --backend compiled)
 ///
-/// Checkpoint/restore flags (need a `session`; exit 2 otherwise):
+/// Checkpoint/restore flags:
 ///   --checkpoint-at T --checkpoint-out FILE
 ///                                     run to cycle T, write the snapshot to
 ///                                     FILE and exit without finishing
@@ -175,7 +169,6 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     run to completion; stdout is
 ///                                     byte-identical to the straight run
 int golden_cli_main(int argc, char** argv, const std::string& name,
-                    const GoldenSessionFn& session, core::EngineOptions base = {},
-                    const GoldenRunFn& run = {});
+                    const GoldenSessionFn& session, core::EngineOptions base = {});
 
 }  // namespace rcpn::machines

@@ -5,9 +5,9 @@
 // line and stall-cause attribution — to the straight run, on every backend.
 // The backend is deliberately NOT part of the snapshot identity (all dynamic
 // state lives in the engine base), so a snapshot written under interpreted
-// must restore into a compiled or generated(linked) session; the freestanding
-// leg (gen_fs_* binaries, plus a freestanding binary restoring a checkpoint
-// written by this linked build) rides behind RCPN_HAVE_FS_BINARIES.
+// must restore into a compiled or generated(linked) session, and the
+// freestanding gen_fs_* binaries restore their own checkpoints and ones this
+// linked build writes.
 //
 // Alongside the six golden machines an 8-seed fuzz shard snapshots generated
 // topologies at a seed-derived split point and restores them across backends
@@ -39,10 +39,8 @@
 #include <utility>
 #include <vector>
 
-#ifdef RCPN_HAVE_FS_BINARIES
 #include <sys/stat.h>
 #include <sys/wait.h>
-#endif
 
 #include "ckpt/snapshot.hpp"
 #include "ckpt/state_io.hpp"
@@ -129,7 +127,6 @@ TEST_P(SnapshotRestore, InterpretedSnapshotRestoresIntoCompiled) {
                    mid_cycle(key));
 }
 
-#ifdef RCPN_HAVE_GENERATED
 TEST_P(SnapshotRestore, GeneratedRoundTrip) {
   const std::string key = GetParam();
   roundtrip_expect(key, core::Backend::generated, core::Backend::generated,
@@ -141,7 +138,6 @@ TEST_P(SnapshotRestore, CompiledSnapshotRestoresIntoGenerated) {
   roundtrip_expect(key, core::Backend::compiled, core::Backend::generated,
                    mid_cycle(key));
 }
-#endif
 
 // Two independent sessions advanced to the same cycle must serialize to the
 // same bytes — snapshotting is a pure function of the run state.
@@ -284,9 +280,11 @@ void expect_rejects(const std::string& key, const std::string& snap,
 }
 
 TEST(CkptErrors, UnsupportedFormatVersionIsNamed) {
-  std::string snap = snapshot_of("fig2", 10);
-  snap.replace(0, snap.find('\n'), "rcpn-ckpt/1");
-  expect_rejects("fig2", snap, "unsupported format");
+  for (const char* version : {"rcpn-ckpt/1", "rcpn-ckpt/2"}) {
+    std::string snap = snapshot_of("fig2", 10);
+    snap.replace(0, snap.find('\n'), version);
+    expect_rejects("fig2", snap, "unsupported format");
+  }
 }
 
 TEST(CkptErrors, MachineMismatchNamesBothSides) {
@@ -578,7 +576,6 @@ TEST(ResetOracle, RestoreAfterPriorRunOnFreshSessionMatches) {
 
 // -- freestanding binaries ----------------------------------------------------
 
-#ifdef RCPN_HAVE_FS_BINARIES
 /// Run `cmd`, capture stdout+stderr; returns the exit code (-1 on spawn
 /// failure or signal death).
 int run_capture(const std::string& cmd, std::string& out) {
@@ -592,17 +589,12 @@ int run_capture(const std::string& cmd, std::string& out) {
   if (status < 0 || !WIFEXITED(status)) return -1;
   return WEXITSTATUS(status);
 }
-#endif
 
 // The freestanding leg of the contract: the emitted single-TU binary
 // checkpoints and restores itself byte-identically, and — the cross-build
 // half — restores a checkpoint written by THIS linked build's interpreted
 // engine (backend and build flavor are not snapshot identity).
 TEST(CkptFreestanding, RoundTripAndCrossBuildRestore) {
-#ifndef RCPN_HAVE_FS_BINARIES
-  GTEST_SKIP() << "no freestanding binaries in this build "
-                  "(RCPN_GENERATED_SIMS=OFF)";
-#else
   const std::string key = "strongarm_crc";
   const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_" + key;
   struct stat st{};
@@ -638,16 +630,12 @@ TEST(CkptFreestanding, RoundTripAndCrossBuildRestore) {
   ASSERT_EQ(run_capture(bin + " --restore " + linked_ckpt + " --stats", cross), 0)
       << cross;
   EXPECT_EQ(cross, straight) << key << ": linked-writer -> freestanding restore diverged";
-#endif
 }
 
 // The periodic checkpoint ring: --checkpoint-every K writes alternating
 // FILE.0/FILE.1 slots while still completing the run; the last slot restores
 // to the straight result.
 TEST(CkptFreestanding, CheckpointRingSlotsRestore) {
-#ifndef RCPN_HAVE_FS_BINARIES
-  GTEST_SKIP() << "no freestanding binaries in this build";
-#else
   const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_fig2";
   struct stat st{};
   ASSERT_EQ(::stat(bin.c_str(), &st), 0) << bin;
@@ -670,7 +658,6 @@ TEST(CkptFreestanding, CheckpointRingSlotsRestore) {
         << restored;
     EXPECT_EQ(restored, straight) << "ring slot " << slot << " diverged";
   }
-#endif
 }
 
 }  // namespace

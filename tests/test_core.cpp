@@ -677,34 +677,5 @@ TEST(EngineRun, RunExecutesExactlyItsCycleBudget) {
   EXPECT_EQ(eng.stats().retired, 1u);
 }
 
-TEST(EngineSearch, LinearSearchAblationMatchesSortedTable) {
-  auto build = [](Net& net, PlaceId& p1) {
-    const StageId s1 = net.add_stage("L1", 1);
-    const StageId s2 = net.add_stage("L2", 1);
-    p1 = net.add_place("L1", s1);
-    const PlaceId p2 = net.add_place("L2", s2);
-    const TypeId ty = net.add_type("T");
-    net.add_transition("t1", ty).from(p1).to(p2);
-    net.add_transition("t2", ty).from(p2).to(net.end_place());
-    return ty;
-  };
-  Net n1("sorted"), n2("linear");
-  PlaceId p1a, p1b;
-  const TypeId ta = build(n1, p1a);
-  const TypeId tb = build(n2, p1b);
-  Engine e1(n1);
-  EngineOptions opt;
-  opt.linear_search = true;
-  Engine e2(n2, opt);
-  e1.build();
-  e2.build();
-  emit(e1, ta, p1a);
-  emit(e2, tb, p1b);
-  e1.run(6);
-  e2.run(6);
-  EXPECT_EQ(e1.stats().retired, e2.stats().retired);
-  EXPECT_EQ(e1.stats().firings, e2.stats().firings);
-}
-
 }  // namespace
 }  // namespace rcpn::core

@@ -70,7 +70,7 @@ TEST(DescFormat, CanonicalTextIsByteDeterministic) {
 TEST(DescFormat, RecordsTheOptionsSignature) {
   core::EngineOptions o = opts_for(core::Backend::compiled);
   o.force_two_list_all = true;
-  o.linear_search = true;
+  o.two_list_state_refs = false;
   const desc::Description d = machines::describe_machine("fig2", o);
   EXPECT_EQ(d.options, core::options_signature(o));
   // engine_options applies the recorded flags over a base and keeps the
@@ -78,14 +78,14 @@ TEST(DescFormat, RecordsTheOptionsSignature) {
   core::EngineOptions base = opts_for(core::Backend::interpreted);
   const core::EngineOptions applied = desc::engine_options(round_trip(d), base);
   EXPECT_TRUE(applied.force_two_list_all);
-  EXPECT_TRUE(applied.linear_search);
+  EXPECT_FALSE(applied.two_list_state_refs);
   EXPECT_EQ(applied.backend, core::Backend::interpreted);
 }
 
 TEST(DescFormat, ParseRejectsUnknownVersionNamingIt) {
-  // A future version and the previous one alike: there is no loader for
+  // A future version and the previous ones alike: there is no loader for
   // older formats.
-  for (const std::string version : {"rcpn-model/99", "rcpn-model/1"}) {
+  for (const std::string version : {"rcpn-model/99", "rcpn-model/1", "rcpn-model/2"}) {
     try {
       desc::parse(version + "\nmodel X\n");
       ADD_FAILURE() << "parse accepted version " << version;
@@ -295,12 +295,8 @@ class DescRoundTrip : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DescRoundTrip, GoldenMachineMatchesOnEveryInProcessBackend) {
   const std::string key = GetParam();
-  std::vector<core::Backend> backends = {core::Backend::interpreted,
-                                         core::Backend::compiled};
-#ifdef RCPN_HAVE_GENERATED
-  backends.push_back(core::Backend::generated);
-#endif
-  for (const core::Backend backend : backends) {
+  for (const core::Backend backend :
+       {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated}) {
     const core::EngineOptions o = opts_for(backend);
     const machines::GoldenRunResult direct = machines::run_golden_machine_full(key, o);
     const desc::Description d = round_trip(machines::describe_machine(key, o));
@@ -369,12 +365,10 @@ TEST(DescEmit, SimulatorSourceFromDescriptionMatchesDirectEmission) {
     gen::EmitSimOptions main_opts;
     main_opts.machine_key = key;
     main_opts.engine_options = o;
-    gen::EmitSimOptions fs;
+    main_opts.session_expr = machines::golden_session_expr(key);
+    main_opts.extra_roots.push_back(machines::golden_session_header(key));
+    gen::EmitSimOptions fs = main_opts;
     fs.mode = gen::EmitMode::freestanding;
-    fs.engine_options = o;
-    fs.machine_key = key;
-    fs.session_expr = machines::golden_session_expr(key);
-    fs.extra_roots.push_back(machines::golden_session_header(key));
     return std::pair<std::string, std::string>{
         gen::emit_simulator(ce.compiled(), net, main_opts),
         gen::emit_simulator(ce.compiled(), net, fs)};

@@ -7,7 +7,7 @@
 //  * coverage — all five machines are fully emittable (every guard/action a
 //    named delegate, machine type + includes registered), and the emitted
 //    source contains the direct-call dispatch, the registrar and (when asked
-//    for) the golden-session main();
+//    for) the session main(), the same in both emission modes;
 //  * refusal — models with anonymous closures are rejected with the offending
 //    transitions named; Backend::generated without a linked generated TU is a
 //    ModelError, not a silent fallback.
@@ -49,18 +49,23 @@ Emitted emit_machine(const std::string& key, core::EngineOptions opts = {}) {
   gen::EmitSimOptions main_opts;
   main_opts.machine_key = key;
   main_opts.engine_options = opts;
+  main_opts.session_expr = machines::golden_session_expr(key);
+  main_opts.extra_roots.push_back(machines::golden_session_header(key));
   out.simulator = gen::emit_simulator(ce.compiled(), net, main_opts);
   gen::EmitSimOptions no_main;
   no_main.engine_options = opts;
   out.simulator_no_main = gen::emit_simulator(ce.compiled(), net, no_main);
-  gen::EmitSimOptions fs;
+  gen::EmitSimOptions fs = main_opts;
   fs.mode = gen::EmitMode::freestanding;
-  fs.engine_options = opts;
-  fs.machine_key = key;
-  fs.session_expr = machines::golden_session_expr(key);
-  fs.extra_roots.push_back(machines::golden_session_header(key));
   out.freestanding = gen::emit_simulator(ce.compiled(), net, fs);
   return out;
+}
+
+/// The emitted `int main` block: from its signature (the last one, after any
+/// inlined runtime) to the end of the source.
+std::string main_block(const std::string& source) {
+  const std::size_t at = source.rfind("int main(int argc, char** argv)");
+  return at == std::string::npos ? std::string() : source.substr(at);
 }
 
 class Emitter : public ::testing::TestWithParam<const char*> {};
@@ -105,9 +110,15 @@ TEST_P(Emitter, FreestandingInlinesTheRuntimeWithZeroRepoIncludes) {
 
 // Every ablation-variant schedule is emittable per machine: the stamped
 // options flip, the registrar key follows, and emission stays deterministic.
+// Both modes emit one main, which runs the stamped options.
 TEST_P(Emitter, EmitsAblationVariantSchedules) {
   const std::string key = GetParam();
   const Emitted def = emit_machine(key);
+  ASSERT_FALSE(main_block(def.simulator).empty()) << key;
+  EXPECT_EQ(main_block(def.simulator), main_block(def.freestanding))
+      << key << ": linked and freestanding mains differ";
+  EXPECT_NE(main_block(def.simulator).find("base.force_two_list_all = false;"),
+            std::string::npos);
 
   const auto key_stamp = [](const core::EngineOptions& o) {
     return "kOptionsKey = " + std::to_string(core::options_bits(o)) + "u";
@@ -123,15 +134,16 @@ TEST_P(Emitter, EmitsAblationVariantSchedules) {
       << key << ": variant schedule emitted identical to the default";
   EXPECT_EQ(all.simulator_no_main, emit_machine(key, two_list_all).simulator_no_main)
       << key << ": variant emission not deterministic";
+  ASSERT_FALSE(main_block(all.simulator).empty()) << key;
+  EXPECT_EQ(main_block(all.simulator), main_block(all.freestanding))
+      << key << ": linked and freestanding variant mains differ";
+  EXPECT_NE(main_block(all.simulator).find("base.force_two_list_all = true;"),
+            std::string::npos)
+      << key << ": the variant main does not run the stamped schedule";
 
   core::EngineOptions no_refs;
   no_refs.two_list_state_refs = false;
   EXPECT_NE(emit_machine(key, no_refs).simulator_no_main.find(key_stamp(no_refs)),
-            std::string::npos);
-
-  core::EngineOptions linear;
-  linear.linear_search = true;
-  EXPECT_NE(emit_machine(key, linear).simulator_no_main.find(key_stamp(linear)),
             std::string::npos);
 }
 
@@ -147,7 +159,10 @@ TEST_P(Emitter, EmitsCompleteStandaloneSimulator) {
   EXPECT_NE(e.simulator.find("\"" + model + "\","), std::string::npos);
   EXPECT_NE(e.simulator.find("Traits::kOptionsKey,"), std::string::npos);
   EXPECT_NE(e.simulator.find("int main(int argc, char** argv)"), std::string::npos);
-  EXPECT_NE(e.simulator.find("generated_main(argc, argv, \"" + key + "\")"),
+  EXPECT_NE(e.simulator.find("rcpn::machines::golden_cli_main(\n      argc, argv, \"" +
+                             key + "\""),
+            std::string::npos);
+  EXPECT_NE(e.simulator.find("return " + machines::golden_session_expr(key) + ";"),
             std::string::npos);
   EXPECT_EQ(e.simulator_no_main.find("int main"), std::string::npos);
 

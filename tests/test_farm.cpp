@@ -830,6 +830,13 @@ TEST(FarmResume, SubprocessFuzzResumeIsRefusedLoudly) {
   const farm::JobResult r = farm::run_subprocess(spec, 1000, "/nonexistent");
   EXPECT_EQ(r.status, farm::JobStatus::failed);
   EXPECT_NE(r.error.find("use in-process"), std::string::npos) << r.error;
+
+  // Without a checkpoint too: fuzz models have no gen_fs_ binary to spawn.
+  farm::JobSpec straight = fuzz_spec(3);
+  straight.executor = farm::ExecutorKind::subprocess;
+  const farm::JobResult s = farm::run_subprocess(straight, 1000, "/nonexistent");
+  EXPECT_EQ(s.status, farm::JobStatus::failed);
+  EXPECT_NE(s.error.find("use in-process"), std::string::npos) << s.error;
 }
 
 // A checkpoint names a compiled-in machine key, not a description: resuming
@@ -841,8 +848,6 @@ TEST(FarmResume, DescriptionResumeIsRefused) {
   EXPECT_EQ(r.status, farm::JobStatus::failed);
   EXPECT_NE(r.error.find("cannot resume"), std::string::npos) << r.error;
 }
-
-#ifdef RCPN_HAVE_FS_BINARIES
 
 TEST(FarmSubprocess, FreestandingDigestsMatchInProcessForEveryMachine) {
   std::vector<farm::JobSpec> jobs;
@@ -938,8 +943,6 @@ TEST(FarmSubprocess, MissingBinaryFailsTheJobWithExitCode127) {
   EXPECT_EQ(report.jobs[0].result.status, farm::JobStatus::failed);
   EXPECT_EQ(report.jobs[0].result.exit_code, 127);
 }
-
-#endif  // RCPN_HAVE_FS_BINARIES
 
 // -- serialized model descriptions (.rcpn jobs) -------------------------------
 

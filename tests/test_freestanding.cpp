@@ -15,10 +15,6 @@
 // the absolute behaviour; the four-way comparison pins that no backend — in
 // particular the freestanding artifact, whose whole runtime is an inlined
 // copy — can drift from the others.
-//
-// Legs 3 and 4 need the generated TUs and the emitted gen_fs_* binaries
-// (RCPN_GENERATED_SIMS=ON defines RCPN_HAVE_GENERATED and
-// RCPN_HAVE_FS_BINARIES). Builds without them run only legs 1-2.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -64,7 +60,6 @@ void expect_stats_equal(const std::string& key, const std::string& what,
   EXPECT_EQ(a.place_stall_causes, b.place_stall_causes) << key << " " << what;
 }
 
-#ifdef RCPN_HAVE_FS_BINARIES
 /// Run `cmd`, capture stdout+stderr (a failing binary's verification or
 /// divergence message must reach the assertion output); returns the process
 /// exit code (-1 on spawn failure).
@@ -79,7 +74,6 @@ int run_capture(const std::string& cmd, std::string& out) {
   if (status < 0 || !WIFEXITED(status)) return -1;  // signal death != exit 0
   return WEXITSTATUS(status);
 }
-#endif
 
 class FourWay : public ::testing::TestWithParam<const char*> {};
 
@@ -103,21 +97,15 @@ TEST_P(FourWay, InProcessBackendsAndGoldenAgree) {
   expect_traces_equal(key, "interpreted vs compiled", interp, comp);
   expect_stats_equal(key, "interpreted vs compiled", interp.stats, comp.stats);
 
-#ifdef RCPN_HAVE_GENERATED
   ASSERT_NE(gen::find_generated_engine(machines::golden_model_name(key)), nullptr)
       << key << ": generated TU not registered despite being linked in";
   const GoldenRunResult genr =
       machines::run_golden_machine_full(key, options_for(core::Backend::generated));
   expect_traces_equal(key, "interpreted vs generated", interp, genr);
   expect_stats_equal(key, "interpreted vs generated", interp.stats, genr.stats);
-#endif
 }
 
 TEST_P(FourWay, FreestandingBinaryMatchesInProcess) {
-#ifndef RCPN_HAVE_FS_BINARIES
-  GTEST_SKIP() << "no freestanding binaries in this build "
-                  "(RCPN_GENERATED_SIMS=OFF)";
-#else
   const std::string key = GetParam();
   const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_" + key;
   struct stat st{};
@@ -153,7 +141,6 @@ TEST_P(FourWay, FreestandingBinaryMatchesInProcess) {
       << out;
   EXPECT_EQ(interp.stats.place_stall_causes, fs_causes)
       << key << " interpreted vs freestanding stall causes";
-#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMachines, FourWay,
@@ -188,8 +175,6 @@ TEST(StallCauseAttribution, LastCandidateWinsOnDualRejection) {
   EXPECT_GT(cause(pb, core::StallCause::guard_rejected), 0u);
 }
 
-#ifdef RCPN_HAVE_GENERATED
-
 // The registry keys generated engines by (model, schedule options): asking
 // for an ablation variant whose TU is not linked in is a ModelError naming
 // the options, never a silent fall-through to the default-schedule artifact.
@@ -222,8 +207,6 @@ TEST(GeneratedVariants, WrongOptionsAtBuildTimeThrow) {
         << e.what();
   }
 }
-
-#endif  // RCPN_HAVE_GENERATED
 
 }  // namespace
 }  // namespace rcpn

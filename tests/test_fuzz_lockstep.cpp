@@ -32,7 +32,6 @@
 #include "gen/compiled_engine.hpp"
 #include "gen/emit_simulator.hpp"
 #include "machines/fuzz_model.hpp"
-#include "machines/generic_main.hpp"
 #include "model/simulator.hpp"
 
 namespace rcpn {
@@ -266,111 +265,6 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
   }
   EXPECT_GT(emitted_variants, 0u)
       << "the shard never emitted an ablation-variant schedule";
-#endif
-}
-
-// A freestanding artifact emitted with the *generic* main
-// (machines/generic_main.hpp, via generic_describe_expr) instead of a golden
-// session: the binary must honour workload-from-argv (positional emit count)
-// and --cycles, and replicate the in-process generic run loop exactly.
-TEST(FuzzFreestanding, GenericMainBinaryHonoursWorkloadArgsAndCycleCap) {
-#ifndef RCPN_CXX_COMPILER
-  GTEST_SKIP() << "host compiler not configured (RCPN_CXX_COMPILER)";
-#else
-  const unsigned seed = 3;
-  const std::uint64_t to_emit = 5;   // downward override: always completes
-  const std::uint64_t cycles = 2000;
-  const std::string dir = ::testing::TempDir() + "fuzz_generic_main";
-  ASSERT_EQ(run_command("mkdir -p " + dir), 0);
-  const std::string name = machines::fuzz_model_name(seed);
-  core::EngineOptions opts;
-  opts.backend = core::Backend::compiled;
-
-  const auto describe = [](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-    machines::describe_fuzz_model(seed, b, m);
-  };
-
-  // Emit the freestanding TU with the generic main.
-  std::string src;
-  {
-    model::Simulator<FuzzMachine> sim(name, opts, describe, FuzzMachine{});
-    auto& ce = dynamic_cast<gen::CompiledEngine&>(sim.engine());
-    gen::EmitSimOptions fs;
-    fs.mode = gen::EmitMode::freestanding;
-    fs.engine_options = opts;
-    fs.extra_roots.push_back("machines/fuzz_model.hpp");
-    const std::string m = "rcpn::machines::FuzzMachine";
-    fs.generic_describe_expr =
-        "[](rcpn::model::ModelBuilder<" + m + ">& b, " + m +
-        "& m) { rcpn::machines::describe_fuzz_model(" + std::to_string(seed) +
-        "u, b, m); }";
-    fs.generic_workload_expr =
-        "[](" + m + "& m, const std::vector<std::string>& args) { if (!args.empty()) "
-        "m.to_emit = std::strtoull(args[0].c_str(), nullptr, 10); }";
-    fs.generic_done_expr = "[](const " + m + "& m) { return m.emitted >= m.to_emit; }";
-    src = gen::emit_simulator(ce.compiled(), sim.net(), fs);
-  }
-  ASSERT_EQ(src.find("#include \""), std::string::npos)
-      << "freestanding TU pulled a repo include";
-  ASSERT_NE(src.find("generic_cli_main"), std::string::npos)
-      << "emitted main is not the generic CLI";
-
-  const std::string base = dir + "/" + name;
-  { std::ofstream(base + ".cpp") << src; }
-  const std::string compile = std::string(RCPN_CXX_COMPILER) + " -std=c++20 -O0 -o " +
-                              base + " " + base + ".cpp 2> " + base + ".err";
-  ASSERT_EQ(run_command(compile), 0)
-      << "freestanding TU failed to compile:\n" << slurp(base + ".err");
-
-  // In-process reference: the same (describe, workload, done) run loop as
-  // generic_cli_main, on the compiled backend.
-  machines::GoldenRunResult ref;
-  {
-    model::Simulator<FuzzMachine> sim(name, opts, describe, FuzzMachine{});
-    sim.machine().to_emit = to_emit;
-    machines::record_golden_retires(sim.engine(), ref.trace);
-    for (std::uint64_t c = 0; c < cycles; ++c) {
-      if (sim.machine().emitted >= sim.machine().to_emit &&
-          sim.engine().tokens_in_flight() == 0)
-        break;
-      if (!sim.step()) break;
-    }
-    ref.stats = sim.engine().stats();
-  }
-  ASSERT_EQ(ref.trace.size(), to_emit) << "reference run did not drain";
-
-  // The binary with the same workload args must match the reference exactly.
-  const std::string run = base + " " + std::to_string(to_emit) + " --cycles " +
-                          std::to_string(cycles) + " --stats > " + base + ".out 2>&1";
-  ASSERT_EQ(run_command(run), 0) << slurp(base + ".out");
-  const std::string out = slurp(base + ".out");
-  std::vector<machines::GoldenRetireEvent> fs_trace;
-  core::Stats fs_stats;
-  ASSERT_TRUE(machines::parse_golden_trace(out, fs_trace)) << out;
-  ASSERT_TRUE(machines::parse_golden_stats(out, fs_stats)) << out;
-  const std::string diff = machines::diff_golden_traces(ref.trace, fs_trace);
-  EXPECT_TRUE(diff.empty()) << "generic-main binary vs in-process: " << diff;
-  EXPECT_EQ(fs_stats.cycles, ref.stats.cycles);
-  EXPECT_EQ(fs_stats.retired, ref.stats.retired);
-
-  // A --cycles budget below the full run truncates the trace instead of
-  // erroring out (exit 1 = "retired nothing" is the legitimate floor; exit 2
-  // would be a real failure).
-  const std::uint64_t cap = ref.trace.back().cycle - 1;
-  const std::string capped = base + " " + std::to_string(to_emit) + " --cycles " +
-                             std::to_string(cap) + " --stats > " + base +
-                             ".capped 2>&1";
-  const int capped_rc = run_command(capped);
-  const std::string capped_out = slurp(base + ".capped");
-  if (capped_rc == 0) {
-    std::vector<machines::GoldenRetireEvent> capped_trace;
-    ASSERT_TRUE(machines::parse_golden_trace(capped_out, capped_trace)) << capped_out;
-    EXPECT_LT(capped_trace.size(), ref.trace.size())
-        << "budget " << cap << " did not truncate the run";
-  } else {
-    EXPECT_EQ(capped_rc, 1) << capped_out;
-    EXPECT_NE(capped_out.find("retired nothing"), std::string::npos) << capped_out;
-  }
 #endif
 }
 

@@ -159,17 +159,10 @@ std::vector<std::uint64_t> extract_ts(const std::string& s) {
   return out;
 }
 
-/// The in-process backends available to this binary. Backend::generated
-/// needs the emitted no-main TUs linked in (CMake defines
-/// RCPN_HAVE_GENERATED when it adds them, mirroring test_freestanding).
+/// The in-process backends of this binary: Backend::generated runs the
+/// emitted no-main TUs the build links in.
 std::vector<core::Backend> in_process_backends() {
-  return {
-      core::Backend::interpreted,
-      core::Backend::compiled,
-#ifdef RCPN_HAVE_GENERATED
-      core::Backend::generated,
-#endif
-  };
+  return {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated};
 }
 
 /// A two-stage toy model binding for the exporter tests (no engine needed).

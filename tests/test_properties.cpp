@@ -254,17 +254,16 @@ TEST(AblationSafety, AllEngineKnobsPreserveResults) {
   machines::StrongArmSim reference;
   const auto ref = reference.run(prog);
 
-  for (int knob = 0; knob < 3; ++knob) {
+  for (int knob = 0; knob < 2; ++knob) {
     machines::StrongArmConfig cfg;
     if (knob == 0) cfg.engine.force_two_list_all = true;
-    if (knob == 1) cfg.engine.linear_search = true;
-    if (knob == 2) cfg.decode_cache_bypass = true;
+    if (knob == 1) cfg.decode_cache_bypass = true;
     machines::StrongArmSim sim(cfg);
     const auto r = sim.run(prog);
     EXPECT_EQ(r.output, ref.output) << "knob " << knob;
     EXPECT_EQ(r.exit_code, ref.exit_code) << "knob " << knob;
-    // linear_search and decode bypass must not change timing at all;
-    // two-list everywhere legitimately adds cycles.
+    // Decode bypass must not change timing at all; two-list everywhere
+    // legitimately adds cycles.
     if (knob != 0) {
       EXPECT_EQ(r.cycles, ref.cycles) << "knob " << knob;
     }
