@@ -233,73 +233,6 @@ int main() {
         [&] { return bench::timed([&] { return off_sim.run(prog); }).second; });
   }
 
-  // Freestanding vs generated(linked) artifact: both binaries run their
-  // golden workload under the same --time harness (N reps + warm-up), so the
-  // ratio isolates what single-TU whole-program compilation buys over the
-  // same engine linked against the library. Skipped silently when the
-  // gen_sim_*/gen_fs_* binaries are not built.
-  double fs_ratio_sa = 0.0, fs_ratio_xs = 0.0;
-  double fs_mcps_sa = 0.0, fs_mcps_xs = 0.0;
-#ifdef RCPN_BIN_DIR
-  {
-    // One --time sample: seconds spent and cycles simulated, both parsed
-    // from the binary's report (no assumptions about the golden window).
-    struct TimeSample {
-      double secs = 0.0;
-      double cycles = 0.0;
-    };
-    const auto time_binary = [](const std::string& bin, int reps) -> TimeSample {
-      const std::string cmd = bin + " --time " + std::to_string(reps) + " 2>/dev/null";
-      FILE* p = popen(cmd.c_str(), "r");
-      if (p == nullptr) return {};
-      char buf[512];
-      std::string out;
-      while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-      if (pclose(p) != 0) return {};
-      const std::size_t spos = out.find("secs=");
-      const std::size_t cpos = out.find("cycles=");
-      if (spos == std::string::npos || cpos == std::string::npos) return {};
-      return {std::atof(out.c_str() + spos + 5), std::atof(out.c_str() + cpos + 7)};
-    };
-    const auto ratio_for = [&time_binary](const char* key, double& fs_mcps) -> double {
-      const std::string gen_bin = std::string(RCPN_BIN_DIR) + "/gen_sim_" + key;
-      const std::string fs_bin = std::string(RCPN_BIN_DIR) + "/gen_fs_" + key;
-      const int reps = 1500;
-      double best_gen = 0.0, best_fs = 0.0, fs_cycles = 0.0;
-      // Interleaved best-of-7: wall-clock noise on shared hosts (~±10% per
-      // sample) hits both sides evenly instead of whichever binary ran
-      // second, and the minimum over seven samples is a stable floor for
-      // each side (single samples of this ratio swing 0.9-1.1x).
-      for (int attempt = 0; attempt < 7; ++attempt) {
-        const TimeSample tg = time_binary(gen_bin, reps);
-        const TimeSample tf = time_binary(fs_bin, reps);
-        if (tg.secs <= 0.0 || tf.secs <= 0.0) return 0.0;
-        if (best_gen == 0.0 || tg.secs < best_gen) best_gen = tg.secs;
-        if (best_fs == 0.0 || tf.secs < best_fs) best_fs = tf.secs;
-        fs_cycles = tf.cycles;
-      }
-      fs_mcps = fs_cycles / best_fs / 1e6;
-      return best_gen / best_fs;
-    };
-    fs_ratio_sa = ratio_for("strongarm_crc", fs_mcps_sa);
-    fs_ratio_xs = ratio_for("xscale_adpcm", fs_mcps_xs);
-
-    if (fs_ratio_sa > 0.0 || fs_ratio_xs > 0.0) {
-      char fs_sa[16] = "not measured", fs_xs[16] = "not measured";
-      if (fs_ratio_sa > 0.0)
-        std::snprintf(fs_sa, sizeof(fs_sa), "%.2fx", fs_ratio_sa);
-      if (fs_ratio_xs > 0.0)
-        std::snprintf(fs_xs, sizeof(fs_xs), "%.2fx", fs_ratio_xs);
-      std::printf("\nfreestanding vs generated (golden workload, --time): "
-                  "StrongArm %s, XScale %s\n",
-                  fs_sa, fs_xs);
-    } else {
-      std::printf("\nfreestanding binaries not built - "
-                  "freestanding_vs_generated ratios skipped\n");
-    }
-  }
-#endif
-
   std::printf("\nper-optimization ablation (>= 1.0x means the switch pays):\n");
   std::printf("  decode cache (StrongArm(c), crc, vs bypass):        %.2fx\n", abl_decode);
 
@@ -348,12 +281,6 @@ int main() {
         .num("generated_vs_compiled_xscale", gratio_xs)
         .num("speedup_xscale_generated_vs_simplescalar",
              (sum_xg / n) / (sum_ss / n));
-  if (fs_ratio_sa > 0.0)
-    avg.num("freestanding_vs_generated_strongarm", fs_ratio_sa)
-        .num("mcps_strongarm_freestanding_golden", fs_mcps_sa);
-  if (fs_ratio_xs > 0.0)
-    avg.num("freestanding_vs_generated_xscale", fs_ratio_xs)
-        .num("mcps_xscale_freestanding_golden", fs_mcps_xs);
 
   bench::JsonObj ablations;
   ablations.num("decode_cache", abl_decode);

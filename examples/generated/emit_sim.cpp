@@ -3,20 +3,18 @@
 //
 //   rcpn_emit list                         # what machines exist
 //   rcpn_emit describe fig2 --out fig2.rcpn   # machine -> .rcpn description
-//   rcpn_emit emit fig2 --out gen_fig2.cpp    # machine -> simulator source
-//   rcpn_emit emit models/strongarm.rcpn --freestanding  # .rcpn -> simulator
+//   rcpn_emit emit fig2 --out gen_fig2.cpp    # machine -> simulator program
+//   rcpn_emit emit models/strongarm.rcpn      # .rcpn -> simulator program
+//   rcpn_emit emit fig2 --no-main             # engine TU for a librcpn binary
 //   rcpn_emit fuzz 7 --out gen_fuzz7.cpp      # shorthand for emit fuzz-7
 //
 // The generate→compile→verify workflow (see README "Generated simulators"):
+// the emitted program inlines the runtime subset, so it needs no -I and no
+// library at all:
 //
-//   ./rcpn_emit emit fig2 --out gen_fig2.cpp  # 1. generate
-//   g++ -O3 -flto -I src gen_fig2.cpp -lrcpn -o gen_fig2   # 2. compile
+//   ./rcpn_emit emit fig2 --out gen_fig2.cpp               # 1. generate
+//   g++ -std=c++20 -O3 -flto gen_fig2.cpp -o gen_fig2      # 2. compile
 //   ./gen_fig2 --golden tests/golden/fig2.trace            # 3. verify
-//
-// With --freestanding the emitted file inlines the runtime subset and needs
-// no -I and no library at all:
-//
-//   ./rcpn_emit emit fig2 --freestanding | c++ -std=c++20 -O3 -x c++ - && ./a.out
 //
 // When `emit` is handed a .rcpn file the description's recorded engine
 // options are the base and explicit CLI flags override them; delegate
@@ -50,9 +48,11 @@ int usage(const char* argv0, int code) {
                "  describe <machine> [--out FILE] [schedule flags]\n"
                "      serialize the machine's model to a canonical .rcpn\n"
                "      description (stdout unless --out)\n"
-               "  emit <machine|file.rcpn> [--out FILE] [--no-main] [--freestanding]\n"
-               "       [schedule flags] [--tables] [--dot]\n"
-               "      generate the standalone C++ simulator source\n"
+               "  emit <machine|file.rcpn> [--out FILE] [--no-main] [--dot]\n"
+               "       [schedule flags]\n"
+               "      generate the standalone C++ simulator program: the runtime\n"
+               "      subset is inlined, so it compiles with no repo includes and\n"
+               "      links against nothing but the C++ standard library\n"
                "  fuzz <seed> [emit flags]\n"
                "      shorthand for `emit fuzz-<seed>`\n"
                "  machine: one of",
@@ -66,11 +66,8 @@ int usage(const char* argv0, int code) {
                "  schedule flags: --force-two-list-all --no-two-list-state-refs\n"
                "                  (emit an ablation-variant schedule, stamped and\n"
                "                  verified at build())\n"
-               "  --no-main: emit engine + registrar only (link into another binary)\n"
-               "  --freestanding: inline the runtime subset — the emitted file\n"
-               "                  compiles with no repo includes and links against\n"
-               "                  nothing but the C++ standard library\n"
-               "  --tables:  emit the static-schedule table dump (gen::emit_cpp)\n"
+               "  --no-main: emit engine + registrar only, #including the library\n"
+               "             (link into a binary that links librcpn)\n"
                "  --dot:     emit the model structure for graphviz (gen::emit_dot)\n");
   return code;
 }
@@ -155,7 +152,7 @@ int cmd_describe(const char* argv0, const std::vector<std::string>& args) {
 
 int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
   std::string machine, out_path;
-  bool with_main = true, tables = false, dot = false, freestanding = false;
+  bool with_main = true, dot = false;
   ScheduleOverrides overrides;
   core::EngineOptions cli_options;
   cli_options.backend = core::Backend::compiled;  // the lowering pass lives there
@@ -165,11 +162,7 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       out_path = args[++i];
     } else if (arg == "--no-main") {
       with_main = false;
-    } else if (arg == "--freestanding") {
-      freestanding = true;
     } else if (parse_schedule_flag(arg, overrides)) {
-    } else if (arg == "--tables") {
-      tables = true;
     } else if (arg == "--dot") {
       dot = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -180,11 +173,7 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       return usage(argv0, 2);
     }
   }
-  if (machine.empty() || (tables && dot)) return usage(argv0, 2);
-  if (freestanding && (tables || dot)) {
-    std::fprintf(stderr, "--freestanding applies to simulator emission only\n");
-    return usage(argv0, 2);
-  }
+  if (machine.empty()) return usage(argv0, 2);
 
   const bool from_file =
       machine.size() > 5 && machine.compare(machine.size() - 5, 5, ".rcpn") == 0;
@@ -210,15 +199,12 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
         : seed    ? machines::make_fuzz_session(*seed, options)
                   : machines::make_golden_session(key, options);
     const core::Net& net = session->engine().net();
-    const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session->engine());
     if (dot) {
       source = gen::emit_dot(net);
-    } else if (tables) {
-      source = gen::emit_cpp(ce.compiled(), net);
     } else {
+      const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session->engine());
       gen::EmitSimOptions emit_opts;
       emit_opts.engine_options = options;
-      if (freestanding) emit_opts.mode = gen::EmitMode::freestanding;
       if (with_main) {
         // The main runs the machine's session: the one fuzz shards and farm
         // jobs run for fuzz-<seed>, the golden session otherwise.

@@ -134,7 +134,7 @@ std::string net_digest(const core::Net& net) {
 }
 
 std::string save_snapshot(core::Engine& eng, const MachineIO& io,
-                          const std::vector<TraceEvent>& trace) {
+                          const std::vector<RetireEvent>& trace) {
   const core::Net& net = eng.net();
 
   // Enumerate the live tokens once: per stage, visible list then incoming
@@ -241,7 +241,7 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
   io.save_machine(w, refs);
 
   w.begin("trace").field("n", static_cast<std::uint64_t>(trace.size())).end();
-  for (const TraceEvent& e : trace)
+  for (const RetireEvent& e : trace)
     w.begin("t")
         .token(std::to_string(e.cycle))
         .token(std::to_string(e.pc))
@@ -284,7 +284,7 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
 }
 
 void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
-                      std::vector<TraceEvent>& trace_out) {
+                      std::vector<RetireEvent>& trace_out) {
   StateReader r(text);
   if (r.peek_kind() != kVersion)
     throw CkptError("checkpoint: unsupported format '" +
@@ -415,7 +415,7 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
   for (std::uint64_t k = 0; k < ntr; ++k) {
     r.next("t");
     if (r.tokens().size() != 3) r.fail("trace record needs 3 fields");
-    TraceEvent e;
+    RetireEvent e;
     e.cycle = r.parse_u64(r.tokens()[0], "trace cycle");
     e.pc = r.parse_u64(r.tokens()[1], "trace pc");
     e.seq = static_cast<std::uint32_t>(r.parse_u64(r.tokens()[2], "trace seq"));

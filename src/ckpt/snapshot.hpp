@@ -34,12 +34,15 @@
 
 namespace rcpn::ckpt {
 
-/// One retirement of the trace prefix embedded in a snapshot (mirrors
-/// machines::GoldenRetireEvent without depending on the machines layer).
-struct TraceEvent {
-  std::uint64_t cycle = 0;
+/// One retirement of the trace prefix embedded in a snapshot: the cycle it
+/// happened in, the instruction's pc and its dynamic sequence number. The
+/// golden sessions record their traces in this form
+/// (machines::GoldenRetireEvent), so a checkpoint carries them as they are.
+struct RetireEvent {
+  core::Cycle cycle = 0;
   std::uint64_t pc = 0;
   std::uint32_t seq = 0;
+  bool operator==(const RetireEvent&) const = default;
 };
 
 /// Cross-reference coder for RegRef pointers. Live pointers are meaningless
@@ -125,7 +128,7 @@ std::string net_digest(const core::Net& net);
 /// `trace` as the retire-trace prefix. The engine must be between cycles
 /// (not inside step()/run()).
 std::string save_snapshot(core::Engine& eng, const MachineIO& io,
-                          const std::vector<TraceEvent>& trace);
+                          const std::vector<RetireEvent>& trace);
 
 /// Restore `text` into `eng`/`io`. The caller must have re-created the run
 /// context first (machine constructed, same workload loaded, engine reset) —
@@ -133,6 +136,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
 /// throws CkptError naming the offending field on any mismatch. On success
 /// the embedded trace prefix is returned through `trace_out`.
 void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
-                      std::vector<TraceEvent>& trace_out);
+                      std::vector<RetireEvent>& trace_out);
 
 }  // namespace rcpn::ckpt

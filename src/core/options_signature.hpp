@@ -1,7 +1,7 @@
 // The ONE table of schedule-affecting EngineOptions.
 //
 // Three encoders used to spell these flags independently — the generated
-// artifact registry key (gen::generated_options_key), the Traits stamp in
+// artifact registry key (gen::find_generated_engine), the Traits stamp in
 // emitted simulators, and farm::job_key — so adding a schedule-affecting
 // option could silently miss one of them. They now all derive from this
 // table: a new flag is added here once and every encoder picks it up.

@@ -108,11 +108,11 @@ class Transition {
   ActionFn action_fn() const { return action_fn_; }
   void* action_env() const { return action_env_; }
 
-  /// Fully-qualified C++ symbol of the delegate, when the model registered a
-  /// *named* function (ModelBuilder::guard_named/action_named). Empty for
-  /// anonymous closures. gen::emit_simulator() turns these into direct calls
-  /// in the generated translation unit — a delegate without a symbol cannot
-  /// be emitted. The *_takes_machine flags record the named function's
+  /// Fully-qualified C++ symbol of the delegate, when the model bound a
+  /// *named* function (desc::DelegateRegistry, guard_ref/action_ref). Empty
+  /// for anonymous closures. gen::emit_simulator() turns these into direct
+  /// calls in the generated translation unit — a delegate without a symbol
+  /// cannot be emitted. The *_takes_machine flags record the named function's
   /// arity: (Machine&, FireCtx&) or just (FireCtx&).
   const std::string& guard_symbol() const { return guard_symbol_; }
   const std::string& action_symbol() const { return action_symbol_; }

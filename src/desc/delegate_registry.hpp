@@ -1,10 +1,9 @@
 // DelegateRegistry: the single source of truth for a model's named
 // guard/action delegates (paper §3's "semantic functions bound by symbol").
 //
-// Before this existed, a named delegate was registered at every call site as
-// a (function, spelled-out symbol string) pair via guard_named/action_named —
-// emit-time string plumbing with nothing guaranteeing the same symbol maps to
-// the same function everywhere. A DelegateRegistry owns that mapping once per
+// It is the only way to bind a named delegate: nothing else can pair a
+// function with a spelled-out symbol string, so the same symbol maps to the
+// same function everywhere. A DelegateRegistry owns that mapping once per
 // machine family:
 //
 //   const desc::DelegateRegistry& fig2_delegates() {
@@ -48,7 +47,7 @@ class TypedDelegates;
 class DelegateRegistry {
  public:
   /// One named delegate: the type-erased trampoline (env = machine pointer,
-  /// exactly the guard_named/action_named shape) plus the arity the call must
+  /// one direct call to the function) plus the arity the call must
   /// be emitted with — (Machine&, FireCtx&) vs (FireCtx&).
   struct Binding {
     core::GuardFn guard = nullptr;    // set for guard bindings
@@ -107,8 +106,8 @@ class DelegateRegistry {
 };
 
 /// Fluent adder returned by DelegateRegistry::bind<Machine>(). Instantiates
-/// the same direct-call trampolines as guard_named/action_named: `Fn` is the
-/// function itself, so the indirect call the engine makes is the only
+/// one direct-call trampoline per function: `Fn` is the function itself, so
+/// the indirect call the engine makes is the only
 /// indirection between the hot loop and the delegate body.
 template <typename Machine>
 class TypedDelegates {

@@ -10,8 +10,8 @@
 // arity), the emission metadata (machine type + includes), and the
 // schedule-affecting EngineOptions signature. Round-trip contract: for any
 // built model, build → describe → load → build produces byte-identical
-// retire traces and stats on every backend (the lockstep tests hold all five
-// machines + the fuzz family to it).
+// retire traces and stats on every backend (the round-trip tests hold all six
+// golden machines + the fuzz family to it).
 //
 // The text form is line-based and canonical — one spelling per model, so
 // describing the same model twice yields byte-identical files and the model

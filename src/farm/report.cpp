@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "gen/generated.hpp"
+#include "core/options_signature.hpp"
 
 namespace rcpn::farm {
 namespace {
@@ -130,7 +130,7 @@ std::string FarmReport::render_json(bool include_timing) const {
     out << (i == 0 ? "\n" : ",\n") << "    {\"machine\": \"" << json_escape(s.machine)
         << "\", \"executor\": \"" << executor_name(s.executor) << "\", \"backend\": \""
         << backend_name(s.options.backend) << "\", \"options\": \""
-        << json_escape(gen::generated_options_desc(gen::generated_options_key(s.options)))
+        << json_escape(core::options_bits_desc(core::options_bits(s.options)))
         << "\", \"seed\": " << s.seed << ", \"cycle_budget\": " << s.cycle_budget
         << ", \"hash\": \"" << hex64(j.hash) << "\", \"status\": \""
         << job_status_name(r.status) << "\"";

@@ -8,7 +8,8 @@
 // token services, two-list promotion, retirement, flush, pools, stats, the
 // deadlock watchdog — is the inherited Engine code operating on the same
 // state, so the backends are cycle-for-cycle equivalent by construction
-// (tests/test_gen.cpp pins this on all five machine models).
+// (tests/test_gen.cpp pins this stepwise on five machine models, and
+// tests/test_freestanding.cpp's four-way harness on all six golden machines).
 //
 // Actions keep calling FireCtx::engine services unchanged: a CompiledEngine
 // IS-A core::Engine, so models never know which backend runs them.
@@ -61,7 +62,7 @@ class CompiledEngine final : public TableEngine<RuntimeTables> {
   explicit CompiledEngine(core::Net& net, core::EngineOptions options = {})
       : TableEngine(net, options) {}
 
-  /// The lowered tables (introspection, emit_cpp, tests).
+  /// The lowered tables (introspection, emit_simulator, tests).
   const CompiledModel& compiled() const { return tables_.cm; }
 };
 

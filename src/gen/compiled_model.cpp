@@ -60,18 +60,12 @@ CompiledModel CompiledModel::lower(const core::Engine& eng) {
       CandRange& r = cm.cell[static_cast<std::size_t>(p) * cm.num_types + ty];
       r.begin = static_cast<std::uint32_t>(cm.body.size());
       r.count = static_cast<std::uint32_t>(cands.size());
-      for (const core::Transition* t : cands) {
-        cm.body.push_back(compile_one(cm, *t));
-        cm.body_syms.push_back({t->guard_symbol(), t->action_symbol()});
-      }
+      for (const core::Transition* t : cands) cm.body.push_back(compile_one(cm, *t));
     }
   }
 
-  for (core::TransitionId tid : net.independent_transitions()) {
-    const core::Transition& t = net.transition(tid);
-    cm.independent.push_back(compile_one(cm, t));
-    cm.independent_syms.push_back({t.guard_symbol(), t.action_symbol()});
-  }
+  for (core::TransitionId tid : net.independent_transitions())
+    cm.independent.push_back(compile_one(cm, net.transition(tid)));
 
   cm.order.assign(eng.process_order().begin(), eng.process_order().end());
   for (unsigned s = 0; s < cm.num_stages; ++s)

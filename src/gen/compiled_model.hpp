@@ -19,14 +19,13 @@
 //  * the Fig 8 process order and the two-list stage set as plain id arrays.
 //
 // Everything is ids, exactly what gen::emit_simulator() prints as the
-// constexpr Traits of a generated simulator; gen::TableEngine resolves the
-// stage pointers it needs at build(), for this runtime view (the compiled
-// backend) and the emitted one alike. gen::emit_cpp() prints the tables as a
-// plain dump. None of them touch the lowered core::Net.
+// constexpr Traits of a generated simulator (which names each transition's
+// delegates straight from the net); gen::TableEngine resolves the stage
+// pointers it needs at build(), for this runtime view (the compiled backend)
+// and the emitted one alike. Neither touches the lowered core::Net.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/net.hpp"
@@ -55,16 +54,6 @@ struct CompiledModel {
   std::vector<CandRange> cell;
   /// Instruction-independent sub-net, declaration order (Fig 8 tail).
   std::vector<CompiledTransition> independent;
-
-  /// Which named delegate each entry binds (same index as body/independent;
-  /// empty string = anonymous closure or no delegate). Cold emission
-  /// metadata, kept out of the hot rows — gen::emit_simulator() turns these
-  /// into direct calls.
-  struct DelegateSyms {
-    std::string guard, action;
-  };
-  std::vector<DelegateSyms> body_syms;
-  std::vector<DelegateSyms> independent_syms;
 
   /// Flat reservation-input places (StaticTx::res_in_begin).
   std::vector<core::PlaceId> res_in;

@@ -18,8 +18,8 @@
 //  * `#include <...>` lines are hoisted to one sorted, deduplicated system
 //    include block; `#pragma once` is dropped.
 //
-// The result is what gen::emit_simulator() places at the top of an
-// EmitMode::freestanding translation unit: a trimmed, per-model subset of the
+// The result is what gen::emit_simulator() places at the top of a simulator
+// program (an emission with a main): a trimmed, per-model subset of the
 // runtime that compiles with zero repo includes and links against nothing
 // but the C++ standard library.
 #pragma once

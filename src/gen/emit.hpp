@@ -1,27 +1,21 @@
-// Exporters for a built model: the generated static schedule as a standalone
-// C++ table file, and the model structure as graphviz.
+// Graphviz exporter for a built model.
 //
-//  * emit_cpp(cm, net) prints the CompiledModel tables — the Fig 6 candidate
-//    runs, the reverse-topological place order, the two-list stage set, the
-//    flat arc arrays and per-place residences — as a self-contained C++
-//    source with names in comments. Guards and actions are runtime-bound
-//    delegates and cannot be serialized; the emitted file documents the
-//    schedule a generated simulator would be compiled from (and diffs
-//    usefully across model edits).
 //  * emit_dot(net) prints the RCPN for graphviz: stages as clusters of their
 //    places, transitions as boxes per operation class, reservation arcs
 //    dashed, the virtual end place as a double circle. After build(),
 //    two-list stages are shaded.
+//
+// The generated static schedule itself is printed by gen::emit_simulator
+// (emit_simulator.hpp), whose Traits carry every table with place and
+// transition names in comments.
 #pragma once
 
 #include <string>
 
 #include "core/net.hpp"
-#include "gen/compiled_model.hpp"
 
 namespace rcpn::gen {
 
-std::string emit_cpp(const CompiledModel& cm, const core::Net& net);
 std::string emit_dot(const core::Net& net);
 
 }  // namespace rcpn::gen

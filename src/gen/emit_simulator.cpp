@@ -8,7 +8,6 @@
 
 #include "core/options_signature.hpp"
 #include "gen/embed.hpp"
-#include "gen/generated.hpp"
 
 namespace rcpn::gen {
 
@@ -99,10 +98,10 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
     throw std::runtime_error(
         "emit_simulator: model '" + net.name() +
         "' binds anonymous delegates that cannot be emitted (register them "
-        "as named free functions with guard_named/action_named):" +
+        "as named free functions in a desc::DelegateRegistry and bind them "
+        "with guard_ref/action_ref):" +
         missing);
 
-  const bool freestanding = options.mode == EmitMode::freestanding;
   const bool with_main = !options.machine_key.empty();
   if (with_main && options.session_expr.empty())
     throw std::runtime_error(
@@ -110,7 +109,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "' needs EmitSimOptions::session_expr (the session expression)");
 
   const core::EngineOptions& eo = options.engine_options;
-  const std::uint32_t opt_key = generated_options_key(eo);
+  const std::uint32_t opt_key = core::options_bits(eo);
 
   const std::string ns = sanitize(net.name());
   std::string out;
@@ -131,14 +130,11 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
           "// — schedule variant [%s]; build() throws when run under any other\n"
           "// ablation.\n",
           core::options_signature(eo).c_str(),
-          generated_options_desc(opt_key).c_str());
+          core::options_bits_desc(opt_key).c_str());
 
-  // The model's headers, then the main()'s: included in linked mode,
-  // inlined in freestanding mode.
-  std::vector<std::string> includes = net.emit_includes();
-  includes.insert(includes.end(), options.extra_roots.begin(), options.extra_roots.end());
-  if (with_main) includes.push_back("machines/golden_trace.hpp");
-  if (freestanding) {
+  if (with_main) {
+    // The program: the model's headers and the main()'s, inlined with the
+    // runtime subset they need.
     out +=
         "//\n"
         "// FREESTANDING: the runtime subset below is inlined from the library\n"
@@ -158,9 +154,12 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "#include <memory>\n"
         "\n";
     std::vector<std::string> roots = {"gen/static_engine.hpp", "gen/generated.hpp"};
-    roots.insert(roots.end(), includes.begin(), includes.end());
+    roots.insert(roots.end(), net.emit_includes().begin(), net.emit_includes().end());
+    roots.insert(roots.end(), options.extra_roots.begin(), options.extra_roots.end());
+    roots.push_back("machines/golden_trace.hpp");
     out += amalgamate_sources(roots);
   } else {
+    // The engine TU: the model's headers, included from the library it links.
     out +=
         "#include <cstdint>\n"
         "#include <memory>\n"
@@ -169,7 +168,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "#include \"gen/generated.hpp\"\n"
         "#include \"gen/static_engine.hpp\"\n";
     std::vector<std::string> seen;
-    for (const std::string& inc : includes) {
+    for (const std::string& inc : net.emit_includes()) {
       bool dup = false;
       for (const std::string& s : seen) dup = dup || s == inc;
       if (dup) continue;

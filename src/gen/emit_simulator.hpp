@@ -1,15 +1,14 @@
 // emit_simulator: print a *complete, standalone* generated C++ simulator for
 // a lowered model — the paper's headline artifact made literal.
 //
-// Where emit_cpp() documents the static schedule as a table dump, this
-// emitter produces a compilable translation unit:
+// The emitted translation unit holds:
 //
 //  * the CompiledModel tables as `static constexpr` data inside a Traits
 //    struct (candidate runs, arc arrays, process order, stage reserves,
-//    pool hints), stamped with the schedule-affecting EngineOptions they
-//    were lowered under (the StaticEngine refuses to run under different
-//    ones — an artifact built for one ablation variant cannot silently
-//    diverge under another);
+//    pool hints, with place and transition names in comments), stamped with
+//    the schedule-affecting EngineOptions they were lowered under (the
+//    StaticEngine refuses to run under different ones — an artifact built
+//    for one ablation variant cannot silently diverge under another);
 //  * guard/action dispatch as two switch functions whose cases call the
 //    model's *named* delegates directly, specialized against the typed
 //    machine context — no void* environments, no function pointers;
@@ -17,26 +16,28 @@
 //    to the compiler in one TU — eligible for whole-program/LTO
 //    optimization);
 //  * a static registrar so Backend::generated resolves to this engine (keyed
-//    by model name + options) when the TU is linked in, and optionally a
-//    main() that runs the machine's session under the stamped options and
-//    diffs the retire trace (the CI gate) — the same main in both modes.
+//    by model name + options).
 //
-// Two emission modes:
-//  * EmitMode::linked (default) — the TU #includes the library headers and
-//    links against librcpn for the Engine/TokenStore services;
-//  * EmitMode::freestanding — the needed subset of the runtime (token
-//    storage, engine, model layer, the machine and its golden session) is
-//    *inlined* into the TU from the embedded library sources
-//    (gen::amalgamate_sources), so the artifact compiles with zero repo
-//    includes and links against nothing but the C++ standard library:
+// Two artifacts, one per use:
+//  * the program (EmitSimOptions::machine_key set) adds a main() that runs
+//    the machine's session under the stamped options and diffs the retire
+//    trace (the CI gate). The needed subset of the runtime (token storage,
+//    engine, model layer, the machine and its golden session) is *inlined*
+//    from the embedded library sources (gen::amalgamate_sources), so the
+//    program compiles with zero repo includes and links against nothing but
+//    the C++ standard library:
 //
-//      rcpn_emit emit fig2 --freestanding > fs.cpp && c++ -std=c++20 -O3 fs.cpp
+//      rcpn_emit emit fig2 > fs.cpp && c++ -std=c++20 -O3 fs.cpp
 //
-// Requirements on the model: every guard/action registered through
-// ModelBuilder's guard_named/action_named (anonymous closures cannot be
+//  * the engine TU (no machine_key; `rcpn_emit emit <key> --no-main`)
+//    #includes the library headers, so Backend::generated resolves inside a
+//    binary that links librcpn (benches, perfbench, tests).
+//
+// Requirements on the model: every guard/action bound by name through a
+// desc::DelegateRegistry (guard_ref/action_ref; anonymous closures cannot be
 // emitted — emit_simulator throws listing the offenders), plus
 // emit_machine_type()/emit_include() so the generated TU can name the
-// context type and include (or, freestanding, inline) its declarations.
+// context type and include (or, in the program, inline) its declarations.
 // Emission is deterministic: byte-identical output for the same model
 // (tests/test_emit.cpp pins this).
 #pragma once
@@ -50,20 +51,12 @@
 
 namespace rcpn::gen {
 
-enum class EmitMode : std::uint8_t {
-  /// Emit a TU that #includes the library headers and links against it.
-  linked,
-  /// Inline the runtime subset; the TU compiles with zero repo includes.
-  freestanding,
-};
-
 struct EmitSimOptions {
-  /// Emit a main() that runs this machine key's session (session_expr) and
-  /// prints/diffs the retire trace. Empty: emit only the engine + registrar
-  /// (for linking into another binary).
+  /// Emit the freestanding program: a main() that runs this machine key's
+  /// session (session_expr) and prints/diffs the retire trace, with the
+  /// runtime inlined. Empty: emit only the engine + registrar, #including
+  /// the library (for linking into another binary).
   std::string machine_key;
-
-  EmitMode mode = EmitMode::linked;
 
   /// The EngineOptions the model was built and lowered with. The
   /// schedule-affecting flags are stamped into the Traits (verified live at
@@ -78,15 +71,15 @@ struct EmitSimOptions {
   /// --checkpoint-*/--restore included, as a session.
   std::string session_expr;
 
-  /// Headers beyond the net's emit_include()s — typically the one declaring
-  /// session_expr's factory (golden_session_header()). #included in linked
-  /// mode, inlined in freestanding mode.
+  /// The main()'s headers beyond the net's emit_include()s — typically the
+  /// one declaring session_expr's factory (golden_session_header()). Inlined
+  /// with the runtime; unused without machine_key.
   std::vector<std::string> extra_roots;
 };
 
-/// Render the standalone simulator source. Throws std::runtime_error if the
-/// model is not emittable (anonymous delegates, missing machine type, or —
-/// freestanding — includes outside the embedded source set).
+/// Render the simulator source. Throws std::runtime_error if the model is not
+/// emittable (anonymous delegates, missing machine type, or — with a main —
+/// includes outside the embedded source set).
 std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
                            const EmitSimOptions& options = {});
 

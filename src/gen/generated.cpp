@@ -15,14 +15,6 @@ std::map<std::pair<std::string, std::uint32_t>, GeneratedFactory>& registry() {
 }
 }  // namespace
 
-std::uint32_t generated_options_key(const core::EngineOptions& options) {
-  return core::options_bits(options);
-}
-
-std::string generated_options_desc(std::uint32_t options_key) {
-  return core::options_bits_desc(options_key);
-}
-
 void register_generated_engine(const std::string& model, std::uint32_t options_key,
                                GeneratedFactory factory) {
   registry()[{model, options_key}] = factory;
@@ -37,11 +29,11 @@ GeneratedFactory find_generated_engine(const std::string& model,
 
 GeneratedFactory find_generated_engine(const std::string& model,
                                        const core::EngineOptions& options) {
-  return find_generated_engine(model, generated_options_key(options));
+  return find_generated_engine(model, core::options_bits(options));
 }
 
 GeneratedFactory find_generated_engine(const std::string& model) {
-  return find_generated_engine(model, generated_options_key(core::EngineOptions{}));
+  return find_generated_engine(model, core::options_bits(core::EngineOptions{}));
 }
 
 std::vector<std::string> registered_generated_models() {

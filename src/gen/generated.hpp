@@ -28,19 +28,6 @@ namespace rcpn::gen {
 using GeneratedFactory = std::unique_ptr<core::Engine> (*)(core::Net&,
                                                            core::EngineOptions);
 
-/// The schedule-affecting option bits a generated artifact is emitted under
-/// (two-list analysis and candidate-search strategy; backend and runtime
-/// knobs like deadlock_limit do not change the tables). Emitted TUs stamp the
-/// key as Traits::kOptionsKey; lookups derive the same key from live
-/// EngineOptions. Both sides come from the core::options_bits table
-/// (core/options_signature.hpp).
-std::uint32_t generated_options_key(const core::EngineOptions& options);
-
-/// Human-readable spelling of an options key (error messages, emitted
-/// header comments), e.g. "two_list_state_refs" or
-/// "two_list_state_refs,force_two_list_all".
-std::string generated_options_desc(std::uint32_t options_key);
-
 /// Register the generated engine for model `model` (the net name) under
 /// `options_key`. Called from the emitted TU's static initializer;
 /// re-registration replaces (the same generated source linked twice is
@@ -49,7 +36,10 @@ void register_generated_engine(const std::string& model, std::uint32_t options_k
                                GeneratedFactory factory);
 
 /// The factory for `model` under `options` (or an explicit key), or nullptr
-/// if no matching generated TU is linked in.
+/// if no matching generated TU is linked in. Emitted TUs stamp the key as
+/// Traits::kOptionsKey; lookups derive the same key from live EngineOptions.
+/// Both sides come from core::options_bits (core/options_signature.hpp):
+/// backend and runtime knobs like deadlock_limit do not change the tables.
 GeneratedFactory find_generated_engine(const std::string& model,
                                        std::uint32_t options_key);
 GeneratedFactory find_generated_engine(const std::string& model,

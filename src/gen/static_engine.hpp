@@ -23,6 +23,7 @@
 #include <string>
 
 #include "core/engine.hpp"
+#include "core/options_signature.hpp"
 #include "gen/generated.hpp"
 #include "gen/table_engine.hpp"
 
@@ -79,10 +80,10 @@ struct EmittedTables {
     // produce a confusing structural message (satisfying the contract that a
     // wrong-ablation artifact throws instead of silently diverging).
     const std::uint32_t stamped = Traits::kOptionsKey;
-    const std::uint32_t live = generated_options_key(eng.options());
+    const std::uint32_t live = core::options_bits(eng.options());
     if (stamped != live)
-      stale("EngineOptions: tables were emitted for [" + generated_options_desc(stamped) +
-            "] but the engine runs with [" + generated_options_desc(live) + "]");
+      stale("EngineOptions: tables were emitted for [" + core::options_bits_desc(stamped) +
+            "] but the engine runs with [" + core::options_bits_desc(live) + "]");
 
     if (Traits::kNumStages != net.num_stages()) stale("stage count");
     if (Traits::kNumPlaces != net.num_places()) stale("place count");

@@ -12,10 +12,10 @@
 // Every delegate is a *named* free function — the per-transition parameters
 // the old closure captures carried (watched place, loop trip bound, flush
 // victim) live in FuzzMachine arrays indexed by core::FireCtx::transition —
-// so any seeded topology is fully emittable by gen::emit_simulator,
-// including EmitMode::freestanding. That is the point: the lockstep fuzz
-// suite (tests/test_fuzz_lockstep.cpp) reaches the emitter with randomized
-// models, not just the six curated machines.
+// so any seeded topology is fully emittable by gen::emit_simulator, as the
+// engine TU and as the freestanding program. That is the point: the lockstep
+// fuzz suite (tests/test_fuzz_lockstep.cpp) reaches the emitter with
+// randomized models, not just the six curated machines.
 #pragma once
 
 #include <cstdint>

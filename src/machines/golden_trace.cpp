@@ -1,7 +1,6 @@
 #include "machines/golden_trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -155,21 +154,11 @@ std::string diff_golden_traces(const std::vector<GoldenRetireEvent>& golden,
 }
 
 std::string write_checkpoint(GoldenSession& s) {
-  std::vector<ckpt::TraceEvent> prefix;
-  prefix.reserve(s.trace().size());
-  for (const GoldenRetireEvent& e : s.trace())
-    prefix.push_back(ckpt::TraceEvent{e.cycle, e.pc, e.seq});
-  return ckpt::save_snapshot(s.engine(), s.io(), prefix);
+  return ckpt::save_snapshot(s.engine(), s.io(), s.trace());
 }
 
 void read_checkpoint(GoldenSession& s, const std::string& text) {
-  std::vector<ckpt::TraceEvent> prefix;
-  ckpt::restore_snapshot(text, s.engine(), s.io(), prefix);
-  std::vector<GoldenRetireEvent>& tr = s.trace();
-  tr.clear();
-  tr.reserve(prefix.size());
-  for (const ckpt::TraceEvent& e : prefix)
-    tr.push_back(GoldenRetireEvent{e.cycle, e.pc, e.seq});
+  ckpt::restore_snapshot(text, s.engine(), s.io(), s.trace());
 }
 
 GoldenRunResult finish_session(GoldenSession& s) {
@@ -199,7 +188,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   std::uint64_t ckpt_every = 0;
   bool print_stats = false;
   bool print_profile = false;
-  long reps = 0;
   core::EngineOptions options = base;
   options.backend = core::Backend::generated;
   for (int i = 1; i < argc; ++i) {
@@ -212,12 +200,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       trace_json_path = argv[++i];
     } else if (arg == "--profile") {
       print_profile = true;
-    } else if (arg == "--time" && i + 1 < argc) {
-      reps = std::atol(argv[++i]);
-      if (reps <= 0) {
-        std::fprintf(stderr, "--time expects a positive repetition count\n");
-        return 2;
-      }
     } else if (arg == "--backend" && i + 1 < argc) {
       const std::string b = argv[++i];
       if (b == "interpreted") {
@@ -247,7 +229,7 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       options.two_list_state_refs = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--golden FILE] [--stats] [--time N]\n"
+          "usage: %s [--golden FILE] [--stats]\n"
           "       [--trace-json FILE] [--profile]\n"
           "       [--backend generated|compiled|interpreted]\n"
           "       [--force-two-list-all] [--no-two-list-state-refs]\n"
@@ -259,8 +241,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
           "--golden FILE: diff the trace against FILE; exit 1 on the first\n"
           "divergence, naming its cycle.\n"
           "--stats: also print the aggregate `# stats ...` line.\n"
-          "--time N: run the workload N times (plus a warm-up) and print one\n"
-          "`time ... secs=...` line instead of the trace.\n"
           "--trace-json FILE: write a Chrome-trace-event/Perfetto JSON of the\n"
           "run (needs a build with RCPN_OBS=ON; load in ui.perfetto.dev).\n"
           "--profile: print the aggregate observability profile (occupancy\n"
@@ -283,12 +263,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
 
   const bool want_ckpt = have_ckpt_at || ckpt_every > 0 || !restore_path.empty();
   if (want_ckpt) {
-    if (reps > 0) {
-      std::fprintf(stderr,
-                   "--checkpoint-at/--checkpoint-every/--restore cannot be "
-                   "combined with --time\n");
-      return 2;
-    }
     if ((have_ckpt_at || ckpt_every > 0) && ckpt_out.empty()) {
       std::fprintf(stderr,
                    "--checkpoint-at/--checkpoint-every need --checkpoint-out "
@@ -304,12 +278,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   }
 
   const bool want_obs = !trace_json_path.empty() || print_profile;
-  if (want_obs && reps > 0) {
-    std::fprintf(stderr,
-                 "--trace-json/--profile cannot be combined with --time: probe "
-                 "recording would distort the measurement\n");
-    return 2;
-  }
 #if !RCPN_OBS
   if (want_obs) {
     std::fprintf(stderr,
@@ -321,32 +289,6 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   obs::Hub obs_hub;
   if (want_obs) options.obs = &obs_hub;
 #endif
-
-  // --time: fresh sessions, each finished in one chunk.
-  if (reps > 0) {
-    try {
-      finish_session(*session(options));  // warm-up: pools, page faults, branch predictors
-      std::uint64_t cycles = 0, retired = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (long i = 0; i < reps; ++i) {
-        const GoldenRunResult r = finish_session(*session(options));
-        cycles += r.stats.cycles;
-        retired += r.trace.size();
-      }
-      const double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-      std::printf("time model=%s reps=%ld cycles=%llu retired=%llu secs=%.6f "
-                  "mcps=%.3f\n",
-                  name.c_str(), reps, static_cast<unsigned long long>(cycles),
-                  static_cast<unsigned long long>(retired), secs,
-                  secs > 0 ? static_cast<double>(cycles) / secs / 1e6 : 0.0);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
-      return 2;
-    }
-    return 0;
-  }
 
   GoldenRunResult result;
   try {

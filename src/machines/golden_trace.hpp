@@ -3,8 +3,8 @@
 // golden session every golden workload runs as, and the CLI main every
 // emitted simulator binary fronts.
 //
-// This file is deliberately free of machine includes so that a *freestanding*
-// generated simulator (gen::emit_simulator, EmitMode::freestanding) can inline
+// This file is deliberately free of machine includes so that a generated
+// simulator program (gen::emit_simulator with a main) can inline
 // it next to one machine without dragging the other five in: the per-machine
 // sessions (golden_session_fig2, ... — declared in their machines' own
 // headers) and machines/golden_runner.hpp's key-dispatch both build on
@@ -24,13 +24,9 @@
 namespace rcpn::machines {
 
 /// One retirement: the cycle it happened in, the instruction's pc and its
-/// dynamic sequence number — the full observable timing behaviour.
-struct GoldenRetireEvent {
-  core::Cycle cycle = 0;
-  std::uint64_t pc = 0;
-  std::uint32_t seq = 0;
-  bool operator==(const GoldenRetireEvent&) const = default;
-};
+/// dynamic sequence number — the full observable timing behaviour. The same
+/// record a checkpoint embeds as its trace prefix.
+using GoldenRetireEvent = ckpt::RetireEvent;
 
 /// Everything one golden-workload run observes: the retire trace plus the
 /// engine's end-of-run statistics (the four-way differential harness compares
@@ -141,16 +137,13 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///   --golden FILE                     diff against FILE; exit 1 naming the
 ///                                     first diverging cycle
 ///   --stats                           also print the `# stats ...` line
-///   --time N                          timing mode: run the workload N times
-///                                     (plus one warm-up) and print one
-///                                     `time ... secs=...` line
 ///   --trace-json FILE                 write a Chrome-trace-event/Perfetto
 ///                                     JSON of the run (RCPN_OBS=ON builds;
-///                                     exit 2 otherwise or with --time)
+///                                     exit 2 otherwise)
 ///   --profile                         print the aggregate observability
 ///                                     profile (RCPN_OBS=ON builds)
 ///   --backend generated|compiled|interpreted
-///                                     escape hatch for A/B timing
+///                                     run another in-process backend
 ///   --force-two-list-all, --no-two-list-state-refs
 ///                                     schedule-ablation variants (the
 ///                                     generated backend rejects options its

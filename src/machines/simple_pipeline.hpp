@@ -7,8 +7,9 @@
 // Described with the declarative model API: the machine context is a plain
 // counter struct, the net is declared through ModelBuilder, and
 // model::Simulator owns all three layers. The U1 delegates are *named* free
-// functions registered with guard_named/action_named, so the model is fully
-// emittable as a standalone generated simulator (gen::emit_simulator).
+// functions bound by symbol through fig2_delegates() (a
+// desc::DelegateRegistry), so the model is fully emittable as a standalone
+// generated simulator (gen::emit_simulator).
 #pragma once
 
 #include "machines/golden_trace.hpp"

@@ -81,9 +81,10 @@ class ModelBuilderBase {
   // -- generation metadata ------------------------------------------------------
   // For gen::emit_simulator(): the fully-qualified C++ type of the machine
   // context the named delegates take, and the header(s) declaring that type
-  // and those functions. A model that registers every guard/action with
-  // guard_named/action_named plus these two calls is fully emittable as a
-  // standalone generated simulator.
+  // and those functions. A model that binds every guard/action by symbol
+  // (use_delegates + guard_ref/action_ref) is fully emittable as a
+  // standalone generated simulator; use_delegates sets both from the
+  // registry.
   void emit_machine_type(std::string type) { emit_machine_type_ = std::move(type); }
   void emit_include(std::string header) { emit_includes_.push_back(std::move(header)); }
 
@@ -169,7 +170,7 @@ class ModelBuilderBase {
     /// guard/action when the callable is empty.
     core::GuardFn fast_guard = nullptr;
     core::ActionFn fast_action = nullptr;
-    /// Fully-qualified symbols of named delegates (guard_named/action_named);
+    /// Fully-qualified symbols of named delegates (guard_ref/action_ref);
     /// empty for anonymous closures. Lowered onto the core transition for
     /// gen::emit_simulator, together with the arity the call must be emitted
     /// with ((Machine&, FireCtx&) vs (FireCtx&)).
@@ -355,43 +356,11 @@ class ModelBuilder : public ModelBuilderBase {
       return *this;
     }
 
-    /// Guard bound to a *named* free function — the emittable registration
-    /// form. `Fn` is the function itself (compile-time, so the trampoline is
-    /// a direct call the optimizer sees through); `symbol` is its
-    /// fully-qualified spelling, recorded so gen::emit_simulator() can emit
-    /// the call into the generated translation unit. The function takes
-    /// (Machine&, FireCtx&) or just (FireCtx&), like guard().
-    ///
-    ///   .guard_named<&fig2_u1_guard>("rcpn::machines::fig2_u1_guard")
-    template <auto Fn>
-    TransitionBuilder& guard_named(const char* symbol) {
-      def_->guard = nullptr;
-      def_->fast_guard = nullptr;
-      def_->guard_symbol = symbol;
-      if constexpr (!std::is_void_v<Machine> &&
-                    std::is_invocable_r_v<bool, decltype(Fn), Ctx&, core::FireCtx&>) {
-        def_->needs_machine = true;
-        def_->guard_symbol_machine = true;
-        def_->fast_guard = [](void* env, core::FireCtx& ctx) {
-          return static_cast<bool>(Fn(*static_cast<Ctx*>(env), ctx));
-        };
-      } else {
-        static_assert(std::is_invocable_r_v<bool, decltype(Fn), core::FireCtx&>,
-                      "guard_named function must be callable as "
-                      "bool(Machine&, FireCtx&) or bool(FireCtx&)");
-        def_->guard_symbol_machine = false;
-        def_->fast_guard = [](void*, core::FireCtx& ctx) {
-          return static_cast<bool>(Fn(ctx));
-        };
-      }
-      return *this;
-    }
-
     /// Guard bound by *symbol* through the model's DelegateRegistry
     /// (use_delegates must have been called). The registry supplies the
     /// function pointer and arity, so the symbol string is the only thing
-    /// spelled at the call site — same emitted form as guard_named, one
-    /// source of truth. Throws ModelError on an unknown symbol.
+    /// spelled at the call site, and gen::emit_simulator() emits a direct
+    /// call to it. Throws ModelError on an unknown symbol.
     TransitionBuilder& guard_ref(const std::string& symbol) {
       owner_->bind_guard_ref(*def_, symbol);
       return *this;
@@ -400,29 +369,6 @@ class ModelBuilder : public ModelBuilderBase {
     /// Action counterpart of guard_ref().
     TransitionBuilder& action_ref(const std::string& symbol) {
       owner_->bind_action_ref(*def_, symbol);
-      return *this;
-    }
-
-    /// Action counterpart of guard_named().
-    template <auto Fn>
-    TransitionBuilder& action_named(const char* symbol) {
-      def_->action = nullptr;
-      def_->fast_action = nullptr;
-      def_->action_symbol = symbol;
-      if constexpr (!std::is_void_v<Machine> &&
-                    std::is_invocable_v<decltype(Fn), Ctx&, core::FireCtx&>) {
-        def_->needs_machine = true;
-        def_->action_symbol_machine = true;
-        def_->fast_action = [](void* env, core::FireCtx& ctx) {
-          Fn(*static_cast<Ctx*>(env), ctx);
-        };
-      } else {
-        static_assert(std::is_invocable_v<decltype(Fn), core::FireCtx&>,
-                      "action_named function must be callable as "
-                      "void(Machine&, FireCtx&) or void(FireCtx&)");
-        def_->action_symbol_machine = false;
-        def_->fast_action = [](void*, core::FireCtx& ctx) { Fn(ctx); };
-      }
       return *this;
     }
 

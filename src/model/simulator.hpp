@@ -47,6 +47,7 @@
 #include <utility>
 
 #include "core/engine.hpp"
+#include "core/options_signature.hpp"
 #include "gen/compiled_engine.hpp"
 #include "gen/generated.hpp"
 #include "model/model_builder.hpp"
@@ -170,7 +171,7 @@ class Simulator {
       if (factory == nullptr)
         throw ModelError(
             "model '" + net.name() + "': Backend::generated with options [" +
-            gen::generated_options_desc(gen::generated_options_key(options)) +
+            core::options_bits_desc(core::options_bits(options)) +
             "] requires the generated simulator translation unit "
             "(gen::emit_simulator output for exactly these options) to be "
             "linked in and registered");

@@ -76,7 +76,10 @@ class RegRef final : public Operand {
     value_ready_ = false;
   }
   void writeback() override {
-    assert(reserved_ && "writeback without reservation");
+    if (!reserved_)
+      file_->writer_stack_error(cell_, "written back by an operand that holds no "
+                                       "write reservation; the writing transition "
+                                       "needs a reserve_write() before it");
     // Out-of-order completion: an older writer finishing after a newer one
     // must not clobber the newer architectural value.
     if (reserve_seq_ >= file_->committed_seq(cell_)) {

@@ -18,6 +18,13 @@ void RegisterFile::add_identity_registers(unsigned n, const std::string& prefix)
 }
 
 void RegisterFile::writer_overflow(CellId c) const {
+  writer_stack_error(c, ("already has " + std::to_string(kMaxWriters) +
+                         " in-flight writers; a write reservation was taken "
+                         "without a can_write() guard")
+                            .c_str());
+}
+
+void RegisterFile::writer_stack_error(CellId c, const char* what) const {
   std::string names;
   for (const Register& r : regs_) {
     if (r.cell != c) continue;
@@ -25,10 +32,8 @@ void RegisterFile::writer_overflow(CellId c) const {
     names += r.name;
   }
   throw HazardError(std::string("register file: cell ") + std::to_string(c) + " (" +
-                    (names.empty() ? std::string("no register") : names) +
-                    ") already has " + std::to_string(kMaxWriters) +
-                    " in-flight writers; a write reservation was taken without "
-                    "a can_write() guard");
+                    (names.empty() ? std::string("no register") : names) + ") " +
+                    what);
 }
 
 void RegisterFile::clear_writers() {

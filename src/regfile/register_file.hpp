@@ -29,10 +29,13 @@ using RegisterId = std::uint16_t;
 using CellId = std::uint16_t;
 
 /// A hazard invariant the model's guards must uphold was broken: a write
-/// reservation beyond the writer stack of a cell, or an operand read with no
-/// readable source. The usual cause is a model whose issue transition lacks
-/// its hazard guard (paper §3.1 pairing rules: read() needs can_read(),
-/// reserve_write() needs can_write()). Checked in every build.
+/// reservation beyond the writer stack of a cell, a writeback or release of a
+/// reservation the cell does not hold, or an operand read with no readable
+/// source. The usual cause is a model whose issue transition lacks its hazard
+/// guard or its reserving action (paper §3.1 pairing rules: read() needs
+/// can_read(), reserve_write() needs can_write(), writeback() needs
+/// reserve_write()), or a checkpoint whose writer records were edited.
+/// Checked in every build.
 class HazardError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -86,6 +89,8 @@ class RegisterFile {
     if (cell.num_writers == kMaxWriters) writer_overflow(c);
     cell.writers[cell.num_writers++] = w;
   }
+  /// Drop `w` from the writers of `c`; throws HazardError (naming the cell
+  /// and its registers) when `w` is not one of them.
   void remove_writer(CellId c, RegRef* w) {
     Cell& cell = cells_[c];
     for (unsigned i = 0; i < cell.num_writers; ++i) {
@@ -97,8 +102,12 @@ class RegisterFile {
         return;
       }
     }
-    assert(false && "remove_writer: not a registered writer");
+    writer_stack_error(c, "has no such in-flight writer to remove; a writeback "
+                          "or release did not match a write reservation");
   }
+  /// Throw HazardError naming cell `c` and the registers mapped onto it,
+  /// then `what`: the misuse of its writer stack.
+  [[noreturn]] void writer_stack_error(CellId c, const char* what) const;
   /// Commit sequencing for multi_writer: returns the reservation sequence.
   std::uint32_t next_reserve_seq(CellId c) { return ++cells_[c].reserve_seq; }
   /// Checkpoint support (src/ckpt/): the reservation-sequence counter is

@@ -337,6 +337,30 @@ TEST(CkptErrors, TruncatedSnapshotIsRejectedNotHalfRestored) {
   }
 }
 
+// A checkpoint whose register-cell record drops a live writer restores (the
+// record is well-formed), but the instruction holding that reservation later
+// writes back to a cell that no longer lists it. That is a named HazardError
+// in every build, not an abort and not a silently finished run.
+TEST(CkptErrors, DroppedLiveWriterFailsWithHazardError) {
+  for (const char* key : {"fig5", "tomasulo"}) {
+    SCOPED_TRACE(key);
+    std::string snap = snapshot_of(key, 3);
+    const std::size_t at = snap.find("writers=1 0:0\n");
+    ASSERT_NE(at, std::string::npos) << "no live writer at cycle 3";
+    snap.replace(at, std::string("writers=1 0:0").size(), "writers=0");
+    auto s = machines::make_golden_session(key, options_for(core::Backend::interpreted));
+    machines::read_checkpoint(*s, snap);
+    try {
+      machines::finish_session(*s);
+      ADD_FAILURE() << "finished a run whose live writer was dropped";
+    } catch (const regfile::HazardError& e) {
+      EXPECT_NE(std::string(e.what()).find("has no such in-flight writer to remove"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // Element counts come from the file: restore must reject a forged count
 // through the record checks, never size an allocation from it.
 TEST(CkptErrors, ForgedCountsAreRejectedWithoutAllocating) {

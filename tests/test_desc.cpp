@@ -352,26 +352,25 @@ TEST(FuzzModelName, ParserAcceptsExactlyThePrintedNames) {
 // -- emitted-artifact parity --------------------------------------------------
 
 TEST(DescEmit, SimulatorSourceFromDescriptionMatchesDirectEmission) {
-  // The generated and freestanding backends consume emitted source, so
-  // byte-identical emission from the loaded model extends round-trip
-  // equality to both without compiling anything here (CI compiles and
-  // golden-diffs the .rcpn-emitted freestanding artifact).
+  // The generated backend (the linked engine TU) and the freestanding program
+  // consume emitted source, so byte-identical emission from the loaded model
+  // extends round-trip equality to both without compiling anything here (CI
+  // compiles and golden-diffs the .rcpn-emitted program).
   const std::string key = "strongarm_crc";
   const core::EngineOptions o = opts_for(core::Backend::compiled);
 
   const auto emit_from = [&](machines::GoldenSession& session) {
     const core::Net& net = session.engine().net();
     const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session.engine());
-    gen::EmitSimOptions main_opts;
-    main_opts.machine_key = key;
-    main_opts.engine_options = o;
-    main_opts.session_expr = machines::golden_session_expr(key);
-    main_opts.extra_roots.push_back(machines::golden_session_header(key));
-    gen::EmitSimOptions fs = main_opts;
-    fs.mode = gen::EmitMode::freestanding;
+    gen::EmitSimOptions no_main;
+    no_main.engine_options = o;
+    gen::EmitSimOptions program = no_main;
+    program.machine_key = key;
+    program.session_expr = machines::golden_session_expr(key);
+    program.extra_roots.push_back(machines::golden_session_header(key));
     return std::pair<std::string, std::string>{
-        gen::emit_simulator(ce.compiled(), net, main_opts),
-        gen::emit_simulator(ce.compiled(), net, fs)};
+        gen::emit_simulator(ce.compiled(), net, no_main),
+        gen::emit_simulator(ce.compiled(), net, program)};
   };
 
   const auto direct = emit_from(*machines::make_golden_session(key, o));
@@ -471,6 +470,17 @@ TEST(DescBounds, TomasuloFetchPastTheProgramThrows) {
       "Tomasulo: no instruction at pc 6 (the program has 6 instructions)");
 }
 
+/// Replace every occurrence of `from` in `text` with `to`; the count replaced.
+std::size_t replace_all(std::string& text, const std::string& from, const std::string& to) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(from); at != std::string::npos;
+       at = text.find(from, at + to.size())) {
+    text.replace(at, from.size(), to);
+    ++n;
+  }
+  return n;
+}
+
 TEST(DescHazard, StrongArmWithoutIssueGuardThrowsHazardError) {
   // A description that drops the hazard guard of every issue transition (and
   // widens MW so writers pile up behind a slow memory stage) lets the issue
@@ -480,18 +490,10 @@ TEST(DescHazard, StrongArmWithoutIssueGuardThrowsHazardError) {
   // a stale read or an out-of-bounds write.
   std::string text = read_text_file(std::string(RCPN_MODELS_DIR) + "/strongarm.rcpn");
   ASSERT_FALSE(text.empty());
-  auto replace_all = [&text](const std::string& from, const std::string& to) {
-    std::size_t n = 0;
-    for (std::size_t at = text.find(from); at != std::string::npos;
-         at = text.find(from, at + to.size())) {
-      text.replace(at, from.size(), to);
-      ++n;
-    }
-    return n;
-  };
-  ASSERT_EQ(replace_all("  guard rcpn::machines::pipe_issue_guard machine\n", ""), 6u);
-  ASSERT_EQ(replace_all("stage MW capacity=1\n", "stage MW capacity=255\n"), 1u);
-  ASSERT_EQ(replace_all("place MW stage=MW\n", "place MW stage=MW delay=200\n"), 1u);
+  ASSERT_EQ(replace_all(text, "  guard rcpn::machines::pipe_issue_guard machine\n", ""), 6u);
+  ASSERT_EQ(replace_all(text, "stage MW capacity=1\n", "stage MW capacity=255\n"), 1u);
+  ASSERT_EQ(replace_all(text, "place MW stage=MW\n", "place MW stage=MW delay=200\n"),
+            1u);
   const desc::Description d = desc::parse(text);
   for (const core::Backend b : {core::Backend::interpreted, core::Backend::compiled}) {
     try {
@@ -499,6 +501,31 @@ TEST(DescHazard, StrongArmWithoutIssueGuardThrowsHazardError) {
       ADD_FAILURE() << "backend " << static_cast<int>(b) << " ran the unguarded model";
     } catch (const regfile::HazardError& e) {
       EXPECT_NE(std::string(e.what()).find("register"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(DescHazard, StrongArmWithoutIssueActionThrowsHazardError) {
+  // Without its issue action no instruction reserves its destination, so the
+  // first writeback releases a reservation its cell never took. That must be
+  // a named HazardError on every backend and in every build — not an abort,
+  // and not a run that retires twice the golden count unchecked.
+  std::string text = read_text_file(std::string(RCPN_MODELS_DIR) + "/strongarm.rcpn");
+  ASSERT_FALSE(text.empty());
+  ASSERT_EQ(replace_all(text, "  action rcpn::machines::pipe_issue_action machine\n", ""),
+            6u);
+  const desc::Description d = desc::parse(text);
+  for (const core::Backend b : {core::Backend::interpreted, core::Backend::compiled}) {
+    try {
+      machines::run_description(d, desc::engine_options(d, opts_for(b)));
+      ADD_FAILURE() << "backend " << static_cast<int>(b)
+                    << " wrote back without a reservation";
+    } catch (const regfile::HazardError& e) {
+      EXPECT_NE(std::string(e.what()).find("holds no write reservation"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("register file: cell "), std::string::npos)
+          << e.what();
     }
   }
 }

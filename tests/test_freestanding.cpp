@@ -208,5 +208,58 @@ TEST(GeneratedVariants, WrongOptionsAtBuildTimeThrow) {
   }
 }
 
+/// The Fig 2 net as SimplePipeline declares it, but with place L1 at
+/// `l1_delay` and U1 with or without its guard.
+void describe_fig2_variant(model::ModelBuilder<machines::Fig2Machine>& b,
+                           std::uint32_t l1_delay, bool u1_guard) {
+  b.use_delegates(machines::fig2_delegates());
+  const model::StageHandle s1 = b.add_stage("L1", 1);
+  const model::StageHandle s2 = b.add_stage("L2", 1);
+  const model::PlaceHandle l1 = b.add_place("L1", s1, l1_delay);
+  const model::PlaceHandle l2 = b.add_place("L2", s2);
+  const model::TypeHandle type_a = b.add_type("A");
+  const model::TypeHandle type_b = b.add_type("B");
+  b.add_transition("U2", type_a).from(l1).to(l2);
+  b.add_transition("U3", type_a).from(l2).to(b.end());
+  b.add_transition("U4", type_b).from(l1).to(b.end());
+  auto u1 = b.add_independent_transition("U1");
+  if (u1_guard) u1.guard_ref("rcpn::machines::fig2_u1_guard");
+  u1.action_ref("rcpn::machines::fig2_u1_action").to(l1);
+}
+
+// The linked Fig2 engine's tables were emitted from the shipped model. A model
+// of the same name and options that differs from them must be refused at
+// build(), naming what differs, instead of running the stale tables.
+TEST(GeneratedVariants, StaleTablesAreRefusedNamingTheMismatch) {
+  core::EngineOptions opts;
+  opts.backend = core::Backend::generated;
+  const auto build = [&opts](std::uint32_t l1_delay, bool u1_guard) {
+    model::Simulator<machines::Fig2Machine> sim(
+        "Fig2", opts,
+        [=](model::ModelBuilder<machines::Fig2Machine>& b, machines::Fig2Machine&) {
+          describe_fig2_variant(b, l1_delay, u1_guard);
+        },
+        machines::Fig2Machine{});
+  };
+  ASSERT_NO_THROW(build(1, true)) << "the unedited model must match its tables";
+
+  const struct {
+    std::uint32_t l1_delay;
+    bool u1_guard;
+    const char* needle;
+  } stale[] = {
+      {2, true, "(residence delay of place 'L1')"},
+      {1, false, "(guard presence on transition 'U1')"},
+  };
+  for (const auto& v : stale) {
+    try {
+      build(v.l1_delay, v.u1_guard);
+      ADD_FAILURE() << "the generated engine ran stale tables: " << v.needle;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(v.needle), std::string::npos) << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rcpn

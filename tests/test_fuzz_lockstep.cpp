@@ -186,8 +186,8 @@ TEST(FuzzLockstep, Seeds89To128) { run_seed_range(89, 128); }
 // ---------------------------------------------------------------------------
 // Freestanding shard: fuzz coverage reaches the *emitter*, not just the
 // in-process backends. A small CI-budgeted set of seeded topologies is
-// emitted as freestanding single-file simulators (gen::emit_simulator,
-// EmitMode::freestanding), compiled at test time with the configured host
+// emitted as freestanding single-file simulator programs (gen::emit_simulator
+// with a main), compiled at test time with the configured host
 // compiler — zero repo includes, no library objects on the link line — run,
 // and trace-diffed against the interpreted backend through the emitted
 // binary's own --golden first-diverging-cycle reporting. The seeds cross the
@@ -229,7 +229,6 @@ TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
         FuzzMachine{});
     auto& ce = dynamic_cast<gen::CompiledEngine&>(sim.engine());
     gen::EmitSimOptions fs;
-    fs.mode = gen::EmitMode::freestanding;
     fs.engine_options = opts;
     fs.machine_key = name;
     fs.session_expr =

@@ -2,8 +2,8 @@
 // equivalent to the interpreted core::Engine on every machine model — same
 // clock, same retire order (cycle-stamped), same statistics down to
 // per-transition firing and per-place stall counts. Plus the lowering pass
-// invariants (flat Fig 6 runs match the engine's candidate lists) and the
-// emit_cpp / emit_dot exporters.
+// invariants (flat Fig 6 runs match the engine's candidate lists), the
+// schedule tables of the emitted engine TU and the emit_dot exporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "gen/compiled_engine.hpp"
 #include "gen/emit.hpp"
+#include "gen/emit_simulator.hpp"
 #include "machines/fig5_processor.hpp"
 #include "machines/simple_pipeline.hpp"
 #include "machines/strongarm.hpp"
@@ -59,7 +60,8 @@ void expect_stats_equal(const core::Stats& interp, const core::Stats& comp) {
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep equivalence on all five machine models
+// Lockstep equivalence on the five paper machine models (the sixth golden
+// machine, stallcause, is held to it by the four-way harness)
 // ---------------------------------------------------------------------------
 
 TEST(CompiledLockstep, Fig2PipelineStepwise) {
@@ -363,6 +365,8 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
 // Exporters
 // ---------------------------------------------------------------------------
 
+// The engine TU (gen::emit_simulator without a main) carries the schedule
+// tables as constexpr Traits data, with place names in comments.
 TEST(Exporters, EmitCppContainsScheduleTables) {
   machines::StrongArmConfig ccfg;
   ccfg.engine.backend = core::Backend::compiled;
@@ -370,8 +374,9 @@ TEST(Exporters, EmitCppContainsScheduleTables) {
   auto* ce = dynamic_cast<gen::CompiledEngine*>(&sim.engine());
   ASSERT_NE(ce, nullptr);
 
-  const std::string src = gen::emit_cpp(ce->compiled(), sim.net());
-  EXPECT_NE(src.find("namespace rcpn_gen::StrongArm"), std::string::npos);
+  const std::string src = gen::emit_simulator(ce->compiled(), sim.net());
+  EXPECT_NE(src.find("namespace rcpn_gen {\nnamespace {\nnamespace StrongArm {"),
+            std::string::npos);
   EXPECT_NE(src.find("kProcessOrder"), std::string::npos);
   EXPECT_NE(src.find("kTwoListStages"), std::string::npos);
   EXPECT_NE(src.find("kCell["), std::string::npos);
@@ -379,7 +384,16 @@ TEST(Exporters, EmitCppContainsScheduleTables) {
   EXPECT_NE(src.find("kStageReserve"), std::string::npos);
   EXPECT_NE(src.find("kInstrPoolHint"), std::string::npos);
   // Names travel along as comments.
-  EXPECT_NE(src.find("FD"), std::string::npos);
+  const gen::CompiledModel& cm = ce->compiled();
+  ASSERT_FALSE(cm.order.empty());
+  const std::size_t order_at = src.find("kProcessOrder[");
+  ASSERT_NE(order_at, std::string::npos);
+  const std::string order_line = src.substr(order_at, src.find('\n', order_at) - order_at);
+  EXPECT_NE(order_line.find("/*" + sim.net().place(cm.order.front()).name + "*/"),
+            std::string::npos)
+      << order_line;
+  EXPECT_NE(src.find("// " + sim.net().place(cm.order.front()).name + "\n"),
+            std::string::npos);
   EXPECT_NE(src.find("constexpr"), std::string::npos);
 }
 

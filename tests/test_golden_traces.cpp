@@ -8,7 +8,7 @@
 // naming the machine, the backend and the *first diverging cycle*, instead
 // of a distant aggregate mismatch. The workload/trace machinery itself lives
 // in machines/golden_runner.{hpp,cpp}, shared with the generated-simulator
-// binaries (gen_sim_*) that CI diffs against the same files — three engines,
+// programs (gen_fs_*) that CI diffs against the same files — three engines,
 // one reference.
 //
 // Regenerate after an intentional timing change with:
@@ -84,7 +84,7 @@ INSTANTIATE_TEST_SUITE_P(AllMachines, GoldenTrace,
                          [](const auto& info) { return std::string(info.param); });
 
 // The trace keys and the golden runner's canonical key list must agree (the
-// gen_sim_* CI jobs iterate the runner's list).
+// gen_fs_* CI jobs iterate the runner's list).
 TEST(GoldenTrace, KeysMatchRunner) {
   const std::vector<std::string> expected = {
       "fig2", "fig5", "tomasulo", "strongarm_crc", "xscale_adpcm", "stallcause"};
