@@ -102,6 +102,7 @@ void ModelBuilderBase::bind_guard_ref(TransitionDef& def, const std::string& sym
   def.fast_guard = b->guard;
   def.guard_symbol = symbol;
   def.guard_symbol_machine = b->takes_machine;
+  def.guard_reads_token = b->token == desc::TokenUse::reads;
   if (b->takes_machine) def.needs_machine = true;
 }
 
@@ -116,6 +117,7 @@ void ModelBuilderBase::bind_action_ref(TransitionDef& def, const std::string& sy
   def.fast_action = b->action;
   def.action_symbol = symbol;
   def.action_symbol_machine = b->takes_machine;
+  def.action_reads_token = b->token == desc::TokenUse::reads;
   if (b->takes_machine) def.needs_machine = true;
 }
 

@@ -11,8 +11,8 @@
 //       desc::DelegateRegistry r("rcpn::machines::Fig2Machine",
 //                                {"machines/simple_pipeline.hpp"});
 //       auto d = r.bind<Fig2Machine>();
-//       d.guard<&fig2_u1_guard>("rcpn::machines::fig2_u1_guard");
-//       d.action<&fig2_u1_action>("rcpn::machines::fig2_u1_action");
+//       d.guard<&fig2_u1_guard>("rcpn::machines::fig2_u1_guard", TokenUse::none);
+//       d.action<&fig2_u1_action>("rcpn::machines::fig2_u1_action", TokenUse::none);
 //       return r;
 //     }();
 //     return reg;
@@ -44,6 +44,13 @@ namespace rcpn::desc {
 template <typename Machine>
 class TypedDelegates;
 
+/// Whether a delegate reads the trigger token (FireCtx::token). An
+/// instruction-independent transition fires without one, so a binding that
+/// reads it may not go there: ModelBuilderBase::validate() rejects it,
+/// naming the transition and the symbol. Bindings read it unless they say
+/// otherwise.
+enum class TokenUse : std::uint8_t { reads, none };
+
 class DelegateRegistry {
  public:
   /// One named delegate: the type-erased trampoline (env = machine pointer,
@@ -53,6 +60,7 @@ class DelegateRegistry {
     core::GuardFn guard = nullptr;    // set for guard bindings
     core::ActionFn action = nullptr;  // set for action bindings
     bool takes_machine = true;
+    TokenUse token = TokenUse::reads;
   };
 
   /// `machine_type` is the fully-qualified C++ machine context type and
@@ -113,8 +121,9 @@ template <typename Machine>
 class TypedDelegates {
  public:
   template <auto Fn>
-  TypedDelegates& guard(std::string symbol) {
+  TypedDelegates& guard(std::string symbol, TokenUse token = TokenUse::reads) {
     DelegateRegistry::Binding b;
+    b.token = token;
     if constexpr (std::is_invocable_r_v<bool, decltype(Fn), Machine&, core::FireCtx&>) {
       b.takes_machine = true;
       b.guard = [](void* env, core::FireCtx& ctx) {
@@ -132,8 +141,9 @@ class TypedDelegates {
   }
 
   template <auto Fn>
-  TypedDelegates& action(std::string symbol) {
+  TypedDelegates& action(std::string symbol, TokenUse token = TokenUse::reads) {
     DelegateRegistry::Binding b;
+    b.token = token;
     if constexpr (std::is_invocable_v<decltype(Fn), Machine&, core::FireCtx&>) {
       b.takes_machine = true;
       b.action = [](void* env, core::FireCtx& ctx) {

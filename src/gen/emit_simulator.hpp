@@ -12,9 +12,10 @@
 //  * guard/action dispatch as two switch functions whose cases call the
 //    model's *named* delegates directly, specialized against the typed
 //    machine context — no void* environments, no function pointers;
-//  * a gen::StaticEngine<Traits> instantiation (the whole hot loop visible
-//    to the compiler in one TU — eligible for whole-program/LTO
-//    optimization);
+//  * a gen::StaticEngine<Traits> instantiation, which walks these constant
+//    tables as a compile-time fold: each place's firing is specialized, and
+//    the dispatch switches are called with constant ids, so they fold into
+//    direct calls where the compiler inlines them;
 //  * a static registrar so Backend::generated resolves to this engine (keyed
 //    by model name + options).
 //

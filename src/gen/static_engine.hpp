@@ -5,22 +5,30 @@
 // data plus two static dispatch functions whose switch bodies call the
 // model's named guard/action delegates *directly*, specialized against the
 // typed machine context (no void* environment, no function-pointer
-// indirection) — and instantiates this template over it. The hot loop is
-// gen::TableEngine, the same one the compiled backend runs; instantiated in
-// the emitted TU, the compiler sees the loop, every table and every delegate
-// body at once: the paper's "generated C++ simulator" that
-// whole-program/LTO optimization can specialize end to end.
+// indirection) — and instantiates this template over it. The firing rules
+// are gen::TableEngine's, the ones the compiled backend runs; what differs is
+// the iteration. Because these tables are constants, TableEngine walks the
+// process order as a compile-time fold: every place's stage, Fig 6 row,
+// candidate rows and destination are constants, and each guard and action
+// reaches its switch with a constant id, which folds into a direct call to
+// the named delegate wherever the compiler inlines the switch. That is what
+// makes the generated backend faster than the compiled one, which loops
+// over the same rules at run time; the delegate bodies themselves stay in
+// the library, out of line.
 //
 // A generated artifact can go stale: the model description may change after
 // the source was emitted. build() therefore *verifies* every table against
 // the engine's own static extraction of the live net and refuses to run on
 // any mismatch — CI regenerates on every push, so a stale artifact is a
-// build failure, never a silently wrong simulation.
+// build failure, never a silently wrong simulation. The fold's uniform-place
+// analysis reads only tables verify() checks, so it needs no check of its
+// own.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "core/engine.hpp"
 #include "core/options_signature.hpp"
@@ -30,12 +38,17 @@
 namespace rcpn::gen {
 
 /// TableEngine's view of an emitted Traits struct: constexpr rows, delegates
-/// dispatched by the Traits' switches on the typed machine context.
+/// dispatched by the Traits' switches on the typed machine context. The
+/// constants make it a StaticSchedule, which TableEngine walks as a fold.
 template <typename Traits>
 struct EmittedTables {
   using Row = StaticTx;
   using Machine = typename Traits::Machine;
   Machine* m = nullptr;
+
+  static constexpr unsigned kNumOrder = Traits::kNumOrder;
+  static constexpr unsigned kNumTypes = Traits::kNumTypes;
+  static constexpr unsigned kNumIndependent = Traits::kNumIndependent;
 
   /// Verify the tables against the live model (throws std::runtime_error on
   /// a stale artifact), then bind the machine context.
@@ -43,12 +56,25 @@ struct EmittedTables {
     verify(eng);
     m = &eng.machine<Machine>();
   }
-  static const Row& body(std::uint32_t i) { return Traits::kBody[i]; }
+  static constexpr const Row& body(std::uint32_t i) { return Traits::kBody[i]; }
   static std::uint32_t num_body() { return Traits::kNumBody; }
-  static const Row& independent(std::uint32_t i) { return Traits::kIndependent[i]; }
+  static constexpr const Row& independent(std::uint32_t i) { return Traits::kIndependent[i]; }
   static std::uint32_t num_independent() { return Traits::kNumIndependent; }
-  static const CandRange* cells(core::PlaceId p) {
+  static constexpr const CandRange* cells(core::PlaceId p) {
     return Traits::kCell + static_cast<std::size_t>(p) * Traits::kNumTypes;
+  }
+  static constexpr core::PlaceId order(unsigned k) { return Traits::kProcessOrder[k]; }
+  static constexpr std::uint32_t place_delay(core::PlaceId p) {
+    return Traits::kPlaceDelay[static_cast<unsigned>(p)];
+  }
+  /// Two rows dispatch to the same delegates: the same guard and action
+  /// symbols (a registry binds each symbol to one function), present alike.
+  static constexpr bool same_delegates(const Row& a, const Row& b) {
+    const auto ia = static_cast<unsigned>(a.id), ib = static_cast<unsigned>(b.id);
+    return Traits::kHasGuard[ia] == Traits::kHasGuard[ib] &&
+           Traits::kHasAction[ia] == Traits::kHasAction[ib] &&
+           std::string_view(Traits::kGuardSym[ia]) == Traits::kGuardSym[ib] &&
+           std::string_view(Traits::kActionSym[ia]) == Traits::kActionSym[ib];
   }
   static core::PlaceId res_in(std::uint32_t i) { return Traits::kResIn[i]; }
   static StaticOutArc out_arc(std::uint32_t i) { return Traits::kOutArcs[i]; }
@@ -57,10 +83,12 @@ struct EmittedTables {
   static std::uint32_t res_pool_hint() { return Traits::kResPoolHint; }
   // kHasGuard/kHasAction gate the dispatch so a transition without a delegate
   // costs one constexpr table load, like the runtime tables' null check.
-  bool guard(const Row& r, core::FireCtx& ctx) const {
+  // Forced inline, so a row the static walk names is a constant before the
+  // inliner weighs the switch: the id folds the switch into its one case.
+  [[gnu::always_inline]] bool guard(const Row& r, core::FireCtx& ctx) const {
     return !Traits::kHasGuard[static_cast<unsigned>(r.id)] || Traits::guard(r.id, *m, ctx);
   }
-  void action(const Row& r, core::FireCtx& ctx) const {
+  [[gnu::always_inline]] void action(const Row& r, core::FireCtx& ctx) const {
     if (Traits::kHasAction[static_cast<unsigned>(r.id)]) Traits::action(r.id, *m, ctx);
   }
 

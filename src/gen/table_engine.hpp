@@ -9,9 +9,22 @@
 //    build(), delegates as pre-bound function pointers (Backend::compiled);
 //  * EmittedTables<Traits> (gen/static_engine.hpp) — the constexpr rows of a
 //    source file gen::emit_simulator() printed, delegates as a switch of
-//    direct calls (Backend::generated and the freestanding artifacts).
-// Every firing rule below therefore has one definition for both. Token
-// services, two-list promotion, retirement, flush, pools, stats and the
+//    direct calls (Backend::generated and the freestanding programs).
+// Every firing rule below (fire_token, try_fire, fire_general, the
+// independent sub-net) has one definition, and two iterations drive it:
+//  * over runtime tables, step() loops over the process-order slots
+//    resolved at build();
+//  * over constexpr tables (StaticSchedule), step() walks the process order
+//    and the independent sub-net as a compile-time fold. Each place's stage,
+//    Fig 6 row, candidate rows, destination and delegates are then
+//    constants, and the dispatch switches see constant ids: the paper's
+//    per-place generated Process(), specialized when the simulator is
+//    compiled. A *uniform* place (UniformPlace: every candidate is one
+//    simple row with the same destination, delay and delegates, as every
+//    StrongArm place) fires every type through one body and counts the
+//    type's own transition id; any other place (XScale's RF, whose types go
+//    to X1, M1 or D1) dispatches through its constexpr Fig 6 row.
+// Token services, two-list promotion, retirement, flush, pools, stats and the
 // watchdog are inherited core::Engine code, and the interpreted core::Engine
 // stays the independent reference both are checked against cycle for cycle.
 //
@@ -30,11 +43,17 @@
 //   core::PlaceId res_in(std::uint32_t);     StaticOutArc out_arc(std::uint32_t);
 //   std::uint32_t stage_reserve(unsigned), instr_pool_hint(), res_pool_hint();
 //   bool guard(const Row&, core::FireCtx&);  void action(const Row&, core::FireCtx&);
+// and, for the static walk, constant kNumOrder, kNumTypes and
+// kNumIndependent, constexpr body/independent/cells, and constexpr
+// order(k), place_delay(p) and same_delegates(row, row).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -71,6 +90,46 @@ struct CandRange {
   std::uint32_t begin = 0;
   std::uint32_t count = 0;
 };
+
+/// Tables whose schedule is a compile-time constant (EmittedTables): the
+/// engine walks it as a fold instead of looping over it.
+template <typename Tables>
+concept StaticSchedule =
+    requires { typename std::integral_constant<unsigned, Tables::kNumOrder>; };
+
+/// A place of a static schedule whose every non-empty Fig 6 cell is exactly
+/// one simple row, all with the destination place, delay and delegates of
+/// the first (`rep`). One firing body then serves every type: it fires
+/// through `rep` and counts `id[type]`, the type's own transition (-1: an
+/// empty cell, whose tokens stall for want of a candidate).
+template <typename Tables>
+struct UniformPlace {
+  bool uniform = false;
+  std::uint32_t rep = 0;
+  std::array<core::TransitionId, Tables::kNumTypes> id{};
+};
+
+template <typename Tables>
+constexpr UniformPlace<Tables> uniform_place(core::PlaceId p) {
+  UniformPlace<Tables> u;
+  const CandRange* cells = Tables::cells(p);
+  for (unsigned ty = 0; ty < Tables::kNumTypes; ++ty) {
+    u.id[ty] = -1;
+    if (cells[ty].count == 0) continue;
+    const auto& row = Tables::body(cells[ty].begin);
+    if (cells[ty].count != 1 || !row.simple) return {};
+    if (!u.uniform) {
+      u.uniform = true;
+      u.rep = cells[ty].begin;
+    }
+    const auto& rep = Tables::body(u.rep);
+    if (row.move_place != rep.move_place || row.delay != rep.delay ||
+        !Tables::same_delegates(row, rep))
+      return {};
+    u.id[ty] = row.id;
+  }
+  return u;
+}
 
 template <typename Tables>
 class TableEngine : public core::Engine {
@@ -124,25 +183,13 @@ class TableEngine : public core::Engine {
 
     for (core::PipelineStage* st : two_list_) st->promote_incoming();
 
-    for (const Slot& s : slots_) {
-      const std::vector<core::Token*>& list = s.stage->tokens();
-      if (list.empty()) continue;  // most places are empty most cycles
-      if (list.size() == 1) {
-        // A latch: test its token in place. Nothing has fired from this list
-        // yet this cycle, so the snapshot's re-checks could not fail.
-        core::Token* t = list.front();
-        if (t->place == s.place && t->kind == core::TokenKind::instruction &&
-            t->ready <= clock_)
-          fire_token(s, static_cast<core::InstructionToken*>(t));
-      } else {
-        process_pool(s);
-      }
-    }
-
-    for (std::uint32_t i = 0; i < tables_.num_independent(); ++i) {
-      const Row& row = tables_.independent(i);
-      for (std::int32_t f = 0; f < row.max_fires && independent_enabled(row); ++f)
-        fire_independent(row);
+    if constexpr (StaticSchedule<Tables>) {
+      walk(std::make_index_sequence<Tables::kNumOrder>{},
+           std::make_index_sequence<Tables::kNumIndependent>{});
+    } else {
+      for (const Slot& s : slots_) process(SlotPlace{*this, s});
+      for (std::uint32_t i = 0; i < tables_.num_independent(); ++i)
+        run_independent_row(tables_.independent(i));
     }
 
     return finish_cycle();
@@ -164,15 +211,92 @@ class TableEngine : public core::Engine {
     std::uint32_t place_delay = 0;
   };
 
+  // A place as Process() walks it: its stage and id, and its Fig 6 row.
+  // range(type) is the run of candidate indices of a type; each index names
+  // the row that gives shape and delegates, the transition id to count, and
+  // a simple row's move target.
+
+  /// A slot of the runtime loop: each candidate is its own body row.
+  struct SlotPlace {
+    const TableEngine& eng;
+    const Slot& slot;
+    core::PipelineStage& stage() const { return *slot.stage; }
+    core::PlaceId place() const { return slot.place; }
+    CandRange range(core::TypeId type) const { return slot.cells[type]; }
+    const Row& row(std::uint32_t i) const { return eng.tables_.body(i); }
+    core::TransitionId id(std::uint32_t i) const { return eng.tables_.body(i).id; }
+    Dest dest(std::uint32_t i) const { return eng.dest_[i]; }
+  };
+
+  /// Place P of a static schedule: its constexpr Fig 6 row, collapsed when
+  /// the place is uniform (UniformPlace) into one candidate per type,
+  /// indexed by the type itself, that fires through the representative row.
+  template <core::PlaceId P>
+  struct StaticPlace {
+    static constexpr UniformPlace<Tables> kPlace = uniform_place<Tables>(P);
+    const TableEngine& eng;
+    core::PipelineStage& stage() const { return *eng.place_stage_[static_cast<unsigned>(P)]; }
+    static core::PlaceId place() { return P; }
+    static CandRange range(core::TypeId type) {
+      if constexpr (kPlace.uniform)
+        return CandRange{static_cast<std::uint32_t>(type),
+                         kPlace.id[static_cast<unsigned>(type)] >= 0 ? 1u : 0u};
+      else
+        return Tables::cells(P)[type];
+    }
+    static const Row& row(std::uint32_t i) {
+      if constexpr (kPlace.uniform) return Tables::body(kPlace.rep);
+      else return Tables::body(i);
+    }
+    static core::TransitionId id(std::uint32_t i) {
+      if constexpr (kPlace.uniform) return kPlace.id[i];
+      else return Tables::body(i).id;
+    }
+    Dest dest(std::uint32_t i) const {
+      if constexpr (kPlace.uniform) {
+        constexpr core::PlaceId to = Tables::body(kPlace.rep).move_place;
+        return Dest{eng.place_stage_[static_cast<unsigned>(to)], Tables::place_delay(to)};
+      } else {
+        return eng.dest_[i];
+      }
+    }
+  };
+
+  /// The static iteration: every place of the process order, then every
+  /// independent row, each with its ids as compile-time constants.
+  template <std::size_t... K, std::size_t... I>
+  [[gnu::always_inline]] void walk(std::index_sequence<K...>, std::index_sequence<I...>) {
+    (process(StaticPlace<Tables::order(K)>{*this}), ...);
+    (run_independent_row(Tables::independent(I)), ...);
+  }
+
+  /// Process(place): a latch's one token is tested in place; nothing has
+  /// fired from its list yet this cycle, so the snapshot's re-checks could
+  /// not fail. Multi-token lists take the snapshot.
+  template <typename At>
+  [[gnu::always_inline]] void process(const At& at) {
+    const std::vector<core::Token*>& list = at.stage().tokens();
+    if (list.empty()) return;  // most places are empty most cycles
+    if (list.size() == 1) {
+      core::Token* t = list.front();
+      if (t->place == at.place() && t->kind == core::TokenKind::instruction &&
+          t->ready <= clock_)
+        fire_token(at, static_cast<core::InstructionToken*>(t));
+    } else {
+      process_pool(at);
+    }
+  }
+
   /// Process() over a multi-token list (reservation stations, fuzz pools):
   /// firing mutates the list, so iterate the ready snapshot.
-  [[gnu::noinline]] void process_pool(const Slot& s) {
-    if (!snapshot_ready(s.place, *s.stage)) return;
+  template <typename At>
+  [[gnu::noinline]] void process_pool(const At& at) {
+    if (!snapshot_ready(at.place(), at.stage())) return;
     for (core::InstructionToken* tok : scratch_) {
       // Re-check: an earlier firing in this cycle may have consumed, flushed
       // or even recycled-and-reinjected this token.
-      if (tok->place != s.place || tok->squashed || tok->ready > clock_) continue;
-      fire_token(s, tok);
+      if (tok->place != at.place() || tok->squashed || tok->ready > clock_) continue;
+      fire_token(at, tok);
     }
   }
 
@@ -180,27 +304,28 @@ class TableEngine : public core::Engine {
   /// without candidates stalls for want of a ready token; every refusal
   /// overwrites the cause, so the last candidate's reason wins, in the scan
   /// order the interpreted engine shares.
-  [[gnu::always_inline]] void fire_token(const Slot& s, core::InstructionToken* tok) {
+  template <typename At>
+  [[gnu::always_inline]] void fire_token(const At& at, core::InstructionToken* tok) {
     reject_cause_ = core::StallCause::no_ready_token;
-    const CandRange r = s.cells[tok->type];
+    const CandRange r = at.range(tok->type);
     for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i)
-      if (try_fire(i, tok, *s.stage)) return;
-    count_stall(s.place, tok);
+      if (try_fire(at.row(i), at.id(i), at.dest(i), tok, at.stage())) return;
+    count_stall(at.place(), tok);
   }
 
-  /// Body row `i` with trigger `tok`, visible in stage `from`. The simple
-  /// latch-to-latch move is here; every other shape is fire_general().
-  [[gnu::always_inline]] bool try_fire(std::uint32_t i, core::InstructionToken* tok,
+  /// Transition `id` through `row` (shape and delegates) with trigger `tok`,
+  /// visible in stage `from`. The simple latch-to-latch move, whose target
+  /// `d` is resolved, is here; every other shape is fire_general().
+  [[gnu::always_inline]] bool try_fire(const Row& row, core::TransitionId id, Dest d,
+                                       core::InstructionToken* tok,
                                        core::PipelineStage& from) {
-    const Row& row = tables_.body(i);
-    count_attempt(row.id);
-    if (!row.simple) return fire_general(row, tok, from);
-    const Dest d = dest_[i];
+    count_attempt(id);
+    if (!row.simple) return fire_general(row, id, tok, from);
     if (d.stage != &from && !d.stage->has_room(1)) {
       reject_cause_ = core::StallCause::capacity_backpressure;
       return false;
     }
-    core::FireCtx ctx{this, tok, row.id};
+    core::FireCtx ctx{this, tok, id};
     if (!tables_.guard(row, ctx)) {
       reject_cause_ = core::StallCause::guard_rejected;
       return false;
@@ -208,14 +333,14 @@ class TableEngine : public core::Engine {
     detach_trigger(tok, from);
     tables_.action(row, ctx);
     enter_place_in(tok, row.move_place, *d.stage, d.place_delay, row.delay);
-    count_fire(row.id);
+    count_fire(id);
     return true;
   }
 
   /// Any other shape, checked in core::Engine::try_fire's order: reservation
   /// inputs, output capacity netted per touched stage, guard; then fire.
-  [[gnu::noinline]] bool fire_general(const Row& row, core::InstructionToken* tok,
-                                      core::PipelineStage& from) {
+  [[gnu::noinline]] bool fire_general(const Row& row, core::TransitionId id,
+                                      core::InstructionToken* tok, core::PipelineStage& from) {
     assert(row.n_res_in <= core::kMaxReservationInputs);
     core::Token* reservations[core::kMaxReservationInputs] = {};
     for (unsigned i = 0; i < row.n_res_in; ++i) {
@@ -253,7 +378,7 @@ class TableEngine : public core::Engine {
       }
     }
 
-    core::FireCtx ctx{this, tok, row.id};
+    core::FireCtx ctx{this, tok, id};
     if (!tables_.guard(row, ctx)) {
       reject_cause_ = core::StallCause::guard_rejected;
       return false;
@@ -266,8 +391,15 @@ class TableEngine : public core::Engine {
     }
     tables_.action(row, ctx);
     enter_outputs(row, tok);
-    count_fire(row.id);
+    count_fire(id);
     return true;
+  }
+
+  /// One independent row per Fig 8's tail: up to max_fires firings while it
+  /// stays enabled.
+  [[gnu::always_inline]] void run_independent_row(const Row& row) {
+    for (std::int32_t f = 0; f < row.max_fires && independent_enabled(row); ++f)
+      fire_independent(row);
   }
 
   /// The independent sub-net (Fig 8 tail): reservation inputs ready, room in

@@ -585,8 +585,9 @@ const desc::DelegateRegistry& arm_pipe_delegates() {
     d.action<&pipe_mem_action>("rcpn::machines::pipe_mem_action");
     d.action<&pipe_publish_action>("rcpn::machines::pipe_publish_action");
     d.action<&pipe_wb_action>("rcpn::machines::pipe_wb_action");
-    d.guard<&pipe_fetch_guard>("rcpn::machines::pipe_fetch_guard");
-    d.action<&pipe_fetch_action>("rcpn::machines::pipe_fetch_action");
+    d.guard<&pipe_fetch_guard>("rcpn::machines::pipe_fetch_guard", desc::TokenUse::none);
+    d.action<&pipe_fetch_action>("rcpn::machines::pipe_fetch_action",
+                                   desc::TokenUse::none);
     return r;
   }();
   return reg;

@@ -273,8 +273,9 @@ const desc::DelegateRegistry& fig5_delegates() {
     d.guard<&fig5_br_d_guard>("rcpn::machines::fig5_br_d_guard");
     d.action<&fig5_br_d_action>("rcpn::machines::fig5_br_d_action");
     d.action<&fig5_br_b_action>("rcpn::machines::fig5_br_b_action");
-    d.guard<&fig5_fetch_guard>("rcpn::machines::fig5_fetch_guard");
-    d.action<&fig5_fetch_action>("rcpn::machines::fig5_fetch_action");
+    d.guard<&fig5_fetch_guard>("rcpn::machines::fig5_fetch_guard", desc::TokenUse::none);
+    d.action<&fig5_fetch_action>("rcpn::machines::fig5_fetch_action",
+                                   desc::TokenUse::none);
     return r;
   }();
   return reg;

@@ -98,12 +98,13 @@ const desc::DelegateRegistry& fuzz_delegates() {
     d.guard<&fuzz_guard_window>("rcpn::machines::fuzz_guard_window");
     d.guard<&fuzz_guard_backpressure>("rcpn::machines::fuzz_guard_backpressure");
     d.guard<&fuzz_guard_loop>("rcpn::machines::fuzz_guard_loop");
-    d.guard<&fuzz_fetch_guard>("rcpn::machines::fuzz_fetch_guard");
+    d.guard<&fuzz_fetch_guard>("rcpn::machines::fuzz_fetch_guard", desc::TokenUse::none);
     d.action<&fuzz_action_count>("rcpn::machines::fuzz_action_count");
     d.action<&fuzz_action_delay>("rcpn::machines::fuzz_action_delay");
     d.action<&fuzz_action_flush>("rcpn::machines::fuzz_action_flush");
     d.action<&fuzz_action_loop>("rcpn::machines::fuzz_action_loop");
-    d.action<&fuzz_fetch_action>("rcpn::machines::fuzz_fetch_action");
+    d.action<&fuzz_fetch_action>("rcpn::machines::fuzz_fetch_action",
+                                   desc::TokenUse::none);
     return r;
   }();
   return reg;

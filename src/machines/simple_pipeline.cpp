@@ -21,8 +21,8 @@ const desc::DelegateRegistry& fig2_delegates() {
     desc::DelegateRegistry r("rcpn::machines::Fig2Machine",
                              {"machines/simple_pipeline.hpp"});
     auto d = r.bind<Fig2Machine>();
-    d.guard<&fig2_u1_guard>("rcpn::machines::fig2_u1_guard");
-    d.action<&fig2_u1_action>("rcpn::machines::fig2_u1_action");
+    d.guard<&fig2_u1_guard>("rcpn::machines::fig2_u1_guard", desc::TokenUse::none);
+    d.action<&fig2_u1_action>("rcpn::machines::fig2_u1_action", desc::TokenUse::none);
     return r;
   }();
   return reg;

@@ -35,9 +35,12 @@ const desc::DelegateRegistry& stallcause_delegates() {
     desc::DelegateRegistry r("rcpn::machines::StallCauseMachine",
                              {"machines/stallcause.hpp"});
     auto d = r.bind<StallCauseMachine>();
-    d.action<&stallcause_tick_action>("rcpn::machines::stallcause_tick_action");
-    d.guard<&stallcause_fetch_guard>("rcpn::machines::stallcause_fetch_guard");
-    d.action<&stallcause_fetch_action>("rcpn::machines::stallcause_fetch_action");
+    d.action<&stallcause_tick_action>("rcpn::machines::stallcause_tick_action",
+                                        desc::TokenUse::none);
+    d.guard<&stallcause_fetch_guard>("rcpn::machines::stallcause_fetch_guard",
+                                       desc::TokenUse::none);
+    d.action<&stallcause_fetch_action>("rcpn::machines::stallcause_fetch_action",
+                                         desc::TokenUse::none);
     d.guard<&stallcause_park_exit_guard>("rcpn::machines::stallcause_park_exit_guard");
     d.guard<&stallcause_escape_guard>("rcpn::machines::stallcause_escape_guard");
     return r;

@@ -174,8 +174,10 @@ const desc::DelegateRegistry& tomasulo_delegates() {
     d.action<&tomasulo_exec_action>("rcpn::machines::tomasulo_exec_action");
     d.action<&tomasulo_bcast_action>("rcpn::machines::tomasulo_bcast_action");
     d.action<&tomasulo_wb_action>("rcpn::machines::tomasulo_wb_action");
-    d.guard<&tomasulo_fetch_guard>("rcpn::machines::tomasulo_fetch_guard");
-    d.action<&tomasulo_fetch_action>("rcpn::machines::tomasulo_fetch_action");
+    d.guard<&tomasulo_fetch_guard>("rcpn::machines::tomasulo_fetch_guard",
+                                     desc::TokenUse::none);
+    d.action<&tomasulo_fetch_action>("rcpn::machines::tomasulo_fetch_action",
+                                       desc::TokenUse::none);
     return r;
   }();
   return reg;

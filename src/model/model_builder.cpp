@@ -176,6 +176,16 @@ void ModelBuilderBase::validate() const {
     if (t.independent) {
       if (triggers != 0)
         fail(ctx + ": instruction-independent transitions cannot have trigger arcs");
+      // It fires with no trigger token: a named delegate that reads one
+      // would dereference null.
+      if (!t.guard_symbol.empty() && t.guard_reads_token)
+        fail(ctx + ": guard '" + t.guard_symbol +
+             "' reads the trigger token, which an instruction-independent "
+             "transition does not have");
+      if (!t.action_symbol.empty() && t.action_reads_token)
+        fail(ctx + ": action '" + t.action_symbol +
+             "' reads the trigger token, which an instruction-independent "
+             "transition does not have");
       if (t.priority_override)
         fail(ctx + ": priority applies to the trigger arc of sub-net transitions only");
       if (t.max_fires < 1)

@@ -178,6 +178,10 @@ class ModelBuilderBase {
     std::string action_symbol;
     bool guard_symbol_machine = true;
     bool action_symbol_machine = true;
+    /// The registry binding of the named delegate reads FireCtx::token
+    /// (desc::TokenUse), which an independent transition never supplies.
+    bool guard_reads_token = false;
+    bool action_reads_token = false;
     /// Any callable was registered in the typed (Machine&) form, so
     /// build(nullptr) must be rejected.
     bool needs_machine = false;

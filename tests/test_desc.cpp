@@ -441,6 +441,40 @@ TEST(DescLimits, IndependentTransitionWithTwoMoveArcsIsRejected) {
   }
 }
 
+TEST(DescContracts, TokenReadingActionOnAnIndependentTransitionIsRejected) {
+  // Swap the actions of RF.DataProc and the independent fetch F1: F1 then
+  // binds the issue action, which reads the trigger token F1 never has. The
+  // registry marks the fetch delegates token-free and everything else
+  // token-reading, so every backend refuses the model by name at build().
+  std::string text = read_text_file(std::string(RCPN_MODELS_DIR) + "/xscale.rcpn");
+  const std::string issue = "  action rcpn::machines::pipe_issue_action machine\n";
+  const std::string fetch = "  action rcpn::machines::pipe_fetch_action machine\n";
+  const std::size_t rf = text.find("transition RF.DataProc ");
+  ASSERT_NE(rf, std::string::npos);
+  const std::size_t at_issue = text.find(issue, rf);
+  ASSERT_NE(at_issue, std::string::npos);
+  text.replace(at_issue, issue.size(), fetch);
+  const std::size_t f1 = text.find("independent F1\n");
+  ASSERT_NE(f1, std::string::npos);
+  const std::size_t at_fetch = text.find(fetch, f1);
+  ASSERT_NE(at_fetch, std::string::npos);
+  text.replace(at_fetch, fetch.size(), issue);
+  const desc::Description d = desc::parse(text);
+  for (const core::Backend b :
+       {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated}) {
+    try {
+      machines::run_description(d, desc::engine_options(d, opts_for(b)));
+      ADD_FAILURE() << "backend " << static_cast<int>(b)
+                    << " built an independent transition with a token-reading action";
+    } catch (const model::ModelError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("transition 'F1'"), std::string::npos) << what;
+      EXPECT_NE(what.find("'rcpn::machines::pipe_issue_action'"), std::string::npos)
+          << what;
+    }
+  }
+}
+
 /// Run `file` with its fetch guard deleted: fetch runs past the end of the
 /// program, and decoding that pc must throw naming it and the program length
 /// instead of reading past the program.

@@ -190,9 +190,13 @@ TEST(FuzzLockstep, Seeds89To128) { run_seed_range(89, 128); }
 // with a main), compiled at test time with the configured host
 // compiler — zero repo includes, no library objects on the link line — run,
 // and trace-diffed against the interpreted backend through the emitted
-// binary's own --golden first-diverging-cycle reporting. The seeds cross the
-// option mix of fuzz_options_for, so ablation-variant emission is fuzzed too.
+// binary's own --golden first-diverging-cycle reporting. Each seed is its own
+// test with its own directory, so a parallel ctest compiles them side by
+// side. The seeds cross the option mix of fuzz_options_for, so
+// ablation-variant emission is fuzzed too.
 // ---------------------------------------------------------------------------
+
+constexpr unsigned kShardSeeds = 8;
 
 int run_command(const std::string& cmd) {
   const int status = std::system(cmd.c_str());
@@ -205,67 +209,72 @@ std::string slurp(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
-TEST(FuzzFreestanding, EmittedShardMatchesInterpretedTraces) {
+TEST(FuzzFreestandingShard, EmitsAnAblationVariantSchedule) {
+  unsigned variants = 0;
+  for (unsigned seed = 1; seed <= kShardSeeds; ++seed) {
+    const core::EngineOptions opts =
+        machines::fuzz_options_for(seed, core::Backend::compiled);
+    if (opts.force_two_list_all || !opts.two_list_state_refs) ++variants;
+  }
+  EXPECT_GT(variants, 0u) << "the shard never emits an ablation-variant schedule";
+}
+
+class FuzzFreestanding : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(FuzzFreestanding, EmittedProgramMatchesInterpretedTrace) {
 #ifndef RCPN_CXX_COMPILER
   GTEST_SKIP() << "host compiler not configured (RCPN_CXX_COMPILER)";
 #else
-  const std::string dir = ::testing::TempDir() + "fuzz_freestanding";
+  const unsigned seed = GetParam();
+  const std::string name = machines::fuzz_model_name(seed);
+  const std::string dir = ::testing::TempDir() + "fuzz_freestanding." + name;
   ASSERT_EQ(run_command("mkdir -p " + dir), 0);
+  const core::EngineOptions opts = machines::fuzz_options_for(seed, core::Backend::compiled);
 
-  unsigned emitted_variants = 0;
-  for (unsigned seed = 1; seed <= 8; ++seed) {
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    const std::string name = machines::fuzz_model_name(seed);
-    const core::EngineOptions opts =
-        machines::fuzz_options_for(seed, core::Backend::compiled);
-    if (opts.force_two_list_all || !opts.two_list_state_refs) ++emitted_variants;
+  // Emit the freestanding TU from a lowered in-process construction.
+  model::Simulator<FuzzMachine> sim(
+      name, opts,
+      [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
+        machines::describe_fuzz_model(seed, b, m);
+      },
+      FuzzMachine{});
+  auto& ce = dynamic_cast<gen::CompiledEngine&>(sim.engine());
+  gen::EmitSimOptions fs;
+  fs.engine_options = opts;
+  fs.machine_key = name;
+  fs.session_expr =
+      "rcpn::machines::make_fuzz_session(" + std::to_string(seed) + "u, options)";
+  fs.extra_roots.push_back("machines/fuzz_model.hpp");
+  const std::string src = gen::emit_simulator(ce.compiled(), sim.net(), fs);
+  ASSERT_EQ(src.find("#include \""), std::string::npos)
+      << "freestanding TU pulled a repo include";
+  ASSERT_NE(src.find("fuzz_"), std::string::npos) << "dispatch lost the fuzz delegates";
 
-    // Emit the freestanding TU from a lowered in-process construction.
-    model::Simulator<FuzzMachine> sim(
-        name, opts,
-        [seed](model::ModelBuilder<FuzzMachine>& b, FuzzMachine& m) {
-          machines::describe_fuzz_model(seed, b, m);
-        },
-        FuzzMachine{});
-    auto& ce = dynamic_cast<gen::CompiledEngine&>(sim.engine());
-    gen::EmitSimOptions fs;
-    fs.engine_options = opts;
-    fs.machine_key = name;
-    fs.session_expr =
-        "rcpn::machines::make_fuzz_session(" + std::to_string(seed) + "u, options)";
-    fs.extra_roots.push_back("machines/fuzz_model.hpp");
-    const std::string src = gen::emit_simulator(ce.compiled(), sim.net(), fs);
-    ASSERT_EQ(src.find("#include \""), std::string::npos)
-        << "freestanding TU pulled a repo include";
-    ASSERT_NE(src.find("fuzz_"), std::string::npos)
-        << "dispatch lost the fuzz delegates";
+  const std::string base = dir + "/" + name;
+  { std::ofstream(base + ".cpp") << src; }
 
-    const std::string base = dir + "/" + name;
-    { std::ofstream(base + ".cpp") << src; }
+  // The interpreted backend's trace is the reference the binary diffs.
+  const machines::GoldenRunResult interp =
+      machines::finish_session(*machines::make_fuzz_session(
+          seed, machines::fuzz_options_for(seed, core::Backend::interpreted)));
+  ASSERT_FALSE(interp.trace.empty());
+  { std::ofstream(base + ".trace") << machines::format_golden_trace(name, interp.trace); }
 
-    // The interpreted backend's trace is the reference the binary diffs.
-    const machines::GoldenRunResult interp =
-        machines::finish_session(*machines::make_fuzz_session(
-            seed, machines::fuzz_options_for(seed, core::Backend::interpreted)));
-    ASSERT_FALSE(interp.trace.empty());
-    { std::ofstream(base + ".trace") << machines::format_golden_trace(name, interp.trace); }
+  // Compile standalone: no include dirs, no library objects.
+  const std::string compile = std::string(RCPN_CXX_COMPILER) + " -std=c++20 -O0 -o " +
+                              base + " " + base + ".cpp 2> " + base + ".err";
+  ASSERT_EQ(run_command(compile), 0)
+      << "freestanding TU failed to compile:\n" << slurp(base + ".err");
 
-    // Compile standalone: no include dirs, no library objects.
-    const std::string compile = std::string(RCPN_CXX_COMPILER) + " -std=c++20 -O0 -o " +
-                                base + " " + base + ".cpp 2> " + base + ".err";
-    ASSERT_EQ(run_command(compile), 0)
-        << "freestanding TU failed to compile:\n" << slurp(base + ".err");
-
-    const std::string run = base + " --golden " + base + ".trace > " + base +
-                            ".out 2>&1";
-    EXPECT_EQ(run_command(run), 0)
-        << "freestanding binary diverged from the interpreted backend:\n"
-        << slurp(base + ".out");
-  }
-  EXPECT_GT(emitted_variants, 0u)
-      << "the shard never emitted an ablation-variant schedule";
+  const std::string run = base + " --golden " + base + ".trace > " + base + ".out 2>&1";
+  EXPECT_EQ(run_command(run), 0)
+      << "freestanding binary diverged from the interpreted backend:\n"
+      << slurp(base + ".out");
 #endif
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFreestanding, ::testing::Range(1u, kShardSeeds + 1),
+                         [](const auto& info) { return std::to_string(info.param); });
 
 }  // namespace
 }  // namespace rcpn

@@ -14,6 +14,7 @@
 #include "gen/compiled_engine.hpp"
 #include "gen/emit.hpp"
 #include "gen/emit_simulator.hpp"
+#include "gen/static_engine.hpp"
 #include "machines/fig5_processor.hpp"
 #include "machines/simple_pipeline.hpp"
 #include "machines/strongarm.hpp"
@@ -198,7 +199,8 @@ TEST(CompiledLockstep, XScaleFullProgram) {
 // into a snapshot. Stage S (capacity 1) holds places A and B; A's only
 // transition retires an instruction of type T, B has none. Each case parks
 // one token the scan at A must pass over: firing it would retire it through
-// A's transition, refusing it would record a stall at A.
+// A's transition, refusing it would record a stall at A. The generated
+// backend walks A as a uniform place and B through its (empty) Fig 6 row.
 
 struct LatchNet {
   core::Net net{"latch"};
@@ -214,16 +216,68 @@ struct LatchNet {
   }
 };
 
+/// LatchNet's schedule as gen::emit_simulator() would print it, written by
+/// hand (the net binds no machine type, so it cannot be emitted):
+/// StaticEngine::build() verifies every table against the live net.
+struct LatchMachine {};
+
+template <std::uint32_t ADelay>
+struct LatchTraits {
+  using Machine = LatchMachine;
+  static constexpr const char* kModelName = "latch";
+  static constexpr std::uint32_t kOptionsKey = 1u;  // the default schedule
+
+  static constexpr unsigned kNumStages = 2;
+  static constexpr unsigned kNumPlaces = 3;
+  static constexpr unsigned kNumTypes = 1;
+  static constexpr unsigned kNumTransitions = 1;
+  static constexpr unsigned kNumOrder = 2;
+  static constexpr unsigned kNumTwoList = 0;
+  static constexpr unsigned kNumBody = 1;
+  static constexpr unsigned kNumIndependent = 0;
+
+  static constexpr std::int16_t kPlaceStage[kNumPlaces] = {0, 1, 1};  // end, A, B
+  static constexpr std::uint32_t kPlaceDelay[kNumPlaces] = {1, ADelay, 1};
+  static constexpr std::uint32_t kStageReserve[kNumStages] = {64, 1};
+  static constexpr std::uint32_t kInstrPoolHint = 1;
+  static constexpr std::uint32_t kResPoolHint = 1;
+  static constexpr std::int16_t kProcessOrder[kNumOrder] = {1 /*A*/, 2 /*B*/};
+  static constexpr std::int16_t kTwoListStages[1] = {0};  // none
+  static constexpr gen::CandRange kCell[kNumPlaces * kNumTypes] = {{0, 0}, {0, 1}, {1, 0}};
+  static constexpr gen::StaticTx kBody[kNumBody] = {
+      {0, 0, 0, 0, 0, 0, 1, 1, true},  // A.retire
+  };
+  static constexpr gen::StaticTx kIndependent[1] = {{}};  // none
+  static constexpr std::int16_t kResIn[1] = {0};         // none
+  static constexpr gen::StaticOutArc kOutArcs[1] = {{0, false}};
+  static constexpr const char* kGuardSym[kNumTransitions] = {""};
+  static constexpr const char* kActionSym[kNumTransitions] = {""};
+  static constexpr bool kHasGuard[kNumTransitions] = {false};
+  static constexpr bool kHasAction[kNumTransitions] = {false};
+
+  static bool guard(std::int16_t, Machine&, core::FireCtx&) { return true; }
+  static void action(std::int16_t, Machine&, core::FireCtx&) {}
+};
+
 enum class Parked { reservation, other_place, not_ready };
 
 /// Park one token in S, then step `cycles` cycles; the stats after each.
 std::vector<core::Stats> run_parked(core::Backend backend, Parked what, int cycles) {
-  LatchNet m(what == Parked::not_ready ? 6 : 1);
+  const std::uint32_t a_delay = what == Parked::not_ready ? 6 : 1;
+  LatchNet m(a_delay);
+  LatchMachine machine;
   core::EngineOptions o;
   o.backend = backend;
   std::unique_ptr<core::Engine> eng;
   if (backend == core::Backend::compiled) {
     eng = std::make_unique<gen::CompiledEngine>(m.net, o);
+  } else if (backend == core::Backend::generated) {
+    if (a_delay == 6) {
+      eng = std::make_unique<gen::StaticEngine<LatchTraits<6>>>(m.net, o);
+    } else {
+      eng = std::make_unique<gen::StaticEngine<LatchTraits<1>>>(m.net, o);
+    }
+    eng->set_machine(&machine);
   } else {
     eng = std::make_unique<core::Engine>(m.net, o);
   }
@@ -243,15 +297,17 @@ std::vector<core::Stats> run_parked(core::Backend backend, Parked what, int cycl
   return after;
 }
 
-/// Step both backends over the parked token for `cycles` cycles: they agree
-/// after every cycle, and A neither fires nor stalls.
+/// Step the three backends over the parked token for `cycles` cycles: they
+/// agree after every cycle, and A neither fires nor stalls.
 std::vector<core::Stats> expect_passed_over_at_a(Parked what, int cycles) {
   const unsigned a = static_cast<unsigned>(LatchNet(1).a);
   const std::vector<core::Stats> interp = run_parked(core::Backend::interpreted, what, cycles);
   const std::vector<core::Stats> comp = run_parked(core::Backend::compiled, what, cycles);
+  const std::vector<core::Stats> gen = run_parked(core::Backend::generated, what, cycles);
   for (int c = 0; c < cycles; ++c) {
     SCOPED_TRACE("cycle " + std::to_string(c));
     expect_stats_equal(interp[c], comp[c]);
+    expect_stats_equal(interp[c], gen[c]);
     EXPECT_EQ(comp[c].firings, 0u);
     EXPECT_EQ(comp[c].place_stalls[a], 0u);
   }
@@ -274,10 +330,10 @@ TEST(OneTokenScan, PassesOverATokenNotReadyYet) {
   // Emitted at cycle 0 into A (delay 6): ready from cycle 6, when it retires.
   const std::vector<core::Stats> s = expect_passed_over_at_a(Parked::not_ready, 6);
   for (std::uint64_t n : s.back().place_stalls) EXPECT_EQ(n, 0u);
-  const std::vector<core::Stats> interp = run_parked(core::Backend::interpreted, Parked::not_ready, 7);
-  const std::vector<core::Stats> comp = run_parked(core::Backend::compiled, Parked::not_ready, 7);
-  EXPECT_EQ(interp.back().retired, 1u);
-  EXPECT_EQ(comp.back().retired, 1u);
+  for (const core::Backend b :
+       {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated})
+    EXPECT_EQ(run_parked(b, Parked::not_ready, 7).back().retired, 1u)
+        << "backend " << static_cast<int>(b);
 }
 
 // ---------------------------------------------------------------------------
