@@ -267,27 +267,6 @@ void Engine::reserve_token_pools(std::size_t instructions, std::size_t reservati
   res_free_.reserve(reservations);
 }
 
-void Engine::recycle(Token* t) {
-  if (t->kind == TokenKind::reservation) {
-    t->place = kNoPlace;
-    res_free_.push_back(t);
-  } else {
-    auto* it = static_cast<InstructionToken*>(t);
-    it->in_flight = false;
-    if (it->pool_owned) instr_free_.push_back(it);
-  }
-}
-
-void Engine::emit_instruction(InstructionToken* t, PlaceId p) {
-  if (!built_) build();
-  t->in_flight = true;
-  t->squashed = false;
-  t->seq = seq_counter_++;
-  ++in_flight_;
-  ++stats_.fetched;
-  enter_place(t, p, 0);
-}
-
 void Engine::emit_reservation(PlaceId p) {
   if (!built_) build();
   Token* t = acquire_reservation();
@@ -305,24 +284,6 @@ unsigned Engine::tokens_in_place(PlaceId p) const {
   for (const Token* t : place_stage_[static_cast<unsigned>(p)]->tokens())
     if (t->place == p && t->kind == TokenKind::instruction) ++n;
   return n;
-}
-
-void Engine::enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay) {
-  enter_place_in(tok, p, *place_stage_[static_cast<unsigned>(p)],
-                 place_delay_[static_cast<unsigned>(p)], transition_delay);
-}
-
-void Engine::retire(InstructionToken* tok) {
-#if RCPN_OBS
-  if (options_.obs != nullptr) options_.obs->on_retire(clock_, tok->seq, tok->pc);
-#endif
-  ++stats_.retired;
-  assert(in_flight_ > 0);
-  --in_flight_;
-  tok->place = kNoPlace;
-  tok->state = kNoPlace;
-  if (hooks_.on_retire) hooks_.on_retire(tok);
-  recycle(tok);
 }
 
 void Engine::squash_token(Token* t) {
@@ -560,52 +521,37 @@ void Engine::run_independent() {
   }
 }
 
-bool Engine::finish_cycle() {
+void Engine::report_deadlock() {
+  util::log_line(
+      util::LogLevel::error,
+      "engine: no activity for " + std::to_string(options_.deadlock_limit) +
+          " cycles with tokens in flight — model deadlock in net '" + net_.name() + "'");
+  stopped_ = true;
+}
+
 #if RCPN_OBS
-  if (options_.obs != nullptr) {
-    obs::Hub* hub = options_.obs;
-    for (unsigned s = 0; s < net_.num_stages(); ++s)
-      hub->sample_stage(clock_, static_cast<StageId>(s),
-                        net_.stage(static_cast<StageId>(s)).occupancy());
-    hub->on_cycle_end(clock_);
-  }
+void Engine::sample_cycle_end() {
+  obs::Hub* hub = options_.obs;
+  for (unsigned s = 0; s < net_.num_stages(); ++s)
+    hub->sample_stage(clock_, static_cast<StageId>(s),
+                      net_.stage(static_cast<StageId>(s)).occupancy());
+  hub->on_cycle_end(clock_);
+}
 #endif
-  ++clock_;
-  ++stats_.cycles;
-
-  // Deadlock watchdog: tokens in flight but nothing has fired for a while.
-  const std::uint64_t activity = stats_.firings + stats_.retired;
-  if (activity != activity_snapshot_) {
-    activity_snapshot_ = activity;
-    last_activity_clock_ = clock_;
-  } else if (in_flight_ > 0 && clock_ - last_activity_clock_ > options_.deadlock_limit) {
-    util::log_line(
-        util::LogLevel::error,
-        "engine: no activity for " + std::to_string(options_.deadlock_limit) +
-            " cycles with tokens in flight — model deadlock in net '" + net_.name() +
-            "'");
-    stopped_ = true;
-  }
-  return !stopped_;
-}
-
-bool Engine::step() {
-  if (!built_) build();
-  if (stopped_) return false;
-
-  // Fig 8: make tokens written during the previous cycle visible.
-  for (StageId s : two_list_stages_) net_.stage(s).promote_incoming();
-
-  for (PlaceId p : order_) process_place(p);
-
-  run_independent();
-
-  return finish_cycle();
-}
 
 std::uint64_t Engine::run(std::uint64_t max_cycles) {
+  if (!built_) build();
   const Cycle start = clock_;
-  while (!stopped_ && clock_ - start < max_cycles) step();
+  while (!stopped_ && clock_ - start < max_cycles) {
+    // Fig 8: make tokens written during the previous cycle visible.
+    for (StageId s : two_list_stages_) net_.stage(s).promote_incoming();
+
+    for (PlaceId p : order_) process_place(p);
+
+    run_independent();
+
+    finish_cycle();
+  }
   return clock_ - start;
 }
 

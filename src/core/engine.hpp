@@ -10,7 +10,7 @@
 //     (reads_state) identify the few stages that *do* need two-list
 //     insertion semantics.
 //
-// step() is the Fig 8 main loop: promote two-list stages, Process() every
+// run() is the Fig 8 main loop: promote two-list stages, Process() every
 // place in order (Fig 7), run the instruction-independent sub-net, advance
 // the clock.
 #pragma once
@@ -86,7 +86,7 @@ class Engine {
   const Net& net() const { return net_; }
 
   /// Static extraction (Fig 6 + ordering analysis). Called automatically by
-  /// the first step() if needed. Virtual so derived engines (the compiled
+  /// the first run() if needed. Virtual so derived engines (the compiled
   /// backend) can append their own lowering; only called on cold paths.
   virtual void build();
   bool built() const { return built_; }
@@ -95,11 +95,14 @@ class Engine {
   void reset();
 
   /// Simulate one clock cycle. Returns false once stop() has been called.
-  /// Virtual dispatch costs one indirect call per *cycle*, not per event —
-  /// the hot work inside a cycle stays devirtualized in both backends.
-  virtual bool step();
-  /// Run until stop() or `max_cycles`; returns cycles executed.
-  std::uint64_t run(std::uint64_t max_cycles = ~0ull);
+  bool step() {
+    run(1);
+    return !stopped_;
+  }
+  /// Run until stop() or `max_cycles`; returns cycles executed. The one
+  /// virtual per-cycle entry: each backend overrides it with its own Fig 8
+  /// loop, so a run costs one indirect call, not one per cycle.
+  virtual std::uint64_t run(std::uint64_t max_cycles = ~0ull);
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
 
@@ -141,7 +144,16 @@ class Engine {
   /// Inject an instruction token into place `p` (fetch / µ-op expansion).
   /// Honors the token's next_delay. The caller is responsible for capacity
   /// (see place_has_room), mirroring the paper's fetch-transition guard.
-  void emit_instruction(InstructionToken* t, PlaceId p);
+  /// Defined here so a fetch action compiles token entry inline.
+  void emit_instruction(InstructionToken* t, PlaceId p) {
+    if (!built_) build();
+    t->in_flight = true;
+    t->squashed = false;
+    t->seq = seq_counter_++;
+    ++in_flight_;
+    ++stats_.fetched;
+    enter_place(t, p, 0);
+  }
   /// Emit a reservation token into `p`.
   void emit_reservation(PlaceId p);
   bool place_has_room(PlaceId p, std::uint32_t n = 1) const;
@@ -226,11 +238,14 @@ class Engine {
   bool try_fire(const Transition& t, InstructionToken* tok);
   bool independent_enabled(const Transition& t);
   void fire_independent(const Transition& t);
-  void enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay);
+  void enter_place(Token* tok, PlaceId p, std::uint32_t transition_delay) {
+    enter_place_in(tok, p, *place_stage_[static_cast<unsigned>(p)],
+                   place_delay_[static_cast<unsigned>(p)], transition_delay);
+  }
   /// Token entry with the place's stage and residence delay already
   /// resolved: the one copy of the entry semantics (retire-on-end,
   /// next_delay/residence, two-list state lag, the enter probe). Forced
-  /// inline so the table loop's firing chain compiles into its step();
+  /// inline so the table loop's firing chain compiles into its run();
   /// enter_place() feeds it from the id-indexed caches.
   [[gnu::always_inline]] void enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
                                              std::uint32_t place_delay,
@@ -258,14 +273,56 @@ class Engine {
     }
     st.insert(tok);
   }
-  void retire(InstructionToken* tok);
+  void retire(InstructionToken* tok) {
+#if RCPN_OBS
+    if (options_.obs != nullptr) options_.obs->on_retire(clock_, tok->seq, tok->pc);
+#endif
+    ++stats_.retired;
+    assert(in_flight_ > 0);
+    --in_flight_;
+    tok->place = kNoPlace;
+    tok->state = kNoPlace;
+    if (hooks_.on_retire) hooks_.on_retire(tok);
+    recycle(tok);
+  }
   Token* find_ready_reservation(PlaceId p) const;
   Token* acquire_reservation();
-  void recycle(Token* t);
+  void recycle(Token* t) {
+    if (t->kind == TokenKind::reservation) {
+      t->place = kNoPlace;
+      res_free_.push_back(t);
+    } else {
+      auto* it = static_cast<InstructionToken*>(t);
+      it->in_flight = false;
+      if (it->pool_owned) instr_free_.push_back(it);
+    }
+  }
   void squash_token(Token* t);
-  /// Advance the clock, update stats and run the deadlock watchdog (the tail
-  /// of Fig 8's main loop, shared by both backends). Returns !stopped_.
-  bool finish_cycle();
+  /// Advance the clock, update stats and run the deadlock watchdog: the tail
+  /// of Fig 8's main loop, inline in every backend's run(). Its rare paths
+  /// (the deadlock report, the obs stage samples) are cold calls.
+  void finish_cycle() {
+#if RCPN_OBS
+    if (options_.obs != nullptr) sample_cycle_end();
+#endif
+    ++clock_;
+    ++stats_.cycles;
+
+    // Deadlock watchdog: tokens in flight but nothing has fired for a while.
+    const std::uint64_t activity = stats_.firings + stats_.retired;
+    if (activity != activity_snapshot_) {
+      activity_snapshot_ = activity;
+      last_activity_clock_ = clock_;
+    } else if (in_flight_ > 0 && clock_ - last_activity_clock_ > options_.deadlock_limit) {
+      report_deadlock();
+    }
+  }
+  /// The watchdog tripped: log the deadlock and stop.
+  [[gnu::cold]] void report_deadlock();
+#if RCPN_OBS
+  /// Sample every stage's occupancy and close the cycle in the obs hub.
+  [[gnu::cold]] void sample_cycle_end();
+#endif
 
   /// The Process(place) snapshot (firing mutates the stage's list; the table
   /// loop tests a one-token list in place instead): fill scratch_ with the

@@ -80,15 +80,17 @@ CompiledModel CompiledModel::lower(const core::Engine& eng) {
   }
 
   // Token-pool sizing. A bounded stage can never hold more slots than its
-  // capacity (has_room gates every entry); unlimited stages get one batch.
-  // The arena hints cover the theoretical in-flight maximum: every bounded
-  // slot occupied at once, by either kind of token.
-  constexpr std::uint32_t kUnlimitedBatch = 64;
+  // capacity (has_room gates every entry), so it reserves its capacity, up
+  // to one batch: the reservation is a hint, and a declared capacity can be
+  // any 32-bit value. Unlimited stages get one batch. The arena hints cover
+  // the theoretical in-flight maximum: every bounded slot occupied at once,
+  // by either kind of token.
+  constexpr std::uint32_t kStoreBatch = 64;
   std::uint64_t bounded_slots = 0;
   cm.stage_reserve.resize(cm.num_stages);
   for (unsigned s = 0; s < cm.num_stages; ++s) {
     const core::PipelineStage& st = net.stage(static_cast<core::StageId>(s));
-    cm.stage_reserve[s] = st.unlimited() ? kUnlimitedBatch : st.capacity();
+    cm.stage_reserve[s] = st.unlimited() ? kStoreBatch : std::min(st.capacity(), kStoreBatch);
     if (!st.unlimited()) bounded_slots += st.capacity();
   }
   constexpr std::uint64_t kPoolCap = 4096;

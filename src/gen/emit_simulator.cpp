@@ -52,7 +52,7 @@ void emit_tx(std::string& out, const CompiledTransition& ct, const core::Net& ne
 void emit_dispatch(std::string& out, const core::Net& net, bool guards) {
   const char* fn = guards ? "guard" : "action";
   appendf(out,
-          "  static %s %s(std::int16_t id, [[maybe_unused]] Machine& m,\n"
+          "  static %s %s(int id, [[maybe_unused]] Machine& m,\n"
           "         %s     [[maybe_unused]] rcpn::core::FireCtx& ctx) {\n"
           "    switch (id) {\n",
           guards ? "bool" : "void", fn, guards ? " " : "");

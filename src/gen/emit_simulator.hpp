@@ -14,8 +14,9 @@
 //    machine context — no void* environments, no function pointers;
 //  * a gen::StaticEngine<Traits> instantiation, which walks these constant
 //    tables as a compile-time fold: each place's firing is specialized, and
-//    the dispatch switches are called with constant ids, so they fold into
-//    direct calls where the compiler inlines them;
+//    the dispatch switches take an `int` id, which the compiler prunes for
+//    a constant, so a dispatch the fold names by a constant id is a direct
+//    call of its delegate;
 //  * a static registrar so Backend::generated resolves to this engine (keyed
 //    by model name + options).
 //

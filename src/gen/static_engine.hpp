@@ -10,11 +10,12 @@
 // the iteration. Because these tables are constants, TableEngine walks the
 // process order as a compile-time fold: every place's stage, Fig 6 row,
 // candidate rows and destination are constants, and each guard and action
-// reaches its switch with a constant id, which folds into a direct call to
-// the named delegate wherever the compiler inlines the switch. That is what
-// makes the generated backend faster than the compiled one, which loops
-// over the same rules at run time; the delegate bodies themselves stay in
-// the library, out of line.
+// reaches its switch with a constant id. The switches take an `int` id, so
+// the compiler prunes a constant-id switch to its one case and the dispatch
+// becomes a direct call to the named delegate. That is what makes the
+// generated backend faster than the compiled one, which loops over the same
+// rules at run time; the delegate bodies themselves stay in the library, out
+// of line.
 //
 // A generated artifact can go stale: the model description may change after
 // the source was emitted. build() therefore *verifies* every table against

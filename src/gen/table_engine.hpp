@@ -11,11 +11,12 @@
 //    source file gen::emit_simulator() printed, delegates as a switch of
 //    direct calls (Backend::generated and the freestanding programs).
 // Every firing rule below (fire_token, try_fire, fire_general, the
-// independent sub-net) has one definition, and two iterations drive it:
-//  * over runtime tables, step() loops over the process-order slots
-//    resolved at build();
-//  * over constexpr tables (StaticSchedule), step() walks the process order
-//    and the independent sub-net as a compile-time fold. Each place's stage,
+// independent sub-net) has one definition, and run() holds the one per-cycle
+// loop, with two iterations over a cycle:
+//  * over runtime tables, it loops over the process-order slots resolved at
+//    build();
+//  * over constexpr tables (StaticSchedule), it walks the process order and
+//    the independent sub-net as a compile-time fold. Each place's stage,
 //    Fig 6 row, candidate rows, destination and delegates are then
 //    constants, and the dispatch switches see constant ids: the paper's
 //    per-place generated Process(), specialized when the simulator is
@@ -25,13 +26,15 @@
 //    type's own transition id; any other place (XScale's RF, whose types go
 //    to X1, M1 or D1) dispatches through its constexpr Fig 6 row.
 // Token services, two-list promotion, retirement, flush, pools, stats and the
-// watchdog are inherited core::Engine code, and the interpreted core::Engine
-// stays the independent reference both are checked against cycle for cycle.
+// cycle tail (clock, watchdog) are inherited core::Engine code; the per-cycle
+// ones (token entry, retirement, recycling, the cycle tail) are defined in
+// engine.hpp so they compile into run(). The interpreted core::Engine stays
+// the independent reference both are checked against cycle for cycle.
 //
 // Latches (capacity-1 stages, every shipped ARM stage) take the lean path: a
 // one-token list is tested and fired in place, without the scratch_ snapshot
 // that multi-token pools need, and the Process(place) -> simple firing ->
-// token entry chain is forced inline into step(). Stage pointers and place
+// token entry chain is forced inline into run(). Stage pointers and place
 // delays are resolved once at build(), never per firing.
 //
 // A Tables type provides, as static or member functions:
@@ -175,24 +178,26 @@ class TableEngine : public core::Engine {
       arc_stage_[k] = place_stage_[static_cast<unsigned>(tables_.out_arc(k).place)];
   }
 
-  /// Fig 8 over the tables: promote, Process() every place in order, run the
-  /// independent sub-net, advance the clock.
-  bool step() override {
+  /// Fig 8 over the tables, one whole cycle per iteration: promote, Process()
+  /// every place in order, run the independent sub-net, advance the clock.
+  std::uint64_t run(std::uint64_t max_cycles = ~0ull) override {
     if (!built()) build();
-    if (stopped()) return false;
+    const core::Cycle start = clock_;
+    while (!stopped_ && clock_ - start < max_cycles) {
+      for (core::PipelineStage* st : two_list_) st->promote_incoming();
 
-    for (core::PipelineStage* st : two_list_) st->promote_incoming();
+      if constexpr (StaticSchedule<Tables>) {
+        walk(std::make_index_sequence<Tables::kNumOrder>{},
+             std::make_index_sequence<Tables::kNumIndependent>{});
+      } else {
+        for (const Slot& s : slots_) process(SlotPlace{*this, s});
+        for (std::uint32_t i = 0; i < tables_.num_independent(); ++i)
+          run_independent_row(tables_.independent(i));
+      }
 
-    if constexpr (StaticSchedule<Tables>) {
-      walk(std::make_index_sequence<Tables::kNumOrder>{},
-           std::make_index_sequence<Tables::kNumIndependent>{});
-    } else {
-      for (const Slot& s : slots_) process(SlotPlace{*this, s});
-      for (std::uint32_t i = 0; i < tables_.num_independent(); ++i)
-        run_independent_row(tables_.independent(i));
+      finish_cycle();
     }
-
-    return finish_cycle();
+    return clock_ - start;
   }
 
  protected:

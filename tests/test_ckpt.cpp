@@ -7,7 +7,9 @@
 // state lives in the engine base), so a snapshot written under interpreted
 // must restore into a compiled or generated(linked) session, and the
 // freestanding gen_fs_* binaries restore their own checkpoints and ones this
-// linked build writes.
+// linked build writes. Besides one mid-run split point per machine, every
+// golden machine is split at every cycle of its run, interpreted into
+// compiled and compiled into generated.
 //
 // Alongside the six golden machines an 8-seed fuzz shard snapshots generated
 // topologies at a seed-derived split point and restores them across backends
@@ -139,6 +141,42 @@ TEST_P(SnapshotRestore, CompiledSnapshotRestoresIntoGenerated) {
                    mid_cycle(key));
 }
 
+/// Snapshot machine `key` under `write_backend` at every cycle of its run,
+/// from cycle 0 to the end, restore each snapshot into a fresh session under
+/// `read_backend` and demand byte equality with the straight run. Stops at
+/// the first divergence.
+void sweep_every_cycle(const std::string& key, core::Backend write_backend,
+                       core::Backend read_backend) {
+  const std::string whole =
+      formatted(key, machines::run_golden_machine_full(key, options_for(read_backend)));
+  auto writer = machines::make_golden_session(key, options_for(write_backend));
+  std::uint64_t splits = 0;
+  do {
+    auto reader = machines::make_golden_session(key, options_for(read_backend));
+    machines::read_checkpoint(*reader, machines::write_checkpoint(*writer));
+    ++splits;
+    if (reader->engine().clock() != writer->engine().clock()) {
+      ADD_FAILURE() << key << ": restore at cycle " << writer->engine().clock()
+                    << " resumed at cycle " << reader->engine().clock();
+      return;
+    }
+    if (formatted(key, machines::finish_session(*reader)) != whole) {
+      ADD_FAILURE() << key << ": restore at cycle " << writer->engine().clock()
+                    << " diverged from the straight run";
+      return;
+    }
+  } while (writer->advance(1));
+  EXPECT_GE(splits, writer->engine().clock()) << key;
+}
+
+TEST_P(SnapshotRestore, EveryCycleInterpretedSnapshotRestoresIntoCompiled) {
+  sweep_every_cycle(GetParam(), core::Backend::interpreted, core::Backend::compiled);
+}
+
+TEST_P(SnapshotRestore, EveryCycleCompiledSnapshotRestoresIntoGenerated) {
+  sweep_every_cycle(GetParam(), core::Backend::compiled, core::Backend::generated);
+}
+
 // Two independent sessions advanced to the same cycle must serialize to the
 // same bytes — snapshotting is a pure function of the run state.
 TEST_P(SnapshotRestore, SnapshotIsDeterministic) {
@@ -186,23 +224,36 @@ TEST(SnapshotEdges, SnapshotAfterCompletionRestoresFinishedRun) {
 
 // The farm advances a session in 4,096-cycle chunks, a --checkpoint-every K
 // ring in K-cycle chunks and finish_session in a single one: the chunk size
-// must never change a run. Every golden machine and fuzz seeds 1-4, advanced
-// in chunks of 1, 7 and 4,096 cycles on both library backends, must print
-// the same trace, stats line and stall causes as finish_session.
+// must never change a run, and each backend's run loop must resume exactly
+// where the last chunk stopped. Every golden machine (on all three backends;
+// the generated engines are linked in) and fuzz seeds 1-4 (on both library
+// backends), advanced in chunks of 1, 7 and 4,096 cycles, must print the
+// same trace, stats line and stall causes as finish_session.
 TEST(GoldenSessions, ChunkSizeDoesNotChangeTheRun) {
   using MakeSession =
       std::function<std::unique_ptr<machines::GoldenSession>(core::Backend)>;
-  std::vector<std::pair<std::string, MakeSession>> runs;
+  struct Run {
+    std::string name;
+    MakeSession make;
+    std::vector<core::Backend> backends;
+  };
+  std::vector<Run> runs;
   for (const std::string& key : machines::golden_machine_keys())
-    runs.emplace_back(key, [key](core::Backend b) {
-      return machines::make_golden_session(key, options_for(b));
-    });
+    runs.push_back({key,
+                    [key](core::Backend b) {
+                      return machines::make_golden_session(key, options_for(b));
+                    },
+                    {core::Backend::interpreted, core::Backend::compiled,
+                     core::Backend::generated}});
   for (unsigned seed = 1; seed <= 4; ++seed)
-    runs.emplace_back(machines::fuzz_model_name(seed), [seed](core::Backend b) {
-      return machines::make_fuzz_session(seed, machines::fuzz_options_for(seed, b));
-    });
-  for (const auto& [name, make] : runs)
-    for (const auto backend : {core::Backend::interpreted, core::Backend::compiled}) {
+    runs.push_back({machines::fuzz_model_name(seed),
+                    [seed](core::Backend b) {
+                      return machines::make_fuzz_session(
+                          seed, machines::fuzz_options_for(seed, b));
+                    },
+                    {core::Backend::interpreted, core::Backend::compiled}});
+  for (const auto& [name, make, backends] : runs)
+    for (const core::Backend backend : backends) {
       const std::string whole = formatted(name, machines::finish_session(*make(backend)));
       for (const std::uint64_t chunk : {1u, 7u, 4096u}) {
         const std::unique_ptr<machines::GoldenSession> s = make(backend);

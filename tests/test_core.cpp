@@ -458,25 +458,6 @@ TEST(EngineMicroOps, ActionEmitsAdditionalTokens) {
   EXPECT_EQ(eng.stats().retired, 3u);  // original + 2 µ-ops
 }
 
-TEST(EngineWatchdog, DeadlockStopsEngine) {
-  Net net("dead");
-  const StageId s1 = net.add_stage("L1", 1);
-  const PlaceId p1 = net.add_place("L1", s1);
-  const TypeId ty = net.add_type("T");
-  net.add_transition("never", ty)
-      .from(p1)
-      .guard([](void*, FireCtx&) { return false; }, nullptr)
-      .to(net.end_place());
-  EngineOptions opt;
-  opt.deadlock_limit = 50;
-  Engine eng(net, opt);
-  eng.build();
-  emit(eng, ty, p1);
-  const std::uint64_t ran = eng.run(10000);
-  EXPECT_TRUE(eng.stopped());
-  EXPECT_LT(ran, 10000u);
-}
-
 TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
   // The store runs in lockstep with a naive two-list reference model over a
   // seeded mix of every mutating operation, with the population capped at

@@ -504,6 +504,22 @@ TEST(DescBounds, TomasuloFetchPastTheProgramThrows) {
       "Tomasulo: no instruction at pc 6 (the program has 6 instructions)");
 }
 
+TEST(DescBounds, HugeStageCapacityRunsLikeAnyOther) {
+  // A declared capacity bounds a stage; it does not size its token store. A
+  // Tomasulo dispatch stage that admits 4294967295 tokens runs the same
+  // trace on both library backends: the compiled lowering reserves one batch
+  // of store slots, not the declared capacity (which threw std::bad_alloc).
+  const desc::Description d = desc::parse(zoo_variant(
+      "tomasulo.rcpn", "stage DISP capacity=1\n", "stage DISP capacity=4294967295\n"));
+  const machines::GoldenRunResult interp = machines::run_description(
+      d, desc::engine_options(d, opts_for(core::Backend::interpreted)));
+  EXPECT_FALSE(interp.trace.empty());
+  expect_runs_equal(interp,
+                    machines::run_description(
+                        d, desc::engine_options(d, opts_for(core::Backend::compiled))),
+                    "compiled");
+}
+
 /// Replace every occurrence of `from` in `text` with `to`; the count replaced.
 std::size_t replace_all(std::string& text, const std::string& from, const std::string& to) {
   std::size_t n = 0;

@@ -3,7 +3,8 @@
 // clock, same retire order (cycle-stamped), same statistics down to
 // per-transition firing and per-place stall counts. Plus the lowering pass
 // invariants (flat Fig 6 runs match the engine's candidate lists), the
-// schedule tables of the emitted engine TU and the emit_dot exporter.
+// deadlock watchdog on all three backends, the schedule tables of the emitted
+// engine TU and the emit_dot exporter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -255,9 +256,27 @@ struct LatchTraits {
   static constexpr bool kHasGuard[kNumTransitions] = {false};
   static constexpr bool kHasAction[kNumTransitions] = {false};
 
-  static bool guard(std::int16_t, Machine&, core::FireCtx&) { return true; }
-  static void action(std::int16_t, Machine&, core::FireCtx&) {}
+  static bool guard(int, Machine&, core::FireCtx&) { return true; }
+  static void action(int, Machine&, core::FireCtx&) {}
 };
+
+/// An engine of `o.backend` over `net`, built; the generated backend runs
+/// `Traits`, hand-written tables for a net that binds no machine type.
+template <typename Traits>
+std::unique_ptr<core::Engine> make_built_engine(core::Net& net, LatchMachine& machine,
+                                                const core::EngineOptions& o) {
+  std::unique_ptr<core::Engine> eng;
+  if (o.backend == core::Backend::compiled) {
+    eng = std::make_unique<gen::CompiledEngine>(net, o);
+  } else if (o.backend == core::Backend::generated) {
+    eng = std::make_unique<gen::StaticEngine<Traits>>(net, o);
+    eng->set_machine(&machine);
+  } else {
+    eng = std::make_unique<core::Engine>(net, o);
+  }
+  eng->build();
+  return eng;
+}
 
 enum class Parked { reservation, other_place, not_ready };
 
@@ -268,20 +287,9 @@ std::vector<core::Stats> run_parked(core::Backend backend, Parked what, int cycl
   LatchMachine machine;
   core::EngineOptions o;
   o.backend = backend;
-  std::unique_ptr<core::Engine> eng;
-  if (backend == core::Backend::compiled) {
-    eng = std::make_unique<gen::CompiledEngine>(m.net, o);
-  } else if (backend == core::Backend::generated) {
-    if (a_delay == 6) {
-      eng = std::make_unique<gen::StaticEngine<LatchTraits<6>>>(m.net, o);
-    } else {
-      eng = std::make_unique<gen::StaticEngine<LatchTraits<1>>>(m.net, o);
-    }
-    eng->set_machine(&machine);
-  } else {
-    eng = std::make_unique<core::Engine>(m.net, o);
-  }
-  eng->build();
+  const std::unique_ptr<core::Engine> eng =
+      a_delay == 6 ? make_built_engine<LatchTraits<6>>(m.net, machine, o)
+                   : make_built_engine<LatchTraits<1>>(m.net, machine, o);
   if (what == Parked::reservation) {
     eng->emit_reservation(m.a);
   } else {
@@ -334,6 +342,111 @@ TEST(OneTokenScan, PassesOverATokenNotReadyYet) {
        {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated})
     EXPECT_EQ(run_parked(b, Parked::not_ready, 7).back().retired, 1u)
         << "backend " << static_cast<int>(b);
+}
+
+// ---------------------------------------------------------------------------
+// Deadlock watchdog
+// ---------------------------------------------------------------------------
+// Every backend runs its own loop around the shared inline cycle tail. Stage
+// L1 holds one token whose only transition's guard refuses it, so nothing
+// ever fires again and the watchdog must stop the engine.
+
+struct DeadNet {
+  core::Net net{"dead"};
+  core::PlaceId l1 = core::kNoPlace;
+  core::TypeId ty = core::kNoType;
+
+  DeadNet() {
+    l1 = net.add_place("L1", net.add_stage("L1", 1));
+    ty = net.add_type("T");
+    net.add_transition("never", ty)
+        .from(l1)
+        .guard([](void*, core::FireCtx&) { return false; }, nullptr)
+        .to(net.end_place());
+  }
+};
+
+/// DeadNet's schedule, written by hand like LatchTraits; its guard refuses.
+struct DeadTraits {
+  using Machine = LatchMachine;
+  static constexpr const char* kModelName = "dead";
+  static constexpr std::uint32_t kOptionsKey = 1u;  // the default schedule
+
+  static constexpr unsigned kNumStages = 2;
+  static constexpr unsigned kNumPlaces = 2;
+  static constexpr unsigned kNumTypes = 1;
+  static constexpr unsigned kNumTransitions = 1;
+  static constexpr unsigned kNumOrder = 1;
+  static constexpr unsigned kNumTwoList = 0;
+  static constexpr unsigned kNumBody = 1;
+  static constexpr unsigned kNumIndependent = 0;
+
+  static constexpr std::int16_t kPlaceStage[kNumPlaces] = {0, 1};  // end, L1
+  static constexpr std::uint32_t kPlaceDelay[kNumPlaces] = {1, 1};
+  static constexpr std::uint32_t kStageReserve[kNumStages] = {64, 1};
+  static constexpr std::uint32_t kInstrPoolHint = 1;
+  static constexpr std::uint32_t kResPoolHint = 1;
+  static constexpr std::int16_t kProcessOrder[kNumOrder] = {1 /*L1*/};
+  static constexpr std::int16_t kTwoListStages[1] = {0};  // none
+  static constexpr gen::CandRange kCell[kNumPlaces * kNumTypes] = {{0, 0}, {0, 1}};
+  static constexpr gen::StaticTx kBody[kNumBody] = {
+      {0, 0, 0, 0, 0, 0, 1, 1, true},  // never
+  };
+  static constexpr gen::StaticTx kIndependent[1] = {{}};  // none
+  static constexpr std::int16_t kResIn[1] = {0};         // none
+  static constexpr gen::StaticOutArc kOutArcs[1] = {{0, false}};
+  static constexpr const char* kGuardSym[kNumTransitions] = {""};
+  static constexpr const char* kActionSym[kNumTransitions] = {""};
+  static constexpr bool kHasGuard[kNumTransitions] = {true};
+  static constexpr bool kHasAction[kNumTransitions] = {false};
+
+  static bool guard(int, Machine&, core::FireCtx&) { return false; }
+  static void action(int, Machine&, core::FireCtx&) {}
+};
+
+TEST(EngineWatchdog, DeadlockStopsEngine) {
+  // The token is ready from cycle 1 and refused every cycle; the watchdog
+  // trips once more than deadlock_limit cycles pass without a firing or a
+  // retirement. Every backend stops at that same cycle, with the same report,
+  // whether it runs one long run() or one step() per cycle.
+  core::EngineOptions o;
+  o.deadlock_limit = 50;
+  const core::Cycle stop_at = o.deadlock_limit + 1;
+  for (const core::Backend b :
+       {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated}) {
+    for (const bool stepped : {false, true}) {
+      SCOPED_TRACE("backend " + std::to_string(static_cast<int>(b)) +
+                   (stepped ? ", step()" : ", run()"));
+      DeadNet m;
+      LatchMachine machine;
+      o.backend = b;
+      const std::unique_ptr<core::Engine> eng = make_built_engine<DeadTraits>(m.net, machine, o);
+      core::InstructionToken* tok = eng->acquire_pooled_instruction();
+      tok->type = m.ty;
+      eng->emit_instruction(tok, m.l1);
+
+      testing::internal::CaptureStderr();
+      std::uint64_t ran = 0;
+      if (stepped) {
+        for (bool more = true; more && ran < 10000; ++ran) more = eng->step();
+      } else {
+        ran = eng->run(10000);
+      }
+      EXPECT_EQ(testing::internal::GetCapturedStderr(),
+                "[error] engine: no activity for 50 cycles with tokens in flight — model "
+                "deadlock in net 'dead'\n");
+      EXPECT_TRUE(eng->stopped());
+      EXPECT_EQ(ran, stop_at);
+      EXPECT_EQ(eng->clock(), stop_at);
+      EXPECT_EQ(eng->stats().cycles, stop_at);
+      EXPECT_EQ(eng->stats().firings, 0u);
+      EXPECT_EQ(eng->tokens_in_flight(), 1u);
+      // A stopped engine runs nothing more.
+      EXPECT_FALSE(eng->step());
+      EXPECT_EQ(eng->run(10), 0u);
+      EXPECT_EQ(eng->clock(), stop_at);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -392,9 +505,9 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
   const gen::CompiledModel& cm = ce->compiled();
   const core::Net& net = comp.net();
 
-  // Pool sizing: bounded stages reserve exactly their capacity (they can
-  // never hold more), unlimited stages a non-zero batch; the arena hints
-  // cover every bounded slot.
+  // Pool sizing: bounded stages reserve their capacity (they can never hold
+  // more), up to one 64-slot batch; unlimited stages a non-zero batch; the
+  // arena hints cover every bounded slot.
   ASSERT_EQ(cm.stage_reserve.size(), net.num_stages());
   std::uint64_t bounded = 0;
   for (unsigned s = 0; s < net.num_stages(); ++s) {
@@ -402,7 +515,7 @@ TEST(CompiledModelLowering, PoolSizingAndPreResolvedStages) {
     if (st.unlimited()) {
       EXPECT_GT(cm.stage_reserve[s], 0u) << "stage " << s;
     } else {
-      EXPECT_EQ(cm.stage_reserve[s], st.capacity()) << "stage " << s;
+      EXPECT_EQ(cm.stage_reserve[s], std::min(st.capacity(), 64u)) << "stage " << s;
       bounded += st.capacity();
     }
   }
