@@ -1,12 +1,14 @@
 // Ablation — reverse-topological processing with *selective* two-list
 // stages (the paper's §4 optimization) vs the "usual, computationally
 // expensive solution" of running the two-list (master/slave) algorithm on
-// every stage. Reports both the speed difference and how many stages each
-// strategy double-buffers.
+// every stage. The ablation is a model edit: the StrongArm description with
+// `two_list=1` on every stage. Reports both the speed difference and how many
+// stages each model double-buffers, on the interpreted and compiled backends
+// (the generated backend is one artifact per model, the shipped one).
 #include <cstdio>
 
 #include "bench/bench_util.hpp"
-#include "gen/generated.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/strongarm.hpp"
 #include "util/table.hpp"
 
@@ -21,11 +23,11 @@ struct Row {
   unsigned two_list_stages = 0;
 };
 
-Row measure(bool force_all, core::Backend backend, const sys::Program& prog) {
+Row measure(const desc::Description& d, core::Backend backend, const sys::Program& prog) {
   machines::StrongArmConfig cfg;
-  cfg.engine.force_two_list_all = force_all;
+  cfg.engine = desc::engine_options(d);
   cfg.engine.backend = backend;
-  machines::StrongArmSim sim(cfg);
+  machines::StrongArmSim sim(d, machines::delegates_for(d), cfg);
   const auto [r, secs] = bench::timed([&] { return sim.run(prog); });
   Row row;
   row.mcps = static_cast<double>(r.cycles) / secs / 1e6;
@@ -43,44 +45,33 @@ int main() {
   std::printf("Ablation: selective two-list (paper §4) vs two-list everywhere\n");
   std::printf("model: RCPN-StrongArm; REPRO_SCALE=%.2f\n\n", bench::repro_scale());
 
+  const desc::Description selective = machines::describe_machine("strongarm_crc");
+  desc::Description everywhere = selective;
+  for (desc::DescStage& s : everywhere.stages) s.forced_two_list = 1;
+
   util::Table table({"workload", "strategy", "two-list stages", "Mcyc/s",
                      "cycles", "program ms"});
-
-  // The generated backend runs the ablation too when both emitted schedule
-  // variants (default + two-list-everywhere, each registered under its own
-  // options key) are linked into this binary.
-  core::EngineOptions all_opts;
-  all_opts.force_two_list_all = true;
-  const bool has_gen = gen::find_generated_engine("StrongArm") != nullptr &&
-                       gen::find_generated_engine("StrongArm", all_opts) != nullptr;
-  if (!has_gen)
-    std::printf("generated schedule variants not linked in - interpreted only\n\n");
+  const auto add = [&table](const char* name, const char* strategy, const Row& r) {
+    table.add_row({name, strategy, std::to_string(r.two_list_stages),
+                   util::Table::fmt(r.mcps), std::to_string(r.cycles),
+                   util::Table::fmt(r.secs * 1e3)});
+  };
 
   for (const char* name : {"crc", "go"}) {
     const workloads::Workload* w = workloads::find(name);
     const sys::Program prog = workloads::build(*w, bench::scaled(*w));
-    const Row sel = measure(false, core::Backend::interpreted, prog);
-    const Row all = measure(true, core::Backend::interpreted, prog);
-    table.add_row({name, "selective (paper)", std::to_string(sel.two_list_stages),
-                   util::Table::fmt(sel.mcps), std::to_string(sel.cycles),
-                   util::Table::fmt(sel.secs * 1e3)});
-    table.add_row({name, "two-list everywhere", std::to_string(all.two_list_stages),
-                   util::Table::fmt(all.mcps), std::to_string(all.cycles),
-                   util::Table::fmt(all.secs * 1e3)});
-    if (has_gen) {
-      const Row gsel = measure(false, core::Backend::generated, prog);
-      const Row gall = measure(true, core::Backend::generated, prog);
-      if (gsel.cycles != sel.cycles || gall.cycles != all.cycles) {
-        std::fprintf(stderr, "generated/interpreted cycle mismatch on %s!\n", name);
-        return 1;
-      }
-      table.add_row({name, "selective (generated)",
-                     std::to_string(gsel.two_list_stages), util::Table::fmt(gsel.mcps),
-                     std::to_string(gsel.cycles), util::Table::fmt(gsel.secs * 1e3)});
-      table.add_row({name, "two-list everywhere (generated)",
-                     std::to_string(gall.two_list_stages), util::Table::fmt(gall.mcps),
-                     std::to_string(gall.cycles), util::Table::fmt(gall.secs * 1e3)});
+    const Row sel = measure(selective, core::Backend::interpreted, prog);
+    const Row all = measure(everywhere, core::Backend::interpreted, prog);
+    const Row csel = measure(selective, core::Backend::compiled, prog);
+    const Row call = measure(everywhere, core::Backend::compiled, prog);
+    if (csel.cycles != sel.cycles || call.cycles != all.cycles) {
+      std::fprintf(stderr, "compiled/interpreted cycle mismatch on %s!\n", name);
+      return 1;
     }
+    add(name, "selective (paper)", sel);
+    add(name, "two-list everywhere", all);
+    add(name, "selective (compiled)", csel);
+    add(name, "two-list everywhere (compiled)", call);
   }
   table.print();
 

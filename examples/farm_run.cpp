@@ -1,9 +1,8 @@
 // rcpn_farm — sweep-grid driver for farm::SimFarm.
 //
-// Builds a job grid (machines x schedule variants x seeds x executors), runs
-// it on a pool of worker threads sharing one job cursor, prints per-job
-// progress and the aggregate, and optionally writes the machine-readable
-// FarmReport JSON.
+// Builds a job grid (machines x executors x seeds), runs it on a pool of
+// worker threads sharing one job cursor, prints per-job progress and the
+// aggregate, and optionally writes the machine-readable FarmReport JSON.
 //
 //   rcpn_farm                          default grid, hardware_concurrency workers
 //   rcpn_farm --verify                 run the grid serially AND in parallel,
@@ -15,9 +14,15 @@
 //                                      timeout/failed while the rest succeed
 //   rcpn_farm --json FILE              write the full report JSON
 //
-// Grid knobs: --machines a,b,c  --variants default,twolist,nostateref
-// --seeds N  --executors in_process,subprocess  --cycles N (fuzz budget)
-// --workers N  --timeout-ms N  --bin-dir DIR  --quiet
+// Grid knobs: --machines a,b,c  --seeds N  --executors in_process,subprocess
+// --cycles N (fuzz budget)  --workers N  --timeout-ms N  --bin-dir DIR
+// --quiet
+//
+// In-process jobs run the compiled backend (this binary links no generated
+// engines); subprocess jobs spawn the machine's freestanding gen_fs_<key>
+// program, which runs the generated engine. A schedule ablation is a model
+// edit: run its .rcpn file in-process (`--machines edited.rcpn --executors
+// in_process`).
 //
 // --progress prints a once-per-second heartbeat line to stderr (done/total,
 // percentage, elapsed) — the machine-parseable liveness signal for CI logs
@@ -49,7 +54,6 @@ namespace {
 
 struct CliOptions {
   std::vector<std::string> machines;   // default: the five golden keys
-  std::vector<std::string> variants = {"default", "twolist"};
   std::vector<std::string> executors = {"in_process", "subprocess"};
   std::size_t seeds = 0;               // 0 = REPRO_SCALE-scaled default (4)
   std::uint64_t cycle_budget = 0;      // fuzz machines only
@@ -91,9 +95,8 @@ std::size_t scaled_default_seeds() {
 [[noreturn]] void usage_error(const char* msg) {
   std::fprintf(stderr,
                "rcpn_farm: %s\n"
-               "usage: rcpn_farm [--machines a,b,...] [--variants "
-               "default,twolist,nostateref]\n"
-               "                 [--executors in_process,subprocess] [--seeds N] "
+               "usage: rcpn_farm [--machines a,b,...] "
+               "[--executors in_process,subprocess] [--seeds N] "
                "[--cycles N]\n"
                "                 [--workers N] [--timeout-ms N] [--bin-dir DIR] "
                "[--json FILE]\n"
@@ -112,7 +115,6 @@ CliOptions parse_cli(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--machines") cli.machines = split_csv(value(i));
-    else if (a == "--variants") cli.variants = split_csv(value(i));
     else if (a == "--executors") cli.executors = split_csv(value(i));
     else if (a == "--seeds") cli.seeds = std::strtoull(value(i), nullptr, 10);
     else if (a == "--cycles") cli.cycle_budget = std::strtoull(value(i), nullptr, 10);
@@ -130,27 +132,8 @@ CliOptions parse_cli(int argc, char** argv) {
   }
   if (cli.machines.empty()) cli.machines = machines::golden_machine_keys();
   if (cli.seeds == 0) cli.seeds = scaled_default_seeds();
-  if (cli.variants.empty() || cli.executors.empty())
-    usage_error("--variants/--executors must name at least one entry");
+  if (cli.executors.empty()) usage_error("--executors must name at least one entry");
   return cli;
-}
-
-/// Apply a named schedule variant. The default variant runs the generated
-/// backend in subprocess jobs (the freestanding binaries are stamped for the
-/// default schedule) and the compiled backend in-process (this binary links
-/// no registered generated engines); every ablation variant changes the
-/// schedule, so both executors fall back to the compiled backend for it.
-core::EngineOptions variant_options(const std::string& variant,
-                                    farm::ExecutorKind executor) {
-  core::EngineOptions options;
-  options.backend = variant == "default" && executor == farm::ExecutorKind::subprocess
-                        ? core::Backend::generated
-                        : core::Backend::compiled;
-  if (variant == "default") return options;
-  if (variant == "twolist") options.force_two_list_all = true;
-  else if (variant == "nostateref") options.two_list_state_refs = false;
-  else usage_error(("unknown variant '" + variant + "'").c_str());
-  return options;
 }
 
 farm::ExecutorKind executor_kind(const std::string& name) {
@@ -162,18 +145,19 @@ farm::ExecutorKind executor_kind(const std::string& name) {
 std::vector<farm::JobSpec> build_grid(const CliOptions& cli) {
   std::vector<farm::JobSpec> jobs;
   for (const std::string& machine : cli.machines)
-    for (const std::string& variant : cli.variants)
-      for (const std::string& executor : cli.executors)
-        for (std::uint64_t seed = 0; seed < cli.seeds; ++seed) {
-          farm::JobSpec spec;
-          spec.machine = machine;
-          spec.executor = executor_kind(executor);
-          spec.options = variant_options(variant, spec.executor);
-          spec.seed = seed;
-          spec.cycle_budget = cli.cycle_budget;
-          spec.timeout_ms = cli.timeout_ms;
-          jobs.push_back(std::move(spec));
-        }
+    for (const std::string& executor : cli.executors)
+      for (std::uint64_t seed = 0; seed < cli.seeds; ++seed) {
+        farm::JobSpec spec;
+        spec.machine = machine;
+        spec.executor = executor_kind(executor);
+        spec.options.backend = spec.executor == farm::ExecutorKind::subprocess
+                                   ? core::Backend::generated
+                                   : core::Backend::compiled;
+        spec.seed = seed;
+        spec.cycle_budget = cli.cycle_budget;
+        spec.timeout_ms = cli.timeout_ms;
+        jobs.push_back(std::move(spec));
+      }
   if (cli.inject_throw) {
     farm::JobSpec spec;
     spec.machine = farm::kThrowJobKey;
@@ -306,10 +290,9 @@ bool outcome_expected(const farm::JobRecord& job) {
 int main(int argc, char** argv) {
   const CliOptions cli = parse_cli(argc, argv);
   const std::vector<farm::JobSpec> jobs = build_grid(cli);
-  std::printf("rcpn_farm: %zu jobs (%zu machines x %zu variants x %zu executors x "
-              "%zu seeds%s%s)\n",
-              jobs.size(), cli.machines.size(), cli.variants.size(),
-              cli.executors.size(), cli.seeds, cli.inject_throw ? " + throw" : "",
+  std::printf("rcpn_farm: %zu jobs (%zu machines x %zu executors x %zu seeds%s%s)\n",
+              jobs.size(), cli.machines.size(), cli.executors.size(), cli.seeds,
+              cli.inject_throw ? " + throw" : "",
               cli.inject_hang ? " + hang" : "");
 
   // The serial baseline runs FIRST so the parallel run is not the one paying

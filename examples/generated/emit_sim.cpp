@@ -16,14 +16,18 @@
 //   g++ -std=c++20 -O3 -flto gen_fig2.cpp -o gen_fig2      # 2. compile
 //   ./gen_fig2 --golden tests/golden/fig2.trace            # 3. verify
 //
-// When `emit` is handed a .rcpn file the description's recorded engine
-// options are the base and explicit CLI flags override them; delegate
-// symbols resolve through the library's shipped registries
-// (machines/desc_machines.hpp).
+// When `emit` is handed a .rcpn file, delegate symbols resolve through the
+// library's shipped registries (machines/desc_machines.hpp). `--no-main`
+// prints the engine TU of the described model, edits included. A program
+// runs its shipped machine's session, so it is emitted only from that
+// machine's own description (what `rcpn_emit describe <key>` prints); any
+// other is refused, naming the first line that differs.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,11 +49,10 @@ int usage(const char* argv0, int code) {
                "commands:\n"
                "  list\n"
                "      print the machine keys this build ships\n"
-               "  describe <machine> [--out FILE] [schedule flags]\n"
+               "  describe <machine> [--out FILE]\n"
                "      serialize the machine's model to a canonical .rcpn\n"
                "      description (stdout unless --out)\n"
                "  emit <machine|file.rcpn> [--out FILE] [--no-main] [--dot]\n"
-               "       [schedule flags]\n"
                "      generate the standalone C++ simulator program: the runtime\n"
                "      subset is inlined, so it compiles with no repo includes and\n"
                "      links against nothing but the C++ standard library\n"
@@ -61,11 +64,8 @@ int usage(const char* argv0, int code) {
     std::fprintf(stderr, " %s", key.c_str());
   std::fprintf(stderr,
                ", fuzz-<seed> (seeded random model),\n"
-               "  or a path ending in .rcpn (the description's recorded engine\n"
-               "  options are the base; explicit flags below override them)\n"
-               "  schedule flags: --force-two-list-all --no-two-list-state-refs\n"
-               "                  (emit an ablation-variant schedule, stamped and\n"
-               "                  verified at build())\n"
+               "  or a path ending in .rcpn (a program needs the machine's own\n"
+               "  description; an edited one emits with --no-main only)\n"
                "  --no-main: emit engine + registrar only, #including the library\n"
                "             (link into a binary that links librcpn)\n"
                "  --dot:     emit the model structure for graphviz (gen::emit_dot)\n");
@@ -89,28 +89,19 @@ int write_output(const std::string& source, const std::string& out_path) {
   return 0;
 }
 
-/// Which schedule flags the command line explicitly set — .rcpn inputs use
-/// the description's recorded options as the base and re-apply only these.
-struct ScheduleOverrides {
-  bool force_two_list_all = false;
-  bool no_two_list_state_refs = false;
-
-  void apply(core::EngineOptions& options) const {
-    if (force_two_list_all) options.force_two_list_all = true;
-    if (no_two_list_state_refs) options.two_list_state_refs = false;
+/// The first line where two texts differ, as "line N ('a' vs 'b')", or ""
+/// when they are equal.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream in_a(a), in_b(b);
+  std::string la, lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(in_a, la));
+    const bool more_b = static_cast<bool>(std::getline(in_b, lb));
+    if (!more_a && !more_b) return "";
+    if (!more_a) la.clear();
+    if (!more_b) lb.clear();
+    if (la != lb) return "line " + std::to_string(line) + " ('" + la + "' vs '" + lb + "')";
   }
-};
-
-/// Shared schedule-flag parsing; returns false on an unrecognized flag.
-bool parse_schedule_flag(const std::string& arg, ScheduleOverrides& seen) {
-  if (arg == "--force-two-list-all") {
-    seen.force_two_list_all = true;
-  } else if (arg == "--no-two-list-state-refs") {
-    seen.no_two_list_state_refs = true;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 int cmd_list(const char* argv0, const std::vector<std::string>& args) {
@@ -125,12 +116,10 @@ int cmd_describe(const char* argv0, const std::vector<std::string>& args) {
   std::string machine, out_path;
   core::EngineOptions options;
   options.backend = core::Backend::compiled;
-  ScheduleOverrides overrides;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (arg == "--out" && i + 1 < args.size()) {
       out_path = args[++i];
-    } else if (parse_schedule_flag(arg, overrides)) {
     } else if (arg == "--help" || arg == "-h") {
       return usage(argv0, 0);
     } else if (machine.empty() && arg[0] != '-') {
@@ -140,7 +129,6 @@ int cmd_describe(const char* argv0, const std::vector<std::string>& args) {
     }
   }
   if (machine.empty()) return usage(argv0, 2);
-  overrides.apply(options);
   try {
     const desc::Description d = machines::describe_machine(machine, options);
     return write_output(desc::to_text(d), out_path);
@@ -153,7 +141,6 @@ int cmd_describe(const char* argv0, const std::vector<std::string>& args) {
 int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
   std::string machine, out_path;
   bool with_main = true, dot = false;
-  ScheduleOverrides overrides;
   core::EngineOptions cli_options;
   cli_options.backend = core::Backend::compiled;  // the lowering pass lives there
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -162,7 +149,6 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       out_path = args[++i];
     } else if (arg == "--no-main") {
       with_main = false;
-    } else if (parse_schedule_flag(arg, overrides)) {
     } else if (arg == "--dot") {
       dot = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -179,8 +165,7 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       machine.size() > 5 && machine.compare(machine.size() - 5, 5, ".rcpn") == 0;
   std::string source;
   try {
-    // Resolve a .rcpn input up front: the description's recorded options are
-    // the base; explicit CLI schedule flags override them.
+    // Resolve a .rcpn input up front; its deadlock_limit is part of it.
     desc::Description d;
     std::string key = machine;  // golden key or fuzz-<seed>
     core::EngineOptions options = cli_options;
@@ -190,7 +175,6 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
       key = machines::description_machine_key(d);
       if (key.empty()) key = d.model;  // fuzz-<seed> descriptions
     }
-    overrides.apply(options);
     const std::optional<unsigned> seed = machines::parse_fuzz_model_name(key);
     // The machine to lower: its session, built on the compiled engine and
     // never advanced.
@@ -198,13 +182,25 @@ int cmd_emit(const char* argv0, const std::vector<std::string>& args) {
         from_file ? machines::make_description_session(d, options)
         : seed    ? machines::make_fuzz_session(*seed, options)
                   : machines::make_golden_session(key, options);
+    if (from_file && with_main && !dot) {
+      // The program's main() builds the shipped machine (its session
+      // expression), not this description: refuse an edited one rather than
+      // emit a program that runs a different model than its tables.
+      const std::string diff =
+          first_difference(desc::to_text(d), desc::to_text(machines::describe_machine(key)));
+      if (!diff.empty())
+        throw std::runtime_error(
+            machine + " differs from the shipped " + key + " model at " + diff +
+            ": an emitted program runs the shipped model. Emit the described "
+            "model's engine TU with --no-main and link it into a binary that "
+            "loads this description");
+    }
     const core::Net& net = session->engine().net();
     if (dot) {
       source = gen::emit_dot(net);
     } else {
       const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session->engine());
       gen::EmitSimOptions emit_opts;
-      emit_opts.engine_options = options;
       if (with_main) {
         // The main runs the machine's session: the one fuzz shards and farm
         // jobs run for fuzz-<seed>, the golden session otherwise.

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/options_signature.hpp"
 #include "obs/probe.hpp"
 
 namespace rcpn::ckpt {
 
 namespace {
 
-constexpr std::string_view kVersion = "rcpn-ckpt/3";
+constexpr std::string_view kVersion = "rcpn-ckpt/4";
 
 void save_u64_vec(StateWriter& w, std::string_view name,
                   const std::vector<std::uint64_t>& v) {
@@ -117,7 +116,8 @@ std::string net_digest(const core::Net& net) {
   s += '|';
   for (unsigned i = 0; i < net.num_stages(); ++i) {
     const core::PipelineStage& st = net.stage(static_cast<core::StageId>(i));
-    s += st.name() + ":" + std::to_string(st.capacity()) + ";";
+    s += st.name() + ":" + std::to_string(st.capacity()) + ":" +
+         std::to_string(st.two_list()) + ";";
   }
   s += '|';
   for (unsigned i = 0; i < net.num_places(); ++i) {
@@ -170,7 +170,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
       .field("digest", net_digest(net))
       .field("workload", io.workload_id())
       .end();
-  w.line("options", core::options_signature(eng.options()));
 
   const core::Engine::CkptScalars sc = eng.ckpt_scalars();
   w.begin("engine")
@@ -301,18 +300,9 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
     throw CkptError("checkpoint model digest mismatch for model '" + net.name() +
                     "': snapshot " + std::string(r.get("digest")) + " vs live " +
                     net_digest(net) +
-                    " — the model structure changed since the snapshot was written");
+                    " — the model structure or schedule changed since the snapshot "
+                    "was written");
   check_ident("workload", r.get("workload"), io.workload_id());
-
-  r.next("options");
-  {
-    const std::string want = core::options_signature(eng.options());
-    const std::string got =
-        r.tokens().empty() ? std::string() : std::string(r.tokens().front());
-    if (got != want)
-      throw CkptError("checkpoint options-signature mismatch: snapshot was taken "
-                      "under [" + got + "], the restoring engine runs [" + want + "]");
-  }
 
   r.next("engine");
   core::Engine::CkptScalars sc;

@@ -13,10 +13,10 @@
 // valid for interpreted, compiled, generated(linked) and freestanding runs
 // alike.
 //
-// Format: versioned text ("rcpn-ckpt/3", see docs/ckpt-format.md), written
+// Format: versioned text ("rcpn-ckpt/4", see docs/ckpt-format.md), written
 // and parsed by ckpt::StateWriter/StateReader. Restore strictly verifies the
-// snapshot identity — format version, machine key, model name, structural
-// model digest, schedule-options signature, workload id — and rejects any
+// snapshot identity — format version, machine key, model name, model digest
+// (structure and schedule), workload id — and rejects any
 // mismatch with a CkptError naming the offender, mirroring src/desc/'s error
 // style. The backend is deliberately NOT part of the identity: all backends
 // share the engine-base state, so a snapshot written by the linked build
@@ -119,9 +119,10 @@ class MachineIO {
   virtual regfile::RegRef* reg_ref(const core::InstructionToken& t, unsigned i) const;
 };
 
-/// Structural digest of a lowered net: stages (name, capacity), places
-/// (name, stage, delay), types and transitions. Restore refuses a snapshot
-/// whose model structure changed since it was written.
+/// Digest of a built net: stages (name, capacity, resolved two-list bit),
+/// places (name, stage, delay), types and transitions. Restore refuses a
+/// snapshot whose model structure or schedule changed since it was written.
+/// Read after the engine's build(), which resolves the two-list bits.
 std::string net_digest(const core::Net& net);
 
 /// Serialize the complete dynamic state of `eng` + `io`'s machine, with

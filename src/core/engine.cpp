@@ -127,42 +127,30 @@ void Engine::compute_process_order() {
   };
   for (unsigned p = 0; p < np; ++p) {
     PipelineStage& st = net_.stage_of(static_cast<PlaceId>(p));
-    if (options_.force_two_list_all) {
-      // Ablation semantics win over per-stage model overrides: *every*
-      // stage double-buffers, the "usual, computationally expensive
-      // solution" of §4.
-      st.set_two_list(!st.is_end());
-      continue;
-    }
-    if (st.two_list_forced()) continue;
-    st.set_two_list(false);
+    if (!st.two_list_forced()) st.set_two_list(false);
   }
-  if (!options_.force_two_list_all) {
-    for (unsigned p = 0; p < np; ++p)
-      if (in_cycle[p]) mark(static_cast<PlaceId>(p));
-    if (options_.two_list_state_refs) {
-      // Reachability from the trigger place to the referenced place.
-      for (unsigned ti = 0; ti < net_.num_transitions(); ++ti) {
-        const Transition& t = net_.transition(static_cast<TransitionId>(ti));
-        if (t.independent() || t.state_refs().empty()) continue;
-        const PlaceId from = t.trigger_place();
-        std::vector<bool> seen(np, false);
-        std::vector<PlaceId> work{from};
-        seen[static_cast<unsigned>(from)] = true;
-        while (!work.empty()) {
-          const unsigned v = static_cast<unsigned>(work.back());
-          work.pop_back();
-          for (PlaceId w : succ[v]) {
-            if (!seen[static_cast<unsigned>(w)]) {
-              seen[static_cast<unsigned>(w)] = true;
-              work.push_back(w);
-            }
-          }
+  for (unsigned p = 0; p < np; ++p)
+    if (in_cycle[p]) mark(static_cast<PlaceId>(p));
+  // Reachability from the trigger place to the referenced place.
+  for (unsigned ti = 0; ti < net_.num_transitions(); ++ti) {
+    const Transition& t = net_.transition(static_cast<TransitionId>(ti));
+    if (t.independent() || t.state_refs().empty()) continue;
+    const PlaceId from = t.trigger_place();
+    std::vector<bool> seen(np, false);
+    std::vector<PlaceId> work{from};
+    seen[static_cast<unsigned>(from)] = true;
+    while (!work.empty()) {
+      const unsigned v = static_cast<unsigned>(work.back());
+      work.pop_back();
+      for (PlaceId w : succ[v]) {
+        if (!seen[static_cast<unsigned>(w)]) {
+          seen[static_cast<unsigned>(w)] = true;
+          work.push_back(w);
         }
-        for (PlaceId s : t.state_refs())
-          if (seen[static_cast<unsigned>(s)]) mark(s);
       }
     }
+    for (PlaceId s : t.state_refs())
+      if (seen[static_cast<unsigned>(s)]) mark(s);
   }
 
   two_list_stages_.clear();

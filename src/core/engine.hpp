@@ -45,26 +45,22 @@ namespace rcpn::core {
 ///    otherwise.
 enum class Backend : std::uint8_t { interpreted, compiled, generated };
 
-/// Options for the static analysis; the defaults follow the paper. The
-/// ablation benches flip them to quantify each optimization.
+/// How to run a model: which engine, the watchdog and the probe hub. None of
+/// these changes the schedule. Which stages are two-list is a fact of the
+/// model alone: its pins (force_two_list) and the §4 analysis of its token
+/// cycles and state references. An ablation of that analysis is a model
+/// edit (`two_list=1` on every stage, or no `reads_state`), not an option.
 struct EngineOptions {
   /// Engine implementation selected by model::Simulator<M>.
   Backend backend = Backend::interpreted;
-  /// Mark stages targeted by circular guard references (reads_state) as
-  /// two-list, as the paper does for L3 in Fig 5. Models may still override
-  /// per stage with force_two_list().
-  bool two_list_state_refs = true;
-  /// Ablation: use the two-list algorithm for *every* stage (the
-  /// "computationally expensive usual solution" of §4).
-  bool force_two_list_all = false;
   /// Stop with an error after this many cycles without any firing while
   /// tokens are still in flight (model deadlock watchdog).
   std::uint64_t deadlock_limit = 100000;
   /// Optional observability hub (src/obs/): when attached, the engine binds
   /// the model meta at build() and streams probe events into it. Runtime-only
-  /// — excluded from farm job identity and the generated-artifact options
-  /// key, and completely ignored unless the library was built with RCPN_OBS
-  /// (the probe call sites are compiled out otherwise).
+  /// — excluded from farm job identity, and completely ignored unless the
+  /// library was built with RCPN_OBS (the probe call sites are compiled out
+  /// otherwise).
   obs::Hub* obs = nullptr;
 };
 
@@ -105,6 +101,14 @@ class Engine {
   virtual std::uint64_t run(std::uint64_t max_cycles = ~0ull);
   void stop() { stopped_ = true; }
   bool stopped() const { return stopped_; }
+  /// True when the deadlock watchdog made the stop: tokens in flight and no
+  /// firing or retirement for more than deadlock_limit cycles. A model's own
+  /// stop() (an ARM program's exit) is made by a firing action, so it never
+  /// reads as a deadlock. Reads only checkpointed scalars.
+  bool deadlocked() const {
+    return stopped_ && in_flight_ > 0 &&
+           clock_ - last_activity_clock_ > options_.deadlock_limit;
+  }
 
   Cycle clock() const { return clock_; }
   Stats& stats() { return stats_; }

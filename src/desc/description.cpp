@@ -5,9 +5,7 @@
 #include <limits>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 
-#include "core/options_signature.hpp"
 #include "desc/delegate_registry.hpp"
 
 namespace rcpn::desc {
@@ -90,7 +88,6 @@ std::string to_text(const Description& d) {
   out += "model " + d.model + "\n";
   if (!d.machine_type.empty()) out += "machine " + d.machine_type + "\n";
   for (const std::string& h : d.includes) out += "include " + h + "\n";
-  if (!d.options.empty()) out += "options " + d.options + "\n";
   out += "deadlock_limit " + std::to_string(d.deadlock_limit) + "\n";
 
   out += "\n";
@@ -250,9 +247,6 @@ Description parse(std::string_view text) {
     } else if (kw == "include") {
       need(2, "include <header>");
       d.includes.push_back(std::string(tok[1]));
-    } else if (kw == "options") {
-      need(2, "options <signature>");
-      d.options = std::string(tok[1]);
     } else if (kw == "deadlock_limit") {
       need(2, "deadlock_limit <cycles>");
       d.deadlock_limit = parse_num(tok[1], line_no, "deadlock_limit");
@@ -265,7 +259,7 @@ Description parse(std::string_view text) {
         if (k == "capacity")
           s.capacity = parse_num<std::uint32_t>(v, line_no, "capacity");
         else if (k == "two_list")
-          s.forced_two_list = parse_num(v, line_no, "two_list") != 0 ? 1 : 0;
+          s.forced_two_list = parse_num<bool>(v, line_no, "two_list") ? 1 : 0;
         else
           bad(line_no, "unknown stage attribute '" + std::string(tok[i]) + "'");
       }
@@ -331,7 +325,6 @@ Description describe_net(const core::Net& net, const core::EngineOptions& option
   d.model = net.name();
   d.machine_type = net.emit_machine_type();
   d.includes = net.emit_includes();
-  d.options = core::options_signature(options);
   d.deadlock_limit = options.deadlock_limit;
 
   // Declared stages (id 0 is the automatic virtual end stage).
@@ -403,11 +396,6 @@ Description describe_net(const core::Net& net, const core::EngineOptions& option
 }
 
 core::EngineOptions engine_options(const Description& d, core::EngineOptions base) {
-  try {
-    core::apply_options_signature(base, d.options);
-  } catch (const std::invalid_argument& e) {
-    throw ModelError("description of model '" + d.model + "': " + e.what());
-  }
   base.deadlock_limit = d.deadlock_limit;
   return base;
 }

@@ -1,4 +1,4 @@
-// Serialized model descriptions: the `rcpn-model/3` format (ROADMAP #4, the
+// Serialized model descriptions: the `rcpn-model/4` format (ROADMAP #4, the
 // paper's ADL angle — ADL → RCPN model → generated simulator, with the RCPN
 // model now a *data* artifact instead of compiled-in C++).
 //
@@ -7,8 +7,10 @@
 // binding, residence delay, end places), operation classes, transitions
 // (trigger/reservation arcs with priorities, move/reservation outputs,
 // state_refs, delays, max_fires, named guard/action delegate symbols with
-// arity), the emission metadata (machine type + includes), and the
-// schedule-affecting EngineOptions signature. Round-trip contract: for any
+// arity), the emission metadata (machine type + includes) and the deadlock
+// watchdog limit. The schedule is the model's alone: a two-list ablation is
+// an edit of the description (`two_list=1` on every stage, or no
+// `reads_state`), not an engine option. Round-trip contract: for any
 // built model, build → describe → load → build produces byte-identical
 // retire traces and stats on every backend (the round-trip tests hold all six
 // golden machines + the fuzz family to it).
@@ -37,7 +39,7 @@ namespace rcpn::desc {
 /// Version tag of the format this library reads and writes — the first line
 /// of every .rcpn file. Parsers reject any other version (there is no silent
 /// best-effort loading of future formats).
-inline constexpr const char* kDescVersion = "rcpn-model/3";
+inline constexpr const char* kDescVersion = "rcpn-model/4";
 
 /// Name the serialized form uses for the virtual end place (id 0) in arcs.
 /// Declared place names may not start with '@'.
@@ -97,8 +99,6 @@ class Description {
   /// Emission metadata: the machine context type and its headers.
   std::string machine_type;
   std::vector<std::string> includes;
-  /// Schedule-affecting EngineOptions as a core::options_signature() string.
-  std::string options;
   std::uint64_t deadlock_limit = core::EngineOptions{}.deadlock_limit;
   std::vector<DescStage> stages;
   std::vector<DescPlace> places;
@@ -116,14 +116,13 @@ std::string to_text(const Description& d);
 /// kDescVersion.
 Description parse(std::string_view text);
 
-/// Extract the description of a lowered net under `options`. Throws
-/// model::ModelError (naming the transitions) if any bound delegate is
-/// anonymous — only symbol-referenced delegates serialize.
+/// Extract the description of a lowered net, recording `options`'
+/// deadlock_limit. Throws model::ModelError (naming the transitions) if any
+/// bound delegate is anonymous — only symbol-referenced delegates serialize.
 Description describe_net(const core::Net& net, const core::EngineOptions& options);
 
-/// EngineOptions described by `d` applied over `base`: the options signature
-/// flags and deadlock_limit are overwritten, everything else (backend, obs,
-/// ...) is kept from `base`. Throws model::ModelError on an unknown flag.
+/// `base` with the description's deadlock_limit; everything else (backend,
+/// obs) is kept from `base`.
 core::EngineOptions engine_options(const Description& d, core::EngineOptions base = {});
 
 /// Read + parse a .rcpn file; throws model::ModelError naming the path on

@@ -79,10 +79,9 @@ std::unique_ptr<machines::GoldenSession> make_session(const JobSpec& spec) {
     if (!spec.resume_checkpoint.empty())
       throw std::runtime_error("description job '" + spec.machine +
                                "' cannot resume from a checkpoint");
-    // Serialized-model job: the .rcpn file IS the model. Its recorded
-    // schedule flags govern (they are part of the described model); the spec
-    // still picks everything else — backend, obs — so one sweep can run a
-    // description across backends.
+    // Serialized-model job: the .rcpn file IS the model, schedule and
+    // watchdog limit included; the spec still picks everything else —
+    // backend, obs — so one sweep can run a description across backends.
     const desc::Description d = desc::read_file(spec.machine);
     return machines::make_description_session(d, desc::engine_options(d, spec.options),
                                               spec.cycle_budget);
@@ -259,16 +258,12 @@ JobResult run_subprocess(const JobSpec& spec, std::uint64_t timeout_ms,
       std::vector<std::string> argv;
       argv.push_back(bin_dir + "/gen_fs_" + spec.machine);
       argv.push_back("--stats");
-      // The freestanding binary's generated tables are stamped with the
-      // options it was emitted under; other backends/schedules go through its
-      // CLI flags (a generated-backend run under mismatched options fails
-      // verification in the child and surfaces here as a nonzero exit).
+      // The freestanding binary runs the generated engine of the shipped
+      // model; the library backends go through its --backend flag.
       if (spec.options.backend != core::Backend::generated) {
         argv.push_back("--backend");
         argv.push_back(backend_name(spec.options.backend));
       }
-      if (spec.options.force_two_list_all) argv.push_back("--force-two-list-all");
-      if (!spec.options.two_list_state_refs) argv.push_back("--no-two-list-state-refs");
       if (!spec.resume_checkpoint.empty()) {
         argv.push_back("--restore");
         argv.push_back(spec.resume_checkpoint);

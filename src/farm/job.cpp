@@ -5,7 +5,6 @@
 #include <optional>
 #include <sstream>
 
-#include "core/options_signature.hpp"
 #include "machines/fuzz_model.hpp"
 
 namespace rcpn::farm {
@@ -116,7 +115,6 @@ std::string job_key(const JobSpec& spec) {
   std::ostringstream key;
   key << "machine=" << spec.machine
       << ";backend=" << backend_name(spec.options.backend)
-      << ";options=" << core::options_signature(spec.options)
       << ";deadlock=" << spec.options.deadlock_limit
       << ";seed=" << spec.seed
       << ";cycles=" << effective_cycle_budget(spec)

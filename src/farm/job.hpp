@@ -5,10 +5,9 @@
 // EngineOptions/backend, through which executor, with a seed, a cycle budget
 // and a wall-clock timeout. job_key() renders the *identity-defining* subset
 // of those fields into one canonical string and job_hash() folds it to a
-// 64-bit FNV-1a value — the same stamping idea the generated-artifact
-// registry uses for (model, options): two specs with equal hashes describe
-// the same deterministic simulation, so the farm's result cache may serve
-// one's result for the other. Runtime-only knobs (timeout_ms, reps) are
+// 64-bit FNV-1a value: two specs with equal hashes describe the same
+// deterministic simulation, so the farm's result cache may serve one's
+// result for the other. Runtime-only knobs (timeout_ms, reps) are
 // deliberately excluded from the key: they change how long we are willing to
 // wait, not what is being simulated.
 #pragma once
@@ -56,7 +55,7 @@ struct JobSpec {
   std::uint64_t cycle_budget = 0;
   /// Per-job wall-clock timeout; 0 = the farm's default_timeout_ms.
   std::uint64_t timeout_ms = 0;
-  /// Optional rcpn-ckpt/3 checkpoint file to resume from instead of starting
+  /// Optional rcpn-ckpt/4 checkpoint file to resume from instead of starting
   /// the workload at cycle 0 (golden machine keys and fuzz models). The
   /// file's *content* digest is folded into job_key/job_hash — the restored
   /// state is part of the simulation's identity, so editing or regenerating
@@ -84,12 +83,12 @@ bool is_fuzz_job(const JobSpec& spec, unsigned& seed);
 /// result.
 std::uint64_t effective_cycle_budget(const JobSpec& spec);
 
-/// Canonical identity string: machine, backend, schedule-affecting options
-/// signature (core::options_signature), deadlock limit, seed, effective
-/// cycle budget, executor — stable across processes and library versions
-/// that agree on those semantics. Description jobs append `;desc=<fnv1a of
-/// file content>` (or `;desc=missing` for an unreadable file); jobs resuming
-/// from a checkpoint append `;ckpt=<fnv1a of file content>` the same way.
+/// Canonical identity string: machine, backend, deadlock limit, seed,
+/// effective cycle budget, executor — stable across processes and library
+/// versions that agree on those semantics. Description jobs append
+/// `;desc=<fnv1a of file content>` (or `;desc=missing` for an unreadable
+/// file); jobs resuming from a checkpoint append `;ckpt=<fnv1a of file
+/// content>` the same way.
 std::string job_key(const JobSpec& spec);
 
 /// 64-bit FNV-1a of job_key(spec): the result-cache key and the per-job

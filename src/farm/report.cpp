@@ -4,8 +4,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/options_signature.hpp"
-
 namespace rcpn::farm {
 namespace {
 
@@ -92,7 +90,7 @@ FarmAggregate FarmReport::aggregate() const {
 std::string FarmReport::render_json(bool include_timing) const {
   const FarmAggregate a = aggregate();
   std::ostringstream out;
-  out << "{\n  \"schema\": \"rcpn-farm-report/3\",\n";
+  out << "{\n  \"schema\": \"rcpn-farm-report/4\",\n";
   if (include_timing) {
     out << "  \"workers\": " << workers << ",\n";
     out << "  \"wall_seconds\": " << wall_seconds << ",\n";
@@ -129,9 +127,8 @@ std::string FarmReport::render_json(bool include_timing) const {
     const JobResult& r = j.result;
     out << (i == 0 ? "\n" : ",\n") << "    {\"machine\": \"" << json_escape(s.machine)
         << "\", \"executor\": \"" << executor_name(s.executor) << "\", \"backend\": \""
-        << backend_name(s.options.backend) << "\", \"options\": \""
-        << json_escape(core::options_bits_desc(core::options_bits(s.options)))
-        << "\", \"seed\": " << s.seed << ", \"cycle_budget\": " << s.cycle_budget
+        << backend_name(s.options.backend) << "\", \"seed\": " << s.seed
+        << ", \"cycle_budget\": " << s.cycle_budget
         << ", \"hash\": \"" << hex64(j.hash) << "\", \"status\": \""
         << job_status_name(r.status) << "\"";
     if (!r.error.empty()) out << ", \"error\": \"" << json_escape(r.error) << "\"";

@@ -4,7 +4,7 @@
 // result (status, stats, trace digest, wall time, failure reason); the
 // aggregate rolls those up into counts, total simulated work and wall-time
 // percentiles. to_json() emits the full report under the
-// "rcpn-farm-report/3" schema; stable_json() strips every field that
+// "rcpn-farm-report/4" schema; stable_json() strips every field that
 // legitimately varies between runs of the same grid (wall times, worker
 // count, cache-hit flags) so two reports from the same grid compare equal
 // byte-for-byte exactly when the *simulations* behaved identically — the
@@ -76,7 +76,7 @@ struct FarmReport {
   FarmAggregate aggregate() const;
   std::size_t count(JobStatus status) const;
 
-  /// Full JSON report (schema "rcpn-farm-report/3"): metadata, aggregate,
+  /// Full JSON report (schema "rcpn-farm-report/4"): metadata, aggregate,
   /// telemetry, one object per job. Hashes and digests are 16-digit hex
   /// strings.
   std::string to_json() const { return render_json(true); }

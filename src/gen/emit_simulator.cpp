@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/options_signature.hpp"
 #include "gen/embed.hpp"
 
 namespace rcpn::gen {
@@ -28,15 +27,6 @@ void appendf(std::string& out, const char* fmt, ...) {
   std::vsnprintf(buf, sizeof(buf), fmt, ap);
   va_end(ap);
   out += buf;
-}
-
-/// Emit one `base.<flag> = true|false;` line per schedule-affecting option
-/// (core::options_signature table), reproducing the stamped variant in the
-/// emitted main()'s base EngineOptions.
-void emit_base_option_lines(std::string& out, const core::EngineOptions& eo) {
-  for (unsigned i = 0; i < core::num_schedule_options(); ++i)
-    appendf(out, "  base.%s = %s;\n", core::schedule_option_name(i),
-            core::schedule_option_get(i, eo) ? "true" : "false");
 }
 
 void emit_tx(std::string& out, const CompiledTransition& ct, const core::Net& net) {
@@ -108,9 +98,6 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "emit_simulator: main() for '" + options.machine_key +
         "' needs EmitSimOptions::session_expr (the session expression)");
 
-  const core::EngineOptions& eo = options.engine_options;
-  const std::uint32_t opt_key = core::options_bits(eo);
-
   const std::string ns = sanitize(net.name());
   std::string out;
   out +=
@@ -123,14 +110,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
       "// gen::StaticEngine specialization instantiated in this translation\n"
       "// unit — compile with -O3 -flto for whole-program optimization. The\n"
       "// engine verifies every table against the live model at build() and\n"
-      "// refuses to run a stale artifact.\n"
-      "//\n";
-  appendf(out,
-          "// EngineOptions stamp: %s\n"
-          "// — schedule variant [%s]; build() throws when run under any other\n"
-          "// ablation.\n",
-          core::options_signature(eo).c_str(),
-          core::options_bits_desc(opt_key).c_str());
+      "// refuses to run a stale artifact.\n";
 
   if (with_main) {
     // The program: the model's headers and the main()'s, inlined with the
@@ -190,12 +170,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
       net.emit_machine_type() +
       ";\n"
       "  static constexpr const char* kModelName = \"" +
-      net.name() + "\";\n\n"
-      "  // schedule-affecting EngineOptions the tables were lowered under\n"
-      "  // (core::options_bits; StaticEngine::build() verifies the key\n"
-      "  // against the live options)\n";
-  appendf(out, "  static constexpr std::uint32_t kOptionsKey = %uu;  // %s\n\n",
-          opt_key, core::options_signature(eo).c_str());
+      net.name() + "\";\n\n";
 
   appendf(out, "  static constexpr unsigned kNumStages = %u;\n", cm.num_stages);
   appendf(out, "  static constexpr unsigned kNumPlaces = %u;\n", cm.num_places);
@@ -338,13 +313,12 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
       "}\n"
       "\n"
       "// Linking this TU into a binary makes Backend::generated resolve to the\n"
-      "// engine above for this model, under exactly the stamped options.\n"
+      "// engine above for this model.\n"
       "[[maybe_unused]] const bool kRegistered =\n"
       "    (rcpn::gen::register_generated_engine(\n"
       "         \"" +
       net.name() +
       "\",\n"
-      "         Traits::kOptionsKey,\n"
       "         &make_engine),\n"
       "     true);\n"
       "\n"
@@ -359,11 +333,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "\n"
         "// Run the machine's session on the generated engine; with --golden FILE\n"
         "// diff the cycle-stamped retire trace and report the first divergence.\n"
-        "// The base options reproduce the stamped emission variant.\n"
         "int main(int argc, char** argv) {\n"
-        "  rcpn::core::EngineOptions base;\n";
-    emit_base_option_lines(out, eo);
-    out +=
         "  return rcpn::machines::golden_cli_main(\n"
         "      argc, argv, \"" +
         options.machine_key +
@@ -372,8 +342,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "        return " +
         options.session_expr +
         ";\n"
-        "      },\n"
-        "      base);\n"
+        "      });\n"
         "}\n";
   }
   return out;

@@ -4,11 +4,10 @@
 // The emitted translation unit holds:
 //
 //  * the CompiledModel tables as `static constexpr` data inside a Traits
-//    struct (candidate runs, arc arrays, process order, stage reserves,
-//    pool hints, with place and transition names in comments), stamped with
-//    the schedule-affecting EngineOptions they were lowered under (the
-//    StaticEngine refuses to run under different ones — an artifact built
-//    for one ablation variant cannot silently diverge under another);
+//    struct (candidate runs, arc arrays, process order, two-list stages,
+//    stage reserves, pool hints, with place and transition names in
+//    comments) — a function of the model alone, which the StaticEngine
+//    verifies against the live model at build();
 //  * guard/action dispatch as two switch functions whose cases call the
 //    model's *named* delegates directly, specialized against the typed
 //    machine context — no void* environments, no function pointers;
@@ -18,16 +17,15 @@
 //    a constant, so a dispatch the fold names by a constant id is a direct
 //    call of its delegate;
 //  * a static registrar so Backend::generated resolves to this engine (keyed
-//    by model name + options).
+//    by model name).
 //
 // Two artifacts, one per use:
 //  * the program (EmitSimOptions::machine_key set) adds a main() that runs
-//    the machine's session under the stamped options and diffs the retire
-//    trace (the CI gate). The needed subset of the runtime (token storage,
-//    engine, model layer, the machine and its golden session) is *inlined*
-//    from the embedded library sources (gen::amalgamate_sources), so the
-//    program compiles with zero repo includes and links against nothing but
-//    the C++ standard library:
+//    the machine's session and diffs the retire trace (the CI gate). The
+//    needed subset of the runtime (token storage, engine, model layer, the
+//    machine and its golden session) is *inlined* from the embedded library
+//    sources (gen::amalgamate_sources), so the program compiles with zero
+//    repo includes and links against nothing but the C++ standard library:
 //
 //      rcpn_emit emit fig2 > fs.cpp && c++ -std=c++20 -O3 fs.cpp
 //
@@ -59,12 +57,6 @@ struct EmitSimOptions {
   /// runtime inlined. Empty: emit only the engine + registrar, #including
   /// the library (for linking into another binary).
   std::string machine_key;
-
-  /// The EngineOptions the model was built and lowered with. The
-  /// schedule-affecting flags are stamped into the Traits (verified live at
-  /// build()), key the registrar, and seed the emitted main()'s base
-  /// options, so ablation-variant artifacts can be emitted per options.
-  core::EngineOptions engine_options;
 
   /// Required with machine_key: C++ expression (an `options` variable of
   /// type core::EngineOptions is in scope) constructing the machine's

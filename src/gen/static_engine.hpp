@@ -32,7 +32,6 @@
 #include <string_view>
 
 #include "core/engine.hpp"
-#include "core/options_signature.hpp"
 #include "gen/generated.hpp"
 #include "gen/table_engine.hpp"
 
@@ -98,22 +97,11 @@ struct EmittedTables {
     throw std::runtime_error(
         std::string("generated simulator for model '") + Traits::kModelName +
         "' does not match the live model (" + what +
-        ") — regenerate with gen::emit_simulator (or check EngineOptions: the "
-        "tables were emitted under the options the model was generated with)");
+        ") — regenerate with gen::emit_simulator from the model as it is now");
   }
 
   static void verify(const core::Engine& eng) {
     const core::Net& net = eng.net();
-    // The schedule-affecting options first: a binary built for one ablation
-    // variant must refuse to run under another *before* the table diffs
-    // produce a confusing structural message (satisfying the contract that a
-    // wrong-ablation artifact throws instead of silently diverging).
-    const std::uint32_t stamped = Traits::kOptionsKey;
-    const std::uint32_t live = core::options_bits(eng.options());
-    if (stamped != live)
-      stale("EngineOptions: tables were emitted for [" + core::options_bits_desc(stamped) +
-            "] but the engine runs with [" + core::options_bits_desc(live) + "]");
-
     if (Traits::kNumStages != net.num_stages()) stale("stage count");
     if (Traits::kNumPlaces != net.num_places()) stale("place count");
     if (Traits::kNumTypes != net.num_types()) stale("type count");
@@ -131,6 +119,8 @@ struct EmittedTables {
     for (unsigned i = 0; i < Traits::kNumOrder; ++i)
       if (Traits::kProcessOrder[i] != eng.process_order()[i]) stale("process order");
 
+    // The schedule: which stages double-buffer. A model edit that pins or
+    // unpins stages (a two-list ablation) changes only this set.
     unsigned n_two_list = 0;
     for (unsigned s = 0; s < Traits::kNumStages; ++s)
       if (net.stage(static_cast<core::StageId>(s)).two_list()) ++n_two_list;

@@ -269,7 +269,7 @@ class ArmGoldenSession final : public SessionBase {
   static constexpr std::uint64_t kBudget = 1500;
 
   bool finished() {
-    return sim_->engine().stopped() || sim_->engine().clock() >= kBudget;
+    return engine_stopped() || sim_->engine().clock() >= kBudget;
   }
 
   std::unique_ptr<Sim> sim_;

@@ -32,15 +32,19 @@ namespace rcpn::machines {
 /// description names a machine type no shipped registry provides.
 const desc::DelegateRegistry& delegates_for(const desc::Description& d);
 
-/// Serialize machine `key`'s model under `options` into a Description.
-/// `key` is a golden machine key (fig2, fig5, tomasulo, strongarm_crc,
-/// xscale_adpcm, stallcause) or "fuzz-N" for the seeded random model N.
-desc::Description describe_machine(const std::string& key, core::EngineOptions options);
+/// Serialize machine `key`'s model into a Description, recording
+/// `options`' deadlock_limit. `key` is a golden machine key (fig2, fig5,
+/// tomasulo, strongarm_crc, xscale_adpcm, stallcause) or "fuzz-N" for the
+/// seeded random model N. An ablation is an edit of the result: `two_list=1`
+/// on every stage (DescStage::forced_two_list), or no `reads_state`
+/// (DescTransition::state_refs).
+desc::Description describe_machine(const std::string& key,
+                                   core::EngineOptions options = {});
 
 /// Construct the machine family `d.model` names from the description as its
 /// golden session under `options` (workload loaded, nothing run; the caller
-/// folds the description's own options in first via desc::engine_options if
-/// desired). `max_cycles` caps fuzz drains (0 = default). Throws
+/// folds the description's deadlock_limit in first via desc::engine_options
+/// if desired). `max_cycles` caps fuzz drains (0 = default). Throws
 /// model::ModelError for a model name no shipped machine family claims.
 std::unique_ptr<GoldenSession> make_description_session(const desc::Description& d,
                                                         core::EngineOptions options,

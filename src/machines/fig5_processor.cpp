@@ -435,7 +435,7 @@ class Fig5Session final : public SessionBase {
 
  private:
   bool finished() {
-    return sim_->engine().stopped() ||
+    return engine_stopped() ||
            (sim_->machine().pc >= sim_->machine().program.size() &&
             sim_->engine().tokens_in_flight() == 0);
   }

@@ -133,6 +133,13 @@ void describe_fuzz_model(unsigned seed, model::ModelBuilder<FuzzMachine>& b,
     return s;
   };
 
+  // Some seeds carry a two-list ablation as a model edit: seed % 7 == 3 pins
+  // every stage two-list (the "usual, computationally expensive solution" of
+  // §4), seed % 5 == 4 declares no reads_state (no state-reference rule).
+  // The edits draw nothing, so the topology is the unedited seed's.
+  const bool two_list_everywhere = seed % 7 == 3;
+  const bool state_refs = seed % 5 != 4;
+
   const unsigned num_stages = pick(2, 6);
   const unsigned num_places = num_stages + pick(0, 2);
   const unsigned num_types = pick(1, 3);
@@ -167,6 +174,10 @@ void describe_fuzz_model(unsigned seed, model::ModelBuilder<FuzzMachine>& b,
   const model::StageHandle res_stage =
       b.add_stage("RES", static_cast<std::uint32_t>(m.to_emit + 8));
   const model::PlaceHandle res_place = b.add_place("RES", res_stage);
+  if (two_list_everywhere) {
+    for (const model::StageHandle s : stages) b.force_two_list(s, true);
+    b.force_two_list(res_stage, true);
+  }
 
   std::vector<model::TypeHandle> types;
   for (unsigned t = 0; t < num_types; ++t)
@@ -198,7 +209,7 @@ void describe_fuzz_model(unsigned seed, model::ModelBuilder<FuzzMachine>& b,
         tb.guard_ref("rcpn::machines::fuzz_guard_backpressure");
         fuzz_set_param(m.guard_param, tb.handle().id(),
                        places[backpressure_place].id());
-        tb.reads_state(places[backpressure_place]);
+        if (state_refs) tb.reads_state(places[backpressure_place]);
         break;
       }
       default:
@@ -295,14 +306,9 @@ void describe_fuzz_model(unsigned seed, model::ModelBuilder<FuzzMachine>& b,
       .to(places[0]);
 }
 
-core::EngineOptions fuzz_options_for(unsigned seed, core::Backend backend) {
+core::EngineOptions fuzz_options_for(unsigned /*seed*/, core::Backend backend) {
   core::EngineOptions o;
   o.backend = backend;
-  // Exercise the ablation analyses too: some seeds double-buffer every stage,
-  // some drop the state-reference rule. Both engines of a lockstep pair get
-  // identical options.
-  o.force_two_list_all = seed % 7 == 3;
-  o.two_list_state_refs = seed % 5 != 4;
   o.deadlock_limit = 20000;
   return o;
 }
@@ -344,10 +350,8 @@ class FuzzSession final : public SessionBase {
     for (std::uint64_t k = 0; k < cycles; ++k, ++cycle) {
       if (cycle >= cap_) throw std::runtime_error(machine_key() + ": model did not drain");
       if (done()) return false;
-      if (!sim_->step())
-        throw std::runtime_error(machine_key() +
-                                 ": engine stopped (deadlocked model?) at cycle " +
-                                 std::to_string(cycle));
+      sim_->step();
+      if (engine_stopped()) return false;  // fuzz models never stop themselves
     }
     return true;
   }

@@ -79,13 +79,14 @@ void fuzz_fetch_action(FuzzMachine& m, core::FireCtx& ctx);
 const desc::DelegateRegistry& fuzz_delegates();
 
 /// Build the random pipeline model of `seed` into `b`, recording the
-/// delegate parameters into `m`.
+/// delegate parameters into `m`. Some seeds carry a two-list ablation as a
+/// model edit: seed % 7 == 3 pins every stage two-list, seed % 5 == 4
+/// declares no reads_state.
 void describe_fuzz_model(unsigned seed, model::ModelBuilder<FuzzMachine>& b,
                          FuzzMachine& m);
 
-/// The option mix a seed runs under (some seeds double-buffer every stage,
-/// some drop the state-reference rule — both engines of a lockstep pair get
-/// identical options).
+/// The options a seed runs under: `backend` and the fuzz watchdog limit.
+/// Every seed gets the same; its schedule is part of its model.
 core::EngineOptions fuzz_options_for(unsigned seed, core::Backend backend);
 
 /// Model (net) name of a seed, e.g. "fuzz-7".

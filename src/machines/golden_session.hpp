@@ -6,6 +6,9 @@
 // run loop of the golden workload) and the machine-context serialization.
 #pragma once
 
+#include <stdexcept>
+#include <string>
+
 #include "ckpt/components.hpp"
 #include "machines/golden_trace.hpp"
 
@@ -17,6 +20,18 @@ class SessionBase : public GoldenSession, public ckpt::MachineIO {
   std::vector<GoldenRetireEvent>& trace() override { return trace_; }
 
  protected:
+  /// Whether the engine stopped: the workload's own end (an ARM program's
+  /// exit). A stop by the deadlock watchdog is not an end but a failed run:
+  /// it throws, naming the cycle the watchdog tripped in.
+  bool engine_stopped() {
+    const core::Engine& eng = engine();
+    if (eng.deadlocked())
+      throw std::runtime_error(machine_key() +
+                               ": engine stopped (deadlocked model?) at cycle " +
+                               std::to_string(eng.clock() - 1));
+    return eng.stopped();
+  }
+
   std::vector<GoldenRetireEvent> trace_;
 };
 

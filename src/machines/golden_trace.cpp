@@ -178,7 +178,7 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int golden_cli_main(int argc, char** argv, const std::string& name,
-                    const GoldenSessionFn& session, core::EngineOptions base) {
+                    const GoldenSessionFn& session) {
   std::string golden_path;
   std::string trace_json_path;
   std::string ckpt_out;
@@ -188,7 +188,7 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
   std::uint64_t ckpt_every = 0;
   bool print_stats = false;
   bool print_profile = false;
-  core::EngineOptions options = base;
+  core::EngineOptions options;
   options.backend = core::Backend::generated;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -223,16 +223,11 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       ckpt_out = argv[++i];
     } else if (arg == "--restore" && i + 1 < argc) {
       restore_path = argv[++i];
-    } else if (arg == "--force-two-list-all") {
-      options.force_two_list_all = true;
-    } else if (arg == "--no-two-list-state-refs") {
-      options.two_list_state_refs = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--golden FILE] [--stats]\n"
           "       [--trace-json FILE] [--profile]\n"
           "       [--backend generated|compiled|interpreted]\n"
-          "       [--force-two-list-all] [--no-two-list-state-refs]\n"
           "       [--checkpoint-at T --checkpoint-out FILE]\n"
           "       [--checkpoint-every K --checkpoint-out FILE]\n"
           "       [--restore FILE]\n"
@@ -245,10 +240,7 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
           "run (needs a build with RCPN_OBS=ON; load in ui.perfetto.dev).\n"
           "--profile: print the aggregate observability profile (occupancy\n"
           "histograms, stall causes, candidate-scan hit rates; RCPN_OBS=ON).\n"
-          "The schedule flags select ablation variants; the generated backend\n"
-          "only accepts the options its tables were emitted for (use\n"
-          "--backend compiled to run other schedules from this binary).\n"
-          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/3 snapshot\n"
+          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/4 snapshot\n"
           "to --checkpoint-out FILE and exit. --checkpoint-every K: run to\n"
           "completion, alternating FILE.0/FILE.1 every K cycles. --restore\n"
           "FILE: resume from a snapshot and run to completion; the printed\n"

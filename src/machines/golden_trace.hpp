@@ -119,7 +119,7 @@ class GoldenSession {
 using GoldenSessionFn =
     std::function<std::unique_ptr<GoldenSession>(core::EngineOptions)>;
 
-/// Serialize the session's complete dynamic state (rcpn-ckpt/3).
+/// Serialize the session's complete dynamic state (rcpn-ckpt/4).
 std::string write_checkpoint(GoldenSession& s);
 
 /// Restore `text` into a *freshly constructed* session (workload loaded,
@@ -130,9 +130,8 @@ void read_checkpoint(GoldenSession& s, const std::string& text);
 GoldenRunResult finish_session(GoldenSession& s);
 
 /// Entry point of every emitted simulator binary. Every mode runs a fresh
-/// `session(options)` on Backend::generated over `base` options (the options
-/// the artifact was emitted for — schedule-affecting flags must match the
-/// generated tables or the engine's build() verification throws).
+/// `session(options)` on Backend::generated (default EngineOptions
+/// otherwise); a run the deadlock watchdog stopped exits 2 naming the cycle.
 /// Default: print the trace (golden format) to stdout. Flags:
 ///   --golden FILE                     diff against FILE; exit 1 naming the
 ///                                     first diverging cycle
@@ -144,11 +143,6 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     profile (RCPN_OBS=ON builds)
 ///   --backend generated|compiled|interpreted
 ///                                     run another in-process backend
-///   --force-two-list-all, --no-two-list-state-refs
-///                                     schedule-ablation variants (the
-///                                     generated backend rejects options its
-///                                     tables were not emitted for — combine
-///                                     with --backend compiled)
 ///
 /// Checkpoint/restore flags:
 ///   --checkpoint-at T --checkpoint-out FILE
@@ -162,6 +156,6 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     run to completion; stdout is
 ///                                     byte-identical to the straight run
 int golden_cli_main(int argc, char** argv, const std::string& name,
-                    const GoldenSessionFn& session, core::EngineOptions base = {});
+                    const GoldenSessionFn& session);
 
 }  // namespace rcpn::machines

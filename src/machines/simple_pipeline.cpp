@@ -94,7 +94,7 @@ class Fig2Session final : public SessionBase {
 
  private:
   bool finished() {
-    return sim_->engine().stopped() ||
+    return engine_stopped() ||
            (sim_->machine().generated >= sim_->machine().to_generate &&
             sim_->engine().tokens_in_flight() == 0);
   }

@@ -148,7 +148,7 @@ class StallCauseSession final : public SessionBase {
 
  private:
   bool finished() {
-    return sim_->engine().stopped() ||
+    return engine_stopped() ||
            (sim_->machine().emitted >= sim_->machine().to_emit &&
             sim_->engine().tokens_in_flight() == 0);
   }

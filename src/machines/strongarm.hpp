@@ -40,8 +40,8 @@ class StrongArmSim {
   explicit StrongArmSim(StrongArmConfig config = StrongArmConfig());
 
   /// Model-as-data construction: the same pipeline, loaded from a serialized
-  /// description. `config.engine` selects the backend/schedule knobs (fold
-  /// the description's own options in with desc::engine_options first).
+  /// description. `config.engine` selects the backend (fold the
+  /// description's deadlock_limit in with desc::engine_options first).
   /// Defined in machines/desc_machines.cpp.
   StrongArmSim(const desc::Description& d, const desc::DelegateRegistry& registry,
                StrongArmConfig config);

@@ -309,7 +309,7 @@ class TomasuloSession final : public SessionBase {
 
  private:
   bool finished() {
-    return sim_->engine().stopped() ||
+    return engine_stopped() ||
            (sim_->machine().pc >= sim_->machine().program.size() &&
             sim_->engine().tokens_in_flight() == 0);
   }

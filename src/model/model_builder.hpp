@@ -92,8 +92,8 @@ class ModelBuilderBase {
 
   /// Export the built model as a versioned serialized description
   /// (desc::kDescVersion): stages, places, types, transitions with arcs and
-  /// named delegate symbol refs, emission metadata, and the
-  /// schedule-affecting subset of `options`. Requires built(); throws
+  /// named delegate symbol refs, emission metadata, and `options`'
+  /// deadlock_limit. Requires built(); throws
   /// ModelError if any bound delegate is anonymous (unnamed closures cannot
   /// be serialized as data). Defined in desc/description.cpp.
   desc::Description describe(const core::EngineOptions& options) const;

@@ -47,7 +47,6 @@
 #include <utility>
 
 #include "core/engine.hpp"
-#include "core/options_signature.hpp"
 #include "gen/compiled_engine.hpp"
 #include "gen/generated.hpp"
 #include "model/model_builder.hpp"
@@ -164,17 +163,14 @@ class Simulator {
       eng_ = std::make_unique<gen::CompiledEngine>(net, options);
     } else if (options.backend == core::Backend::generated) {
       // A simulator source emitted by gen::emit_simulator() and linked into
-      // this binary registers its engine factory under the model name plus
-      // the schedule-affecting options it was emitted for; ablation variants
-      // need their own emitted TU.
-      gen::GeneratedFactory factory = gen::find_generated_engine(net.name(), options);
+      // this binary registers its engine factory under the model name.
+      gen::GeneratedFactory factory = gen::find_generated_engine(net.name());
       if (factory == nullptr)
         throw ModelError(
-            "model '" + net.name() + "': Backend::generated with options [" +
-            core::options_bits_desc(core::options_bits(options)) +
-            "] requires the generated simulator translation unit "
-            "(gen::emit_simulator output for exactly these options) to be "
-            "linked in and registered");
+            "model '" + net.name() +
+            "': Backend::generated requires the generated simulator translation "
+            "unit (gen::emit_simulator output for this model) to be linked in "
+            "and registered");
       eng_ = factory(net, options);
     } else {
       eng_ = std::make_unique<core::Engine>(net, options);

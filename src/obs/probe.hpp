@@ -2,8 +2,7 @@
 // profiles for every engine backend.
 //
 // A Hub is attached to a run through core::EngineOptions::obs (runtime-only:
-// it never participates in job identity, generated-artifact options keys or
-// golden traces). The engines call the on_*() probe entry points from shared
+// it never participates in job identity or golden traces). The engines call the on_*() probe entry points from shared
 // accounting helpers, so all four backends — interpreted, compiled,
 // generated(linked) and freestanding — emit *identical* event streams for the
 // same (machine, workload, options) run; tests/test_obs.cpp pins this.

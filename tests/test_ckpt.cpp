@@ -16,8 +16,8 @@
 // — coverage on machines nobody curated.
 //
 // Everything else a checkpoint could silently get wrong is pinned as an
-// error path: format-version, machine, model-digest, workload and
-// options-signature mismatches must be rejected with a CkptError naming the
+// error path: format-version, machine, model-digest (structure and
+// schedule) and workload mismatches must be rejected with a CkptError naming the
 // offender (desc-style), truncated files or forged element counts must never
 // half-restore or allocate from the forged count, and a token record's ids
 // must name entries of the restoring net.
@@ -46,6 +46,8 @@
 
 #include "ckpt/snapshot.hpp"
 #include "ckpt/state_io.hpp"
+#include "desc/description.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/fig5_processor.hpp"
 #include "machines/fuzz_model.hpp"
 #include "machines/golden_runner.hpp"
@@ -331,7 +333,7 @@ void expect_rejects(const std::string& key, const std::string& snap,
 }
 
 TEST(CkptErrors, UnsupportedFormatVersionIsNamed) {
-  for (const char* version : {"rcpn-ckpt/1", "rcpn-ckpt/2"}) {
+  for (const char* version : {"rcpn-ckpt/1", "rcpn-ckpt/2", "rcpn-ckpt/3"}) {
     std::string snap = snapshot_of("fig2", 10);
     snap.replace(0, snap.find('\n'), version);
     expect_rejects("fig2", snap, "unsupported format");
@@ -363,17 +365,21 @@ TEST(CkptErrors, WorkloadMismatchIsNamed) {
   expect_rejects("fig2", snap, "workload mismatch");
 }
 
-TEST(CkptErrors, OptionsSignatureMismatchIsNamed) {
-  const std::string snap = snapshot_of("fig2", 10);
-  core::EngineOptions o = options_for(core::Backend::compiled);
-  o.force_two_list_all = true;  // schedule flag: part of the options signature
-  auto s = machines::make_golden_session("fig2", o);
+// The schedule is part of the model digest: a snapshot of the shipped
+// StrongArm, restored into the same model with every stage pinned two-list
+// (the §4 ablation as a model edit), is refused. Before the digest covered
+// the two-list bits, that restore ran on and retired 518, a count neither
+// schedule produces (593 shipped, 447 two-list everywhere).
+TEST(CkptErrors, ScheduleMismatchIsAModelDigestMismatch) {
+  const std::string snap = snapshot_of("strongarm_crc", 750);
+  desc::Description d = machines::describe_machine("strongarm_crc");
+  for (desc::DescStage& s : d.stages) s.forced_two_list = 1;
+  auto s = machines::make_description_session(d, options_for(core::Backend::compiled));
   try {
     machines::read_checkpoint(*s, snap);
-    FAIL() << "restore accepted a snapshot taken under different schedule options";
+    FAIL() << "restore accepted a snapshot taken under another schedule";
   } catch (const ckpt::CkptError& e) {
-    EXPECT_NE(std::string(e.what()).find("options-signature mismatch"),
-              std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("model digest mismatch"), std::string::npos)
         << e.what();
   }
 }

@@ -344,6 +344,7 @@ TEST(EngineTwoList, TokenCycleMarksWholeComponent) {
   EXPECT_TRUE(eng.stage_is_two_list(s2));
 }
 
+// The "usual" solution of §4 is a model edit: every stage pinned two-list.
 TEST(EngineTwoList, ForceAllAblationStillCompletes) {
   Net net("all2l");
   const StageId s1 = net.add_stage("L1", 1);
@@ -353,9 +354,9 @@ TEST(EngineTwoList, ForceAllAblationStillCompletes) {
   const TypeId ty = net.add_type("T");
   net.add_transition("t1", ty).from(p1).to(p2);
   net.add_transition("t2", ty).from(p2).to(net.end_place());
-  EngineOptions opt;
-  opt.force_two_list_all = true;
-  Engine eng(net, opt);
+  net.stage(s1).force_two_list(true);
+  net.stage(s2).force_two_list(true);
+  Engine eng(net);
   eng.build();
   EXPECT_TRUE(eng.stage_is_two_list(s1));
   EXPECT_TRUE(eng.stage_is_two_list(s2));

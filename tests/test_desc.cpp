@@ -1,6 +1,7 @@
 // Serialized model descriptions (.rcpn): canonical-text determinism, parser
 // and loader error paths (unknown version / delegate symbol / arity / place /
-// options flag, each named in the ModelError), and the round-trip contract —
+// directive, each named in the ModelError), the two-list ablations as model
+// edits, and the round-trip contract —
 // for every golden machine and 16 seeded fuzz topologies, build → describe →
 // serialize → parse → load → build produces byte-identical retire traces and
 // statistics on every in-process backend. The model zoo (models/*.rcpn) is
@@ -13,9 +14,9 @@
 #include <string>
 #include <vector>
 
-#include "core/options_signature.hpp"
 #include "desc/delegate_registry.hpp"
 #include "desc/description.hpp"
+#include "farm/job.hpp"
 #include "gen/compiled_engine.hpp"
 #include "gen/emit_simulator.hpp"
 #include "machines/desc_machines.hpp"
@@ -67,25 +68,11 @@ TEST(DescFormat, CanonicalTextIsByteDeterministic) {
   }
 }
 
-TEST(DescFormat, RecordsTheOptionsSignature) {
-  core::EngineOptions o = opts_for(core::Backend::compiled);
-  o.force_two_list_all = true;
-  o.two_list_state_refs = false;
-  const desc::Description d = machines::describe_machine("fig2", o);
-  EXPECT_EQ(d.options, core::options_signature(o));
-  // engine_options applies the recorded flags over a base and keeps the
-  // base's backend.
-  core::EngineOptions base = opts_for(core::Backend::interpreted);
-  const core::EngineOptions applied = desc::engine_options(round_trip(d), base);
-  EXPECT_TRUE(applied.force_two_list_all);
-  EXPECT_FALSE(applied.two_list_state_refs);
-  EXPECT_EQ(applied.backend, core::Backend::interpreted);
-}
-
 TEST(DescFormat, ParseRejectsUnknownVersionNamingIt) {
   // A future version and the previous ones alike: there is no loader for
   // older formats.
-  for (const std::string version : {"rcpn-model/99", "rcpn-model/1", "rcpn-model/2"}) {
+  for (const std::string version :
+       {"rcpn-model/99", "rcpn-model/1", "rcpn-model/2", "rcpn-model/3"}) {
     try {
       desc::parse(version + "\nmodel X\n");
       ADD_FAILURE() << "parse accepted version " << version;
@@ -109,6 +96,7 @@ TEST(DescFormat, NumbersAboveTheFieldRangeAreRejectedNamingTheLimit) {
       {"place P stage=S delay=4294967296\n", "line 3", "delay", "4294967295"},
       {"transition t type=T\n  max_fires 4294967297\nend\n", "line 4", "max_fires",
        "2147483647"},
+      {"stage S capacity=1 two_list=2\n", "line 3", "two_list", "1"},
   };
   for (const Case& c : cases) {
     try {
@@ -185,15 +173,21 @@ TEST(DescFormat, LoaderRejectsUnknownPlaceNamingIt) {
       model::ModelError);
 }
 
+// The schedule flags left the format with rcpn-model/4: the schedule is the
+// model's per-stage pins and reads_state lines. An `options` line is an
+// unknown directive, refused naming it, never silently dropped — a file that
+// asked for a schedule flag would otherwise run the model's own schedule.
 TEST(DescFormat, OptionsRejectUnknownFlagNamingIt) {
-  desc::Description d =
-      machines::describe_machine("fig2", opts_for(core::Backend::compiled));
-  d.options = "warp_drive=1";
+  std::string text = desc::to_text(machines::describe_machine("fig2"));
+  const std::size_t at = text.find("deadlock_limit ");
+  ASSERT_NE(at, std::string::npos);
+  text.insert(at, "options warp_drive=1\n");
   try {
-    desc::engine_options(d);
-    FAIL() << "engine_options accepted an unknown flag";
+    desc::parse(text);
+    FAIL() << "parse accepted an options line";
   } catch (const model::ModelError& e) {
-    EXPECT_NE(std::string(e.what()).find("warp_drive"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("line 5: unknown directive 'options'"),
+              std::string::npos)
         << e.what();
   }
 }
@@ -349,6 +343,104 @@ TEST(FuzzModelName, ParserAcceptsExactlyThePrintedNames) {
   EXPECT_FALSE(machines::parse_fuzz_model_name("fuzz-4294967296").has_value());
 }
 
+// -- two-list ablations as model edits -----------------------------------------
+
+/// The two ablations of the §4 two-list analysis, as the edits the format
+/// spells: `two_list=1` on every declared stage, or no `reads_state` lines.
+enum class Ablation { everywhere, no_state_refs };
+
+desc::Description ablate(desc::Description d, Ablation a) {
+  if (a == Ablation::everywhere)
+    for (desc::DescStage& s : d.stages) s.forced_two_list = 1;
+  else
+    for (desc::DescTransition& t : d.transitions) t.state_refs.clear();
+  return d;
+}
+
+// Until rcpn-model/4 both ablations were engine flags. The figures below are
+// what those flags produced, captured before they were deleted. Each edited description must
+// reproduce them on both library backends: the cycles, the retirements, the
+// retire-trace digest and the set of two-list stages. (The shipped StrongArm
+// retires 593 in its 1,500-cycle window.)
+TEST(DescAblation, EditedModelsReproduceTheDeletedScheduleFlags) {
+  using enum Ablation;
+  const struct {
+    const char* key;
+    Ablation ablation;
+    std::uint64_t cycles, retired, digest;
+    const char* two_list;  // the resolved two-list stages, in stage order
+  } cases[] = {
+      {"fig2", everywhere, 65, 64, 0xfa87de0d4ddaaf83, "L1,L2"},
+      {"fig2", no_state_refs, 65, 64, 0xfa87de0d4ddaaf83, ""},
+      {"fig5", everywhere, 22, 7, 0x066b8553fdd8362b, "L1,L2,L3,L4"},
+      {"fig5", no_state_refs, 22, 7, 0x066b8553fdd8362b, ""},
+      {"tomasulo", everywhere, 12, 6, 0xae1e1248409efb00, "DISP,RS,EX,CDB"},
+      {"tomasulo", no_state_refs, 12, 6, 0xae1e1248409efb00, ""},
+      {"strongarm_crc", everywhere, 1500, 447, 0xb22486032c50b780, "FD,DE,EM,MW"},
+      {"strongarm_crc", no_state_refs, 1500, 653, 0xc1654ab4fca2da19, ""},
+      {"xscale_adpcm", everywhere, 1500, 493, 0x18cdf9994bd4529e,
+       "F1,F2,ID,RF,X1,X2,D1,D2,M1,M2"},
+      {"xscale_adpcm", no_state_refs, 1500, 584, 0x2135a4769bfb38f3, ""},
+      {"stallcause", everywhere, 13, 4, 0x11be5d8d510f1749, "PA,PB,PC"},
+      {"stallcause", no_state_refs, 13, 4, 0x11be5d8d510f1749, ""},
+  };
+  for (const auto& c : cases) {
+    const desc::Description d =
+        round_trip(ablate(machines::describe_machine(c.key), c.ablation));
+    for (const core::Backend backend :
+         {core::Backend::interpreted, core::Backend::compiled}) {
+      const std::string label =
+          std::string(c.key) + (c.ablation == everywhere ? "/everywhere" : "/no-refs") +
+          "/backend=" + std::to_string(static_cast<int>(backend));
+      const auto session = machines::make_description_session(d, opts_for(backend));
+      const machines::GoldenRunResult r = machines::finish_session(*session);
+      EXPECT_EQ(r.stats.cycles, c.cycles) << label;
+      EXPECT_EQ(r.stats.retired, c.retired) << label;
+      EXPECT_EQ(farm::trace_digest(r.trace), c.digest) << label;
+      std::string two_list;
+      const core::Net& net = session->engine().net();
+      for (unsigned s = 0; s < net.num_stages(); ++s) {
+        const core::PipelineStage& st = net.stage(static_cast<core::StageId>(s));
+        if (!st.two_list()) continue;
+        if (!two_list.empty()) two_list += ",";
+        two_list += st.name();
+      }
+      EXPECT_EQ(two_list, c.two_list) << label;
+    }
+  }
+}
+
+// A run the deadlock watchdog stops is a failed run, not a finished one.
+// With `deadlock_limit 1`, Fig5 wedges in cycle 9 (2 of its 7 retired) and
+// both ARM machines in cycle 2, before retiring anything: the engine logs the
+// deadlock and the session throws, naming the cycle. The shipped
+// descriptions still finish.
+TEST(DescContracts, WatchdogStopFailsTheRun) {
+  const struct {
+    const char* key;
+    const char* cycle;
+  } cases[] = {{"fig5", "9"}, {"strongarm_crc", "2"}, {"xscale_adpcm", "2"}};
+  for (const auto& c : cases)
+    for (const core::Backend backend :
+         {core::Backend::interpreted, core::Backend::compiled}) {
+      const std::string label =
+          std::string(c.key) + "/backend=" + std::to_string(static_cast<int>(backend));
+      desc::Description d = machines::describe_machine(c.key);
+      EXPECT_NO_THROW(machines::run_description(d, desc::engine_options(d, opts_for(backend))))
+          << label;
+      d.deadlock_limit = 1;
+      try {
+        machines::run_description(d, desc::engine_options(d, opts_for(backend)));
+        ADD_FAILURE() << label << ": a watchdog stop finished as a run";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()), std::string(c.key) +
+                                             ": engine stopped (deadlocked model?) at cycle " +
+                                             c.cycle)
+            << label;
+      }
+    }
+}
+
 // -- emitted-artifact parity --------------------------------------------------
 
 TEST(DescEmit, SimulatorSourceFromDescriptionMatchesDirectEmission) {
@@ -363,7 +455,6 @@ TEST(DescEmit, SimulatorSourceFromDescriptionMatchesDirectEmission) {
     const core::Net& net = session.engine().net();
     const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session.engine());
     gen::EmitSimOptions no_main;
-    no_main.engine_options = o;
     gen::EmitSimOptions program = no_main;
     program.machine_key = key;
     program.session_expr = machines::golden_session_expr(key);

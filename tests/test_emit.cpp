@@ -17,15 +17,13 @@
 // (and the generated-sim CI job).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
-#include "core/options_signature.hpp"
 #include "desc/delegate_registry.hpp"
 #include "gen/compiled_engine.hpp"
 #include "gen/emit_simulator.hpp"
 #include "gen/generated.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/golden_runner.hpp"
 #include "model/simulator.hpp"
 
@@ -40,22 +38,29 @@ struct Emitted {
   std::string no_main;
 };
 
-Emitted emit_machine(const std::string& key, core::EngineOptions opts = {}) {
+core::EngineOptions compiled() {
+  core::EngineOptions opts;
   opts.backend = core::Backend::compiled;
+  return opts;
+}
+
+/// Both artifacts of machine `key`'s emission from `session`, a compiled
+/// construction of its model.
+Emitted emit_session(const std::string& key, machines::GoldenSession& session) {
   Emitted out;
-  const auto session = machines::make_golden_session(key, opts);
-  const core::Net& net = session->engine().net();
-  const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session->engine());
+  const core::Net& net = session.engine().net();
+  const auto& ce = dynamic_cast<const gen::CompiledEngine&>(session.engine());
   gen::EmitSimOptions main_opts;
   main_opts.machine_key = key;
-  main_opts.engine_options = opts;
   main_opts.session_expr = machines::golden_session_expr(key);
   main_opts.extra_roots.push_back(machines::golden_session_header(key));
   out.program = gen::emit_simulator(ce.compiled(), net, main_opts);
-  gen::EmitSimOptions no_main;
-  no_main.engine_options = opts;
-  out.no_main = gen::emit_simulator(ce.compiled(), net, no_main);
+  out.no_main = gen::emit_simulator(ce.compiled(), net, gen::EmitSimOptions{});
   return out;
+}
+
+Emitted emit_machine(const std::string& key) {
+  return emit_session(key, *machines::make_golden_session(key, compiled()));
 }
 
 /// The emitted `int main` block: from its signature (the last one, after the
@@ -109,49 +114,31 @@ TEST_P(Emitter, FreestandingInlinesTheRuntimeWithZeroRepoIncludes) {
   EXPECT_NE(e.program.find("int main(int argc, char** argv)"), std::string::npos);
   EXPECT_EQ(generated_block(e.program).rfind(generated_block(e.no_main), 0), 0u)
       << key << ": the program's engine differs from the engine TU's";
-  // The default-schedule options stamp: the registry key plus the canonical
-  // core::options_signature rendering as a comment.
-  const std::uint32_t def_key = core::options_bits(core::EngineOptions{});
-  EXPECT_NE(e.program.find("kOptionsKey = " + std::to_string(def_key) + "u"),
-            std::string::npos);
-  EXPECT_NE(e.program.find(core::options_signature(core::EngineOptions{})),
-            std::string::npos);
 }
 
-// Every ablation-variant schedule is emittable per machine: the stamped
-// options flip, the registrar key follows, and emission stays deterministic.
-// The program's main runs the stamped options.
+// A two-list ablation is a model edit, and the engine TU is a function of the
+// model: the description with every stage pinned two-list emits that set,
+// deterministically, under the same registrar and the same main as the
+// shipped model (a program's main runs the machine's session whatever its
+// tables).
 TEST_P(Emitter, EmitsAblationVariantSchedules) {
   const std::string key = GetParam();
   const Emitted def = emit_machine(key);
-  ASSERT_FALSE(main_block(def.program).empty()) << key;
-  EXPECT_NE(main_block(def.program).find("base.force_two_list_all = false;"),
-            std::string::npos)
-      << key << ": the default main does not run the default schedule";
-
-  const auto key_stamp = [](const core::EngineOptions& o) {
-    return "kOptionsKey = " + std::to_string(core::options_bits(o)) + "u";
+  desc::Description d = machines::describe_machine(key);
+  for (desc::DescStage& s : d.stages) s.forced_two_list = 1;
+  const auto emit_edited = [&] {
+    return emit_session(key, *machines::make_description_session(d, compiled()));
   };
-
-  core::EngineOptions two_list_all;
-  two_list_all.force_two_list_all = true;
-  const Emitted all = emit_machine(key, two_list_all);
-  EXPECT_NE(all.no_main.find(key_stamp(two_list_all)), std::string::npos);
-  EXPECT_NE(all.no_main.find("force_two_list_all=1"), std::string::npos);
-  EXPECT_NE(all.program.find(key_stamp(two_list_all)), std::string::npos);
+  const Emitted all = emit_edited();
   EXPECT_NE(all.no_main, def.no_main)
-      << key << ": variant schedule emitted identical to the default";
-  EXPECT_EQ(all.no_main, emit_machine(key, two_list_all).no_main)
-      << key << ": variant emission not deterministic";
+      << key << ": the edited schedule emitted identical to the shipped one";
+  EXPECT_EQ(all.no_main, emit_edited().no_main) << key << ": emission not deterministic";
+  const std::string two_list = line_of(all.no_main, "kTwoListStages[");
+  for (const desc::DescStage& s : d.stages)
+    EXPECT_NE(two_list.find("/*" + s.name + "*/"), std::string::npos)
+        << key << ": stage " << s.name << " missing from " << two_list;
   ASSERT_FALSE(main_block(all.program).empty()) << key;
-  EXPECT_NE(main_block(all.program).find("base.force_two_list_all = true;"),
-            std::string::npos)
-      << key << ": the variant main does not run the stamped schedule";
-
-  core::EngineOptions no_refs;
-  no_refs.two_list_state_refs = false;
-  EXPECT_NE(emit_machine(key, no_refs).no_main.find(key_stamp(no_refs)),
-            std::string::npos);
+  EXPECT_EQ(main_block(all.program), main_block(def.program)) << key;
 }
 
 TEST_P(Emitter, EmitsCompleteStandaloneSimulator) {
@@ -165,7 +152,6 @@ TEST_P(Emitter, EmitsCompleteStandaloneSimulator) {
   EXPECT_NE(gen.find("rcpn::gen::StaticEngine<Traits>"), std::string::npos);
   EXPECT_NE(gen.find("register_generated_engine("), std::string::npos);
   EXPECT_NE(gen.find("\"" + model + "\","), std::string::npos);
-  EXPECT_NE(gen.find("Traits::kOptionsKey,"), std::string::npos);
   EXPECT_NE(gen.find("int main(int argc, char** argv)"), std::string::npos);
   EXPECT_NE(gen.find("rcpn::machines::golden_cli_main(\n      argc, argv, \"" + key +
                      "\""),
@@ -317,22 +303,19 @@ TEST(GeneratedBackend, UnregisteredModelThrowsModelError) {
                model::ModelError);
 }
 
-TEST(GeneratedBackend, RegistryRoundTripKeyedByOptions) {
-  const auto factory = [](core::Net& net, core::EngineOptions o)
+// One artifact per model: the registry is keyed by the model name alone, and
+// re-registration (the same TU linked twice) replaces.
+TEST(GeneratedBackend, RegistryRoundTripKeyedByModel) {
+  const gen::GeneratedFactory first = +[](core::Net& net, core::EngineOptions o)
       -> std::unique_ptr<core::Engine> { return std::make_unique<core::Engine>(net, o); };
-  const std::uint32_t default_key = core::options_bits(core::EngineOptions{});
-  gen::register_generated_engine("test-registry-model", default_key, factory);
-  EXPECT_NE(gen::find_generated_engine("test-registry-model"), nullptr);
-  // A variant key is a different registration slot.
-  core::EngineOptions variant;
-  variant.force_two_list_all = true;
-  EXPECT_EQ(gen::find_generated_engine("test-registry-model", variant), nullptr);
-  gen::register_generated_engine("test-registry-model",
-                                 core::options_bits(variant), factory);
-  EXPECT_NE(gen::find_generated_engine("test-registry-model", variant), nullptr);
-  const std::vector<std::string> names = gen::registered_generated_models();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "test-registry-model"), 1)
-      << "variant registrations must not duplicate the model listing";
+  const gen::GeneratedFactory second = +[](core::Net& net, core::EngineOptions o)
+      -> std::unique_ptr<core::Engine> { return std::make_unique<core::Engine>(net, o); };
+  ASSERT_EQ(gen::find_generated_engine("test-registry-model"), nullptr);
+  gen::register_generated_engine("test-registry-model", first);
+  EXPECT_EQ(gen::find_generated_engine("test-registry-model"), first);
+  EXPECT_EQ(gen::find_generated_engine("test-registry-model-2"), nullptr);
+  gen::register_generated_engine("test-registry-model", second);
+  EXPECT_EQ(gen::find_generated_engine("test-registry-model"), second);
 }
 
 // Program refusal: anonymous closures are rejected exactly as in the engine

@@ -21,10 +21,12 @@
 #include <string>
 #include <vector>
 
+#include "desc/description.hpp"
 #include "farm/executor.hpp"
 #include "farm/job.hpp"
 #include "farm/report.hpp"
 #include "farm/sim_farm.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/fuzz_model.hpp"
 #include "machines/golden_runner.hpp"
 #include "machines/strongarm.hpp"
@@ -52,14 +54,19 @@ farm::JobSpec fuzz_spec(std::uint64_t seed, std::uint64_t budget = 4000) {
 }
 
 /// The mixed in-process grid the determinism and cache tests share: every
-/// golden machine plus two fuzz topologies, under two schedule variants.
+/// golden machine as shipped and as a description job of its model with
+/// every stage pinned two-list (the §4 ablation as a model edit, written
+/// under TempDir()), plus two fuzz topologies.
 std::vector<farm::JobSpec> mixed_grid() {
   std::vector<farm::JobSpec> jobs;
   for (const std::string& key : machines::golden_machine_keys()) {
     jobs.push_back(golden_spec(key));
-    farm::JobSpec ablated = golden_spec(key, 1);
-    ablated.options.force_two_list_all = true;
-    jobs.push_back(ablated);
+    desc::Description d = machines::describe_machine(key);
+    for (desc::DescStage& s : d.stages) s.forced_two_list = 1;
+    const std::string path = ::testing::TempDir() + "farm_two_list_everywhere." +
+                             std::to_string(::getpid()) + "." + key + ".rcpn";
+    desc::write_file(path, d);
+    jobs.push_back(golden_spec(path));
   }
   jobs.push_back(fuzz_spec(7));
   jobs.push_back(fuzz_spec(11));
@@ -100,9 +107,6 @@ TEST(FarmJob, KeyCoversIdentityFieldsOnly) {
   EXPECT_NE(farm::job_hash(other), h);
   other = base;
   other.options.backend = core::Backend::interpreted;
-  EXPECT_NE(farm::job_hash(other), h);
-  other = base;
-  other.options.force_two_list_all = true;
   EXPECT_NE(farm::job_hash(other), h);
   other = base;
   other.options.deadlock_limit = 5;
@@ -389,7 +393,7 @@ TEST(FarmCache, EquivalentBudgetsShareOneCacheEntry) {
 TEST(FarmReportJson, CarriesSchemaAndPerJobIdentity) {
   const farm::FarmReport report = run_fresh({golden_spec("fig2")}, 1);
   const std::string json = report.to_json();
-  EXPECT_NE(json.find("rcpn-farm-report/3"), std::string::npos);
+  EXPECT_NE(json.find("rcpn-farm-report/4"), std::string::npos);
   EXPECT_NE(json.find("\"machine\": \"fig2\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"digest\""), std::string::npos);
@@ -855,7 +859,7 @@ TEST(FarmSubprocess, FreestandingDigestsMatchInProcessForEveryMachine) {
     jobs.push_back(golden_spec(key));  // in-process, compiled backend
     farm::JobSpec sub = golden_spec(key);
     sub.executor = farm::ExecutorKind::subprocess;
-    sub.options.backend = core::Backend::generated;  // the stamped fast path
+    sub.options.backend = core::Backend::generated;  // the emitted fast path
     jobs.push_back(sub);
   }
 

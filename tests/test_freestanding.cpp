@@ -17,13 +17,16 @@
 // copy — can drift from the others.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <sys/stat.h>
 #include <sys/wait.h>
 
+#include "desc/description.hpp"
 #include "gen/generated.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/golden_runner.hpp"
 #include "machines/simple_pipeline.hpp"
 #include "machines/stallcause.hpp"
@@ -175,46 +178,15 @@ TEST(StallCauseAttribution, LastCandidateWinsOnDualRejection) {
   EXPECT_GT(cause(pb, core::StallCause::guard_rejected), 0u);
 }
 
-// The registry keys generated engines by (model, schedule options): asking
-// for an ablation variant whose TU is not linked in is a ModelError naming
-// the options, never a silent fall-through to the default-schedule artifact.
-TEST(GeneratedVariants, MissingVariantIsAModelError) {
-  core::EngineOptions opts;
-  opts.backend = core::Backend::generated;
-  opts.force_two_list_all = true;
-  try {
-    machines::SimplePipeline sim(8, opts);
-    FAIL() << "Backend::generated accepted an unregistered ablation variant";
-  } catch (const model::ModelError& e) {
-    EXPECT_NE(std::string(e.what()).find("force_two_list_all"), std::string::npos)
-        << e.what();
-  }
-}
-
-// A generated engine refuses to *run* under options other than the ones its
-// tables were emitted for (the stamped-options verification), instead of
-// silently simulating a different schedule.
-TEST(GeneratedVariants, WrongOptionsAtBuildTimeThrow) {
-  core::EngineOptions opts;
-  opts.backend = core::Backend::generated;
-  machines::SimplePipeline sim(8, opts);  // default schedule: registered, fine
-  sim.engine().options().force_two_list_all = true;
-  try {
-    sim.engine().build();
-    FAIL() << "StaticEngine::build() accepted mismatched EngineOptions";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("EngineOptions"), std::string::npos)
-        << e.what();
-  }
-}
-
 /// The Fig 2 net as SimplePipeline declares it, but with place L1 at
-/// `l1_delay` and U1 with or without its guard.
+/// `l1_delay`, U1 with or without its guard, and stage L1 pinned two-list or
+/// left to the analysis.
 void describe_fig2_variant(model::ModelBuilder<machines::Fig2Machine>& b,
-                           std::uint32_t l1_delay, bool u1_guard) {
+                           std::uint32_t l1_delay, bool u1_guard, bool l1_two_list) {
   b.use_delegates(machines::fig2_delegates());
   const model::StageHandle s1 = b.add_stage("L1", 1);
   const model::StageHandle s2 = b.add_stage("L2", 1);
+  if (l1_two_list) b.force_two_list(s1, true);
   const model::PlaceHandle l1 = b.add_place("L1", s1, l1_delay);
   const model::PlaceHandle l2 = b.add_place("L2", s2);
   const model::TypeHandle type_a = b.add_type("A");
@@ -228,37 +200,81 @@ void describe_fig2_variant(model::ModelBuilder<machines::Fig2Machine>& b,
 }
 
 // The linked Fig2 engine's tables were emitted from the shipped model. A model
-// of the same name and options that differs from them must be refused at
-// build(), naming what differs, instead of running the stale tables.
+// of the same name that differs from them — in structure, delegates or
+// schedule (a two-list ablation pin) — must be refused at build(), naming
+// what differs, instead of running the stale tables.
 TEST(GeneratedVariants, StaleTablesAreRefusedNamingTheMismatch) {
   core::EngineOptions opts;
   opts.backend = core::Backend::generated;
-  const auto build = [&opts](std::uint32_t l1_delay, bool u1_guard) {
+  const auto build = [&opts](std::uint32_t l1_delay, bool u1_guard, bool l1_two_list) {
     model::Simulator<machines::Fig2Machine> sim(
         "Fig2", opts,
         [=](model::ModelBuilder<machines::Fig2Machine>& b, machines::Fig2Machine&) {
-          describe_fig2_variant(b, l1_delay, u1_guard);
+          describe_fig2_variant(b, l1_delay, u1_guard, l1_two_list);
         },
         machines::Fig2Machine{});
   };
-  ASSERT_NO_THROW(build(1, true)) << "the unedited model must match its tables";
+  ASSERT_NO_THROW(build(1, true, false)) << "the unedited model must match its tables";
 
   const struct {
     std::uint32_t l1_delay;
     bool u1_guard;
+    bool l1_two_list;
     const char* needle;
   } stale[] = {
-      {2, true, "(residence delay of place 'L1')"},
-      {1, false, "(guard presence on transition 'U1')"},
+      {2, true, false, "(residence delay of place 'L1')"},
+      {1, false, false, "(guard presence on transition 'U1')"},
+      {1, true, true, "(two-list stage set size)"},
   };
   for (const auto& v : stale) {
     try {
-      build(v.l1_delay, v.u1_guard);
+      build(v.l1_delay, v.u1_guard, v.l1_two_list);
       ADD_FAILURE() << "the generated engine ran stale tables: " << v.needle;
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(v.needle), std::string::npos) << e.what();
     }
   }
+}
+
+// A program emitted from a .rcpn file runs its shipped machine's session,
+// not the description. So rcpn_emit refuses an edited description in program
+// mode — here a StrongArm with `deadlock_limit 1`, which such a program would
+// run for all 1,500 cycles — naming the first differing line and pointing to
+// --no-main, which emits the described model's engine TU. The machine's own
+// description still emits a program.
+TEST(EmitFromDescription, ProgramModeRefusesAnEditedDescription) {
+  const std::string emit = std::string(RCPN_BIN_DIR) + "/rcpn_emit";
+  struct stat st{};
+  ASSERT_EQ(::stat(emit.c_str(), &st), 0) << emit << " missing — build rcpn_emit first";
+  const std::string dir = ::testing::TempDir() + "emit_from_description.";
+  desc::Description d = machines::describe_machine("strongarm_crc");
+  desc::write_file(dir + "shipped.rcpn", d);
+  d.deadlock_limit = 1;
+  desc::write_file(dir + "edited.rcpn", d);
+  const std::string text = desc::to_text(d);
+  const std::size_t at = text.find("deadlock_limit 1\n");
+  ASSERT_NE(at, std::string::npos);
+  const std::string line =
+      "line " + std::to_string(1 + std::count(text.begin(), text.begin() + at, '\n'));
+
+  std::string out;
+  EXPECT_EQ(run_capture(emit + " emit " + dir + "shipped.rcpn --out " + dir + "shipped.cpp",
+                        out),
+            0)
+      << out;
+  ASSERT_EQ(
+      run_capture(emit + " emit " + dir + "edited.rcpn --out " + dir + "edited.cpp", out), 1)
+      << "an edited description emitted a program that runs the shipped model:\n"
+      << out;
+  EXPECT_NE(out.find(line + " ('deadlock_limit 1' vs 'deadlock_limit 100000')"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("--no-main"), std::string::npos) << out;
+  EXPECT_EQ(run_capture(emit + " emit " + dir + "edited.rcpn --no-main --out " + dir +
+                            "edited_engine.cpp",
+                        out),
+            0)
+      << out;
 }
 
 }  // namespace

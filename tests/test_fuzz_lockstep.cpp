@@ -20,6 +20,7 @@
 // suite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -29,8 +30,10 @@
 #include <sys/wait.h>
 #include <vector>
 
+#include "desc/description.hpp"
 #include "gen/compiled_engine.hpp"
 #include "gen/emit_simulator.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/fuzz_model.hpp"
 #include "model/simulator.hpp"
 
@@ -192,8 +195,8 @@ TEST(FuzzLockstep, Seeds89To128) { run_seed_range(89, 128); }
 // and trace-diffed against the interpreted backend through the emitted
 // binary's own --golden first-diverging-cycle reporting. Each seed is its own
 // test with its own directory, so a parallel ctest compiles them side by
-// side. The seeds cross the option mix of fuzz_options_for, so
-// ablation-variant emission is fuzzed too.
+// side. Seeds 3 and 4 carry the two-list ablations as model edits
+// (describe_fuzz_model), so ablated schedules are emitted too.
 // ---------------------------------------------------------------------------
 
 constexpr unsigned kShardSeeds = 8;
@@ -209,14 +212,28 @@ std::string slurp(const std::string& path) {
   return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
+// The shard's models carry the two-list ablations as model edits
+// (describe_fuzz_model): seed 3 pins every stage two-list, so the shard emits
+// and runs an ablated schedule; seed 4 declares no reads_state. Seed 4 has no
+// backpressure guard, so that edit changes nothing there; seeds 14, 24 and 34
+// are the first whose guards lose a reads_state line.
 TEST(FuzzFreestandingShard, EmitsAnAblationVariantSchedule) {
-  unsigned variants = 0;
+  unsigned everywhere = 0;
   for (unsigned seed = 1; seed <= kShardSeeds; ++seed) {
-    const core::EngineOptions opts =
-        machines::fuzz_options_for(seed, core::Backend::compiled);
-    if (opts.force_two_list_all || !opts.two_list_state_refs) ++variants;
+    const desc::Description d =
+        machines::describe_machine(machines::fuzz_model_name(seed));
+    const bool pinned = std::all_of(d.stages.begin(), d.stages.end(),
+                                    [](const desc::DescStage& st) {
+                                      return st.forced_two_list == 1;
+                                    });
+    EXPECT_EQ(pinned, seed % 7 == 3) << "seed " << seed;
+    everywhere += pinned;
+    if (seed % 5 == 4) {
+      for (const desc::DescTransition& t : d.transitions)
+        EXPECT_TRUE(t.state_refs.empty()) << "seed " << seed << ": " << t.name;
+    }
   }
-  EXPECT_GT(variants, 0u) << "the shard never emits an ablation-variant schedule";
+  EXPECT_GT(everywhere, 0u) << "the shard never emits an ablation-variant schedule";
 }
 
 class FuzzFreestanding : public ::testing::TestWithParam<unsigned> {};
@@ -240,7 +257,6 @@ TEST_P(FuzzFreestanding, EmittedProgramMatchesInterpretedTrace) {
       FuzzMachine{});
   auto& ce = dynamic_cast<gen::CompiledEngine&>(sim.engine());
   gen::EmitSimOptions fs;
-  fs.engine_options = opts;
   fs.machine_key = name;
   fs.session_expr =
       "rcpn::machines::make_fuzz_session(" + std::to_string(seed) + "u, options)";

@@ -226,7 +226,6 @@ template <std::uint32_t ADelay>
 struct LatchTraits {
   using Machine = LatchMachine;
   static constexpr const char* kModelName = "latch";
-  static constexpr std::uint32_t kOptionsKey = 1u;  // the default schedule
 
   static constexpr unsigned kNumStages = 2;
   static constexpr unsigned kNumPlaces = 3;
@@ -370,7 +369,6 @@ struct DeadNet {
 struct DeadTraits {
   using Machine = LatchMachine;
   static constexpr const char* kModelName = "dead";
-  static constexpr std::uint32_t kOptionsKey = 1u;  // the default schedule
 
   static constexpr unsigned kNumStages = 2;
   static constexpr unsigned kNumPlaces = 2;

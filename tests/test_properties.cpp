@@ -4,10 +4,13 @@
 // of converted nets.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "baseline/functional_iss.hpp"
 #include "baseline/simplescalar_sim.hpp"
 #include "cpn/analysis.hpp"
 #include "cpn/rcpn_to_cpn.hpp"
+#include "machines/desc_machines.hpp"
 #include "machines/fig5_processor.hpp"
 #include "machines/strongarm.hpp"
 #include "machines/tomasulo.hpp"
@@ -254,12 +257,17 @@ TEST(AblationSafety, AllEngineKnobsPreserveResults) {
   machines::StrongArmSim reference;
   const auto ref = reference.run(prog);
 
+  // Knob 0, two-list everywhere, is a model edit: every stage pinned.
+  desc::Description everywhere = machines::describe_machine("strongarm_crc");
+  for (desc::DescStage& s : everywhere.stages) s.forced_two_list = 1;
+
   for (int knob = 0; knob < 2; ++knob) {
     machines::StrongArmConfig cfg;
-    if (knob == 0) cfg.engine.force_two_list_all = true;
     if (knob == 1) cfg.decode_cache_bypass = true;
-    machines::StrongArmSim sim(cfg);
-    const auto r = sim.run(prog);
+    const auto sim = knob == 0 ? std::make_unique<machines::StrongArmSim>(
+                                     everywhere, machines::delegates_for(everywhere), cfg)
+                               : std::make_unique<machines::StrongArmSim>(cfg);
+    const auto r = sim->run(prog);
     EXPECT_EQ(r.output, ref.output) << "knob " << knob;
     EXPECT_EQ(r.exit_code, ref.exit_code) << "knob " << knob;
     // Decode bypass must not change timing at all; two-list everywhere
