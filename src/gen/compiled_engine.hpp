@@ -14,8 +14,8 @@
 // Actions keep calling FireCtx::engine services unchanged: a CompiledEngine
 // IS-A core::Engine, so models never know which backend runs them.
 //
-// The two-list options act at analysis time and are honored by every
-// backend.
+// Which stages are two-list is the model's (its pins and the state-reference
+// analysis, settled at build()), so every backend runs one schedule.
 #pragma once
 
 #include <cstdint>

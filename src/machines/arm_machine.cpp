@@ -1,6 +1,7 @@
 #include "machines/arm_machine.hpp"
 
 #include <cassert>
+#include <span>
 
 #include "desc/delegate_registry.hpp"
 
@@ -39,12 +40,21 @@ bool lsm_base_writeback(const DecodedInstruction& d) {
 }
 
 // Direct RegRef hazard helpers (RegRef is final and its operations are
-// inline: these compile to the bare register-file checks).
-bool ref_ready(const RegRef* r, std::span<const core::PlaceId> fwd) {
-  if (r->can_read()) return true;
+// inline: these compile to the bare register-file checks). Paper §3.1's
+// forwarding rule settles each operand from one lookup: with no in-flight
+// writer the committed value is current; otherwise only the newest writer
+// may source it, once its value is produced and it sits in a `fwd` place.
+bool forwardable(const RegRef* w, std::span<const core::PlaceId> fwd) {
+  if (!w->value_ready()) return false;
+  const core::PlaceId at = w->owner_place();
   for (core::PlaceId p : fwd)
-    if (r->can_read_in(p)) return true;
+    if (p == at) return true;
   return false;
+}
+
+bool ref_ready(const RegRef* r, std::span<const core::PlaceId> fwd) {
+  const RegRef* w = r->newest_writer();
+  return w == nullptr || forwardable(w, fwd);
 }
 
 /// A read found neither a committed value nor a forwarding source: the model
@@ -57,24 +67,23 @@ bool ref_ready(const RegRef* r, std::span<const core::PlaceId> fwd) {
 }
 
 std::uint32_t ref_peek(const RegRef* r, std::span<const core::PlaceId> fwd) {
-  if (r->can_read()) return r->peek();
-  for (core::PlaceId p : fwd)
-    if (r->can_read_in(p)) return r->peek_in(p);
-  no_readable_source(r);
+  const RegRef* w = r->newest_writer();
+  if (w == nullptr) return r->peek();
+  if (!forwardable(w, fwd)) no_readable_source(r);
+  return w->value();
 }
 
+// Not set_value(ref_peek(r, fwd)): with ref_peek called from the action too,
+// GCC 12 -O2 stops inlining ref_ready and ref_peek into issue_guard, the
+// hotter path (~0.97x StrongArm generated on kernels).
 void ref_fetch(RegRef* r, std::span<const core::PlaceId> fwd) {
-  if (r->can_read()) {
+  const RegRef* w = r->newest_writer();
+  if (w == nullptr) {
     r->read();
     return;
   }
-  for (core::PlaceId p : fwd) {
-    if (r->can_read_in(p)) {
-      r->read_in(p);
-      return;
-    }
-  }
-  no_readable_source(r);
+  if (!forwardable(w, fwd)) no_readable_source(r);
+  r->set_value(w->value());  // read_in()'s copy, without its search
 }
 
 bool drained(const PipeEnv& env, core::Engine& eng) {
@@ -84,13 +93,6 @@ bool drained(const PipeEnv& env, core::Engine& eng) {
 }
 
 }  // namespace
-
-bool operand_ready(const Operand* op, std::span<const core::PlaceId> fwd) {
-  if (op->can_read()) return true;
-  for (core::PlaceId p : fwd)
-    if (op->can_read_in(p)) return true;
-  return false;
-}
 
 // ---------------------------------------------------------------------------
 // Machine context & decode binding

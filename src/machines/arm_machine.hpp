@@ -11,7 +11,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "arm/arm_isa.hpp"
@@ -107,7 +106,8 @@ class ArmMachine {
 /// results can be forwarded from and which stages to flush on redirect.
 struct PipeEnv {
   ArmMachine* m = nullptr;
-  /// Forwarding-source places, checked in order (can_read_in / read_in).
+  /// Forwarding-source places: an operand whose newest in-flight writer sits
+  /// in one of them, with its value produced, reads that value (paper §3.1).
   std::vector<core::PlaceId> fwd;
   /// Fetch-side stages squashed when a branch redirects.
   std::vector<core::StageId> flush_on_redirect;
@@ -161,10 +161,6 @@ void wb_action(const PipeEnv& env, core::FireCtx& ctx);
 /// Instruction-independent fetch: predict, decode (cached), emit the token
 /// into env.fetch_into.
 void fetch_action(const PipeEnv& env, core::FireCtx& ctx);
-
-/// True if `op` is readable now, either from the register file or forwarded
-/// out of one of the `fwd` places.
-bool operand_ready(const regfile::Operand* op, std::span<const core::PlaceId> fwd);
 
 // -- named delegates over the typed ArmPipeMachine context --------------------
 // The emittable registration form the StrongArm and XScale models use: each

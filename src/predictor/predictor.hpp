@@ -16,10 +16,14 @@
 namespace rcpn::predictor {
 
 struct Prediction {
-  bool taken = false;
   std::uint32_t target = 0;
+  bool taken = false;
   bool target_known = false;  // BTB hit
 };
+// predict() runs on every fetch. At 8 bytes the x86-64 ABI returns the
+// struct packed in one register; at 12 ({bool, uint32_t, bool}) GCC builds it
+// on the stack with byte stores and reloads it wider, a store-forwarding stall.
+static_assert(sizeof(Prediction) <= 8, "Prediction must return in one register");
 
 struct PredictorStats {
   std::uint64_t lookups = 0;

@@ -51,9 +51,12 @@ class RegRef final : public Operand {
   /// state s is stale (a newer reservation exists), forwarding from it would
   /// feed an old value.
   bool can_read_in(PlaceId s) const override {
-    RegRef* w = writer_in(s);
-    return w != nullptr && w == file_->last_writer(cell_);
+    const RegRef* w = newest_writer();
+    return w != nullptr && w->owner_place() == s && w->value_ready_;
   }
+  /// The cell's newest in-flight writer, the only legal forwarding source;
+  /// nullptr when the committed value is current (can_read()).
+  const RegRef* newest_writer() const { return file_->last_writer(cell_); }
   void read() override {
     value_ = file_->read_cell(cell_);
     value_ready_ = true;

@@ -195,11 +195,11 @@ TEST(FuzzLockstep, Seeds89To128) { run_seed_range(89, 128); }
 // and trace-diffed against the interpreted backend through the emitted
 // binary's own --golden first-diverging-cycle reporting. Each seed is its own
 // test with its own directory, so a parallel ctest compiles them side by
-// side. Seeds 3 and 4 carry the two-list ablations as model edits
+// side. Seeds 3, 4 and 14 carry the two-list ablations as model edits
 // (describe_fuzz_model), so ablated schedules are emitted too.
 // ---------------------------------------------------------------------------
 
-constexpr unsigned kShardSeeds = 8;
+constexpr unsigned kShardSeeds[] = {1, 2, 3, 4, 5, 6, 7, 8, 14};
 
 int run_command(const std::string& cmd) {
   const int status = std::system(cmd.c_str());
@@ -213,13 +213,15 @@ std::string slurp(const std::string& path) {
 }
 
 // The shard's models carry the two-list ablations as model edits
-// (describe_fuzz_model): seed 3 pins every stage two-list, so the shard emits
-// and runs an ablated schedule; seed 4 declares no reads_state. Seed 4 has no
-// backpressure guard, so that edit changes nothing there; seeds 14, 24 and 34
-// are the first whose guards lose a reads_state line.
+// (describe_fuzz_model): seed 3 pins every stage two-list, and seeds 4 and 14
+// (seed % 5 == 4) declare no reads_state. Seed 4 draws no backpressure guard,
+// so its edit drops nothing; seed 14, the first edited seed whose guards lose
+// a reads_state line, is in the shard so a no-state-reference schedule is
+// emitted and run.
 TEST(FuzzFreestandingShard, EmitsAnAblationVariantSchedule) {
-  unsigned everywhere = 0;
-  for (unsigned seed = 1; seed <= kShardSeeds; ++seed) {
+  const std::string backpressure = "rcpn::machines::fuzz_guard_backpressure";
+  unsigned everywhere = 0, dropped = 0;
+  for (unsigned seed : kShardSeeds) {
     const desc::Description d =
         machines::describe_machine(machines::fuzz_model_name(seed));
     const bool pinned = std::all_of(d.stages.begin(), d.stages.end(),
@@ -228,12 +230,20 @@ TEST(FuzzFreestandingShard, EmitsAnAblationVariantSchedule) {
                                     });
     EXPECT_EQ(pinned, seed % 7 == 3) << "seed " << seed;
     everywhere += pinned;
-    if (seed % 5 == 4) {
-      for (const desc::DescTransition& t : d.transitions)
+    // Every backpressure guard reads its place's state unless the edit
+    // dropped the line; the edit drops every one.
+    const bool edited = seed % 5 == 4;
+    for (const desc::DescTransition& t : d.transitions) {
+      if (edited) {
         EXPECT_TRUE(t.state_refs.empty()) << "seed " << seed << ": " << t.name;
+      }
+      if (t.guard.symbol != backpressure) continue;
+      EXPECT_EQ(t.state_refs.empty(), edited) << "seed " << seed << ": " << t.name;
+      dropped += edited;
     }
   }
   EXPECT_GT(everywhere, 0u) << "the shard never emits an ablation-variant schedule";
+  EXPECT_GT(dropped, 0u) << "no shard seed loses a reads_state line to the edit";
 }
 
 class FuzzFreestanding : public ::testing::TestWithParam<unsigned> {};
@@ -289,7 +299,7 @@ TEST_P(FuzzFreestanding, EmittedProgramMatchesInterpretedTrace) {
 #endif
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFreestanding, ::testing::Range(1u, kShardSeeds + 1),
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzFreestanding, ::testing::ValuesIn(kShardSeeds),
                          [](const auto& info) { return std::to_string(info.param); });
 
 }  // namespace

@@ -160,6 +160,51 @@ TEST(RegfileMultiWriter, ForwardOnlyFromNewestWriter) {
   EXPECT_EQ(reader.value(), 2u);
 }
 
+// can_read_in(s) reads the newest writer alone, under either write policy
+// (the ARM issue helpers rely on it): a ready older writer in `s` does not
+// stand in for a newer one that is not ready or sits elsewhere.
+class NewestWriterRule : public ::testing::TestWithParam<WritePolicy> {};
+
+TEST_P(NewestWriterRule, ForwardsOnlyFromTheNewestWritersPlace) {
+  RegisterFile file(1, GetParam());
+  file.add_identity_registers(1);
+  PlaceId po = 5, pn = 5, pr = kNoPlace;
+  RegRef older, newer, reader;
+  older.bind(&file, 0, &po);
+  newer.bind(&file, 0, &pn);
+  reader.bind(&file, 0, &pr);
+  EXPECT_EQ(reader.newest_writer(), nullptr);
+  older.reserve_write();
+  older.set_value(1);
+  newer.reserve_write();
+  EXPECT_EQ(reader.newest_writer(), &newer);
+
+  // The newest writer in 5 has no value yet; the older one in 5 has.
+  EXPECT_FALSE(reader.can_read_in(5));
+  // The newest writer has its value but sits in another place.
+  newer.set_value(2);
+  pn = 6;
+  EXPECT_FALSE(reader.can_read_in(5));
+  EXPECT_TRUE(reader.can_read_in(6));
+
+  // Once the newer writer writes back, the older one is newest again.
+  newer.writeback();
+  EXPECT_EQ(reader.newest_writer(), &older);
+  EXPECT_TRUE(reader.can_read_in(5));
+  EXPECT_FALSE(reader.can_read_in(6));
+  reader.read_in(5);
+  EXPECT_EQ(reader.value(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, NewestWriterRule,
+                         ::testing::Values(WritePolicy::single_writer,
+                                           WritePolicy::multi_writer),
+                         [](const auto& info) {
+                           return info.param == WritePolicy::single_writer
+                                      ? std::string("single_writer")
+                                      : std::string("multi_writer");
+                         });
+
 TEST(RegfileHazard, NinthWriterThrowsAndKeepsTheFirstEight) {
   // A model without its can_write() guard stacks reservations on one cell;
   // the writer stack bound is checked in every build (not only by assert)
