@@ -41,12 +41,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "farm/sim_farm.hpp"
 #include "machines/golden_runner.hpp"
+#include "util/parse.hpp"
 
 using namespace rcpn;
 
@@ -106,6 +108,16 @@ std::size_t scaled_default_seeds() {
   std::exit(2);
 }
 
+/// A flag's value as a whole decimal number that fits T; exits 2 naming the
+/// flag and the value otherwise.
+template <typename T>
+T number(const std::string& flag, const char* value) {
+  const std::optional<T> n = util::parse_decimal<T>(value);
+  if (!n)
+    usage_error((flag + " expects a whole decimal number, got '" + value + "'").c_str());
+  return *n;
+}
+
 CliOptions parse_cli(int argc, char** argv) {
   CliOptions cli;
   const auto value = [&](int& i) -> const char* {
@@ -116,11 +128,10 @@ CliOptions parse_cli(int argc, char** argv) {
     const std::string a = argv[i];
     if (a == "--machines") cli.machines = split_csv(value(i));
     else if (a == "--executors") cli.executors = split_csv(value(i));
-    else if (a == "--seeds") cli.seeds = std::strtoull(value(i), nullptr, 10);
-    else if (a == "--cycles") cli.cycle_budget = std::strtoull(value(i), nullptr, 10);
-    else if (a == "--workers")
-      cli.workers = static_cast<unsigned>(std::strtoul(value(i), nullptr, 10));
-    else if (a == "--timeout-ms") cli.timeout_ms = std::strtoull(value(i), nullptr, 10);
+    else if (a == "--seeds") cli.seeds = number<std::uint64_t>(a, value(i));
+    else if (a == "--cycles") cli.cycle_budget = number<std::uint64_t>(a, value(i));
+    else if (a == "--workers") cli.workers = number<unsigned>(a, value(i));
+    else if (a == "--timeout-ms") cli.timeout_ms = number<std::uint64_t>(a, value(i));
     else if (a == "--json") cli.json_path = value(i);
     else if (a == "--bin-dir") cli.bin_dir = value(i);
     else if (a == "--inject-hang") cli.inject_hang = true;

@@ -1,15 +1,14 @@
 #include "ckpt/snapshot.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <utility>
-
-#include "obs/probe.hpp"
 
 namespace rcpn::ckpt {
 
 namespace {
 
-constexpr std::string_view kVersion = "rcpn-ckpt/4";
+constexpr std::string_view kVersion = "rcpn-ckpt/5";
 
 void save_u64_vec(StateWriter& w, std::string_view name,
                   const std::vector<std::uint64_t>& v) {
@@ -112,24 +111,63 @@ regfile::RegRef* MachineIO::reg_ref(const core::InstructionToken& t, unsigned i)
 }
 
 std::string net_digest(const core::Net& net) {
-  std::string s = net.name();
-  s += '|';
+  // Every count and name is written in full (names length-prefixed, lists
+  // count-prefixed), so no two nets share a text. Built in place: every
+  // save and restore pays for it.
+  std::string s;
+  s.reserve(4096);
+  const auto num = [&s](std::int64_t v) {
+    char buf[24];
+    s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    s += ',';
+  };
+  const auto name = [&](const std::string& n) {
+    num(static_cast<std::int64_t>(n.size()));
+    s += n;
+  };
+  name(net.name());
+  num(net.num_stages());
   for (unsigned i = 0; i < net.num_stages(); ++i) {
     const core::PipelineStage& st = net.stage(static_cast<core::StageId>(i));
-    s += st.name() + ":" + std::to_string(st.capacity()) + ":" +
-         std::to_string(st.two_list()) + ";";
+    name(st.name());
+    num(st.capacity());
+    num(st.two_list());
   }
-  s += '|';
+  num(net.num_places());
   for (unsigned i = 0; i < net.num_places(); ++i) {
     const core::Place& p = net.place(static_cast<core::PlaceId>(i));
-    s += p.name + ":" + std::to_string(p.stage) + ":" + std::to_string(p.delay) + ";";
+    name(p.name);
+    num(p.stage);
+    num(p.delay);
   }
-  s += '|';
+  num(net.num_types());
   for (unsigned i = 0; i < net.num_types(); ++i)
-    s += net.type_name(static_cast<core::TypeId>(i)) + ";";
-  s += '|';
-  for (unsigned i = 0; i < net.num_transitions(); ++i)
-    s += net.transition(static_cast<core::TransitionId>(i)).name() + ";";
+    name(net.type_name(static_cast<core::TypeId>(i)));
+  // Each transition as the engines run it: type, delay and fires per cycle,
+  // its arcs, state references and delegate symbols.
+  num(net.num_transitions());
+  for (unsigned i = 0; i < net.num_transitions(); ++i) {
+    const core::Transition& t = net.transition(static_cast<core::TransitionId>(i));
+    name(t.name());
+    num(t.subnet());
+    num(t.delay());
+    num(t.max_fires_per_cycle());
+    num(static_cast<std::int64_t>(t.inputs().size()));
+    for (const core::InArc& a : t.inputs()) {
+      num(a.place);
+      num(static_cast<int>(a.need));
+      num(a.priority);
+    }
+    num(static_cast<std::int64_t>(t.outputs().size()));
+    for (const core::OutArc& a : t.outputs()) {
+      num(a.place);
+      num(static_cast<int>(a.emit));
+    }
+    num(static_cast<std::int64_t>(t.state_refs().size()));
+    for (const core::PlaceId p : t.state_refs()) num(p);
+    name(t.guard_symbol());
+    name(t.action_symbol());
+  }
   return fnv1a_hex(s);
 }
 
@@ -247,37 +285,6 @@ std::string save_snapshot(core::Engine& eng, const MachineIO& io,
         .token(std::to_string(e.seq))
         .end();
 
-  const obs::Hub* hub = eng.options().obs;
-  w.begin("obs").field("attached", hub != nullptr).end();
-  if (hub != nullptr) {
-    const obs::StageProfile& p = hub->profile();
-    w.begin("obsprofile").field("cycles", p.cycles).end();
-    save_u64_vec(w, "obs_stall_causes", p.stall_causes);
-    save_u64_vec(w, "obs_fires", p.fires);
-    save_u64_vec(w, "obs_attempts", p.attempts);
-    w.begin("occrows").field("n", static_cast<std::uint64_t>(p.occupancy_hist.size())).end();
-    for (const auto& row : p.occupancy_hist) save_u64_vec(w, "occ", row);
-    {
-      std::vector<std::uint64_t> lo(hub->last_occ().begin(), hub->last_occ().end());
-      save_u64_vec(w, "last_occ", lo);
-    }
-    const std::vector<obs::Event> evs = hub->sink().snapshot();
-    w.begin("events")
-        .field("n", static_cast<std::uint64_t>(evs.size()))
-        .field("dropped", hub->sink().dropped())
-        .end();
-    for (const obs::Event& e : evs)
-      w.begin("e")
-          .token(std::to_string(e.cycle))
-          .token(std::to_string(e.pc))
-          .token(std::to_string(e.seq))
-          .token(std::to_string(e.value))
-          .token(std::to_string(e.place))
-          .token(std::to_string(e.transition))
-          .token(std::to_string(static_cast<unsigned>(e.kind)))
-          .token(std::to_string(static_cast<unsigned>(e.cause)))
-          .end();
-  }
   w.line("end", "");
   return w.take();
 }
@@ -300,8 +307,8 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
     throw CkptError("checkpoint model digest mismatch for model '" + net.name() +
                     "': snapshot " + std::string(r.get("digest")) + " vs live " +
                     net_digest(net) +
-                    " — the model structure or schedule changed since the snapshot "
-                    "was written");
+                    " — the model structure, schedule or delegate bindings changed "
+                    "since the snapshot was written");
   check_ident("workload", r.get("workload"), io.workload_id());
 
   r.next("engine");
@@ -410,64 +417,6 @@ void restore_snapshot(const std::string& text, core::Engine& eng, MachineIO& io,
     e.pc = r.parse_u64(r.tokens()[1], "trace pc");
     e.seq = static_cast<std::uint32_t>(r.parse_u64(r.tokens()[2], "trace seq"));
     trace_out.push_back(e);
-  }
-
-  r.next("obs");
-  if (r.get_bool("attached")) {
-    obs::Hub* hub = eng.options().obs;
-    const bool apply = hub != nullptr && hub->bound();
-    r.next("obsprofile");
-    const std::uint64_t pcycles = r.get_u64("cycles");
-    std::vector<std::uint64_t> stall = read_u64_vec(r, "obs_stall_causes");
-    std::vector<std::uint64_t> fires = read_u64_vec(r, "obs_fires");
-    std::vector<std::uint64_t> attempts = read_u64_vec(r, "obs_attempts");
-    r.next("occrows");
-    const std::uint64_t nrows = r.get_u64("n");
-    std::vector<std::vector<std::uint64_t>> rows;
-    for (std::uint64_t i = 0; i < nrows; ++i) rows.push_back(read_u64_vec(r, "occ"));
-    std::vector<std::uint64_t> last = read_u64_vec(r, "last_occ");
-    r.next("events");
-    const std::uint64_t nev = r.get_u64("n");
-    const std::uint64_t dropped = r.get_u64("dropped");
-    if (apply) {
-      obs::StageProfile& p = hub->ckpt_profile();
-      p.cycles = pcycles;
-      if (stall.size() == p.stall_causes.size()) p.stall_causes = std::move(stall);
-      if (fires.size() == p.fires.size()) p.fires = std::move(fires);
-      if (attempts.size() == p.attempts.size()) p.attempts = std::move(attempts);
-      if (rows.size() == p.occupancy_hist.size()) p.occupancy_hist = std::move(rows);
-      for (std::size_t i = 0; i < last.size(); ++i)
-        hub->ckpt_set_last_occ(i, static_cast<std::uint32_t>(last[i]));
-      hub->sink().clear();
-    }
-    for (std::uint64_t k = 0; k < nev; ++k) {
-      r.next("e");
-      if (r.tokens().size() != 8) r.fail("event record needs 8 fields");
-      if (!apply) continue;
-      obs::Event e;
-      e.cycle = r.parse_u64(r.tokens()[0], "event cycle");
-      e.pc = r.parse_u64(r.tokens()[1], "event pc");
-      e.seq = static_cast<std::uint32_t>(r.parse_u64(r.tokens()[2], "event seq"));
-      e.value = static_cast<std::uint32_t>(r.parse_u64(r.tokens()[3], "event value"));
-      {
-        std::string_view t = r.tokens()[4];
-        const bool neg = !t.empty() && t.front() == '-';
-        if (neg) t.remove_prefix(1);
-        const auto mag = static_cast<std::int64_t>(r.parse_u64(t, "event place"));
-        e.place = static_cast<std::int16_t>(neg ? -mag : mag);
-      }
-      {
-        std::string_view t = r.tokens()[5];
-        const bool neg = !t.empty() && t.front() == '-';
-        if (neg) t.remove_prefix(1);
-        const auto mag = static_cast<std::int64_t>(r.parse_u64(t, "event transition"));
-        e.transition = static_cast<std::int16_t>(neg ? -mag : mag);
-      }
-      e.kind = static_cast<obs::EventKind>(r.parse_u64(r.tokens()[6], "event kind"));
-      e.cause = static_cast<core::StallCause>(r.parse_u64(r.tokens()[7], "event cause"));
-      hub->sink().push(e);
-    }
-    if (apply) hub->sink().ckpt_set_dropped(dropped);
   }
 
   r.next("end");

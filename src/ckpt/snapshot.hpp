@@ -7,13 +7,13 @@
 // the three-level register model, the machine context (register cells,
 // memories, caches, predictors, syscall capture, workload cursors) and the
 // retire-trace prefix produced so far. Restoring it into a freshly loaded
-// machine and continuing is byte-identical — trace, stats and (when attached)
-// obs event stream — to never having stopped, on every backend; the engine
+// machine and continuing is byte-identical — trace and stats — to never
+// having stopped, on every backend; the engine
 // base class owns all dynamic state, which is what makes one snapshot format
 // valid for interpreted, compiled, generated(linked) and freestanding runs
 // alike.
 //
-// Format: versioned text ("rcpn-ckpt/4", see docs/ckpt-format.md), written
+// Format: versioned text ("rcpn-ckpt/5", see docs/ckpt-format.md), written
 // and parsed by ckpt::StateWriter/StateReader. Restore strictly verifies the
 // snapshot identity — format version, machine key, model name, model digest
 // (structure and schedule), workload id — and rejects any
@@ -120,9 +120,12 @@ class MachineIO {
 };
 
 /// Digest of a built net: stages (name, capacity, resolved two-list bit),
-/// places (name, stage, delay), types and transitions. Restore refuses a
-/// snapshot whose model structure or schedule changed since it was written.
-/// Read after the engine's build(), which resolves the two-list bits.
+/// places (name, stage, delay), types, and transitions (name, type, delay,
+/// fires per cycle, input arcs with need and priority, output arcs with
+/// emit kind, state references, guard and action symbols). Restore refuses
+/// a snapshot whose model structure, schedule or delegate bindings changed
+/// since it was written. Read after the engine's build(), which resolves the
+/// two-list bits. Reads core::Net only, so freestanding programs carry it.
 std::string net_digest(const core::Net& net);
 
 /// Serialize the complete dynamic state of `eng` + `io`'s machine, with

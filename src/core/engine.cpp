@@ -173,32 +173,6 @@ void Engine::build() {
     place_delay_[p] = net_.place(static_cast<PlaceId>(p)).delay;
   }
   stats_.reset(net_.num_transitions(), net_.num_places());
-#if RCPN_OBS
-  if (options_.obs != nullptr) {
-    // Capture the model identity the exporters need, so a hub outlives the
-    // engine and exporting never touches the Net.
-    obs::Meta meta;
-    meta.model = net_.name();
-    meta.stage_names.reserve(net_.num_stages());
-    for (unsigned s = 0; s < net_.num_stages(); ++s)
-      meta.stage_names.push_back(net_.stage(static_cast<StageId>(s)).name());
-    meta.place_names.reserve(net_.num_places());
-    meta.place_stage.reserve(net_.num_places());
-    for (unsigned p = 0; p < net_.num_places(); ++p) {
-      meta.place_names.push_back(net_.place(static_cast<PlaceId>(p)).name);
-      meta.place_stage.push_back(net_.place(static_cast<PlaceId>(p)).stage);
-    }
-    meta.transition_names.reserve(net_.num_transitions());
-    meta.transition_place.reserve(net_.num_transitions());
-    for (unsigned t = 0; t < net_.num_transitions(); ++t) {
-      const Transition& tr = net_.transition(static_cast<TransitionId>(t));
-      meta.transition_names.push_back(tr.name());
-      meta.transition_place.push_back(tr.independent() ? kNoPlace
-                                                       : tr.trigger_place());
-    }
-    options_.obs->bind(std::move(meta));
-  }
-#endif
   built_ = true;
 }
 
@@ -277,9 +251,6 @@ unsigned Engine::tokens_in_place(PlaceId p) const {
 void Engine::squash_token(Token* t) {
   if (t->kind == TokenKind::instruction) {
     auto* it = static_cast<InstructionToken*>(t);
-#if RCPN_OBS
-    if (options_.obs != nullptr) options_.obs->on_squash(clock_, it->seq, it->pc);
-#endif
     it->squash_release();
     ++stats_.squashed;
     assert(in_flight_ > 0);
@@ -327,7 +298,6 @@ Token* Engine::find_ready_reservation(PlaceId p) const {
 }
 
 bool Engine::try_fire(const Transition& t, InstructionToken* tok) {
-  count_attempt(t.id());
   // Fast path for the overwhelmingly common shape: one trigger arc, one
   // move arc (a plain pipeline-latch-to-latch transition).
   if (t.inputs().size() == 1 && t.outputs().size() == 1 &&
@@ -460,12 +430,11 @@ void Engine::process_place(PlaceId p) {
         break;
       }
     }
-    if (!fired) count_stall(p, tok);
+    if (!fired) count_stall(p);
   }
 }
 
 bool Engine::independent_enabled(const Transition& t) {
-  count_attempt(t.id());
   for (const InArc& a : t.inputs()) {
     assert(a.need == ArcNeed::reservation &&
            "independent transitions cannot have trigger arcs");
@@ -516,16 +485,6 @@ void Engine::report_deadlock() {
           " cycles with tokens in flight — model deadlock in net '" + net_.name() + "'");
   stopped_ = true;
 }
-
-#if RCPN_OBS
-void Engine::sample_cycle_end() {
-  obs::Hub* hub = options_.obs;
-  for (unsigned s = 0; s < net_.num_stages(); ++s)
-    hub->sample_stage(clock_, static_cast<StageId>(s),
-                      net_.stage(static_cast<StageId>(s)).occupancy());
-  hub->on_cycle_end(clock_);
-}
-#endif
 
 std::uint64_t Engine::run(std::uint64_t max_cycles) {
   if (!built_) build();

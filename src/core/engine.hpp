@@ -25,7 +25,6 @@
 #include "core/net.hpp"
 #include "core/stats.hpp"
 #include "core/token_store.hpp"
-#include "obs/probe.hpp"
 
 namespace rcpn::core {
 
@@ -45,23 +44,17 @@ namespace rcpn::core {
 ///    otherwise.
 enum class Backend : std::uint8_t { interpreted, compiled, generated };
 
-/// How to run a model: which engine, the watchdog and the probe hub. None of
-/// these changes the schedule. Which stages are two-list is a fact of the
-/// model alone: its pins (force_two_list) and the §4 analysis of its token
-/// cycles and state references. An ablation of that analysis is a model
-/// edit (`two_list=1` on every stage, or no `reads_state`), not an option.
+/// How to run a model: which engine and the watchdog. Neither changes the
+/// schedule. Which stages are two-list is a fact of the model alone: its
+/// pins (force_two_list) and the §4 analysis of its token cycles and state
+/// references. An ablation of that analysis is a model edit (`two_list=1`
+/// on every stage, or no `reads_state`), not an option.
 struct EngineOptions {
   /// Engine implementation selected by model::Simulator<M>.
   Backend backend = Backend::interpreted;
   /// Stop with an error after this many cycles without any firing while
   /// tokens are still in flight (model deadlock watchdog).
   std::uint64_t deadlock_limit = 100000;
-  /// Optional observability hub (src/obs/): when attached, the engine binds
-  /// the model meta at build() and streams probe events into it. Runtime-only
-  /// — excluded from farm job identity, and completely ignored unless the
-  /// library was built with RCPN_OBS (the probe call sites are compiled out
-  /// otherwise).
-  obs::Hub* obs = nullptr;
 };
 
 class Engine {
@@ -248,9 +241,9 @@ class Engine {
   }
   /// Token entry with the place's stage and residence delay already
   /// resolved: the one copy of the entry semantics (retire-on-end,
-  /// next_delay/residence, two-list state lag, the enter probe). Forced
-  /// inline so the table loop's firing chain compiles into its run();
-  /// enter_place() feeds it from the id-indexed caches.
+  /// next_delay/residence, two-list state lag). Forced inline so the table
+  /// loop's firing chain compiles into its run(); enter_place() feeds it
+  /// from the id-indexed caches.
   [[gnu::always_inline]] void enter_place_in(Token* tok, PlaceId p, PipelineStage& st,
                                              std::uint32_t place_delay,
                                              std::uint32_t transition_delay) {
@@ -271,16 +264,10 @@ class Engine {
       auto* it = static_cast<InstructionToken*>(tok);
       // Visible state lags insertion for two-list stages (promoted next cycle).
       it->state = st.two_list() ? kNoPlace : p;
-#if RCPN_OBS
-      if (options_.obs != nullptr) options_.obs->on_token_enter(clock_, p, it->seq, it->pc);
-#endif
     }
     st.insert(tok);
   }
   void retire(InstructionToken* tok) {
-#if RCPN_OBS
-    if (options_.obs != nullptr) options_.obs->on_retire(clock_, tok->seq, tok->pc);
-#endif
     ++stats_.retired;
     assert(in_flight_ > 0);
     --in_flight_;
@@ -303,12 +290,9 @@ class Engine {
   }
   void squash_token(Token* t);
   /// Advance the clock, update stats and run the deadlock watchdog: the tail
-  /// of Fig 8's main loop, inline in every backend's run(). Its rare paths
-  /// (the deadlock report, the obs stage samples) are cold calls.
+  /// of Fig 8's main loop, inline in every backend's run(). Its rare path,
+  /// the deadlock report, is a cold call.
   void finish_cycle() {
-#if RCPN_OBS
-    if (options_.obs != nullptr) sample_cycle_end();
-#endif
     ++clock_;
     ++stats_.cycles;
 
@@ -323,10 +307,6 @@ class Engine {
   }
   /// The watchdog tripped: log the deadlock and stop.
   [[gnu::cold]] void report_deadlock();
-#if RCPN_OBS
-  /// Sample every stage's occupancy and close the cycle in the obs hub.
-  [[gnu::cold]] void sample_cycle_end();
-#endif
 
   /// The Process(place) snapshot (firing mutates the stage's list; the table
   /// loop tests a one-token list in place instead): fill scratch_ with the
@@ -341,42 +321,22 @@ class Engine {
   }
 
   // -- shared fire/stall accounting -------------------------------------------
-  // ONE definition of the hot-loop bookkeeping (and, under RCPN_OBS, of the
-  // probe points), inlined into every backend's firing code, so the four
-  // backends emit identical statistics and event streams by construction.
+  // ONE definition of the hot-loop bookkeeping, inlined into every backend's
+  // firing code, so the backends count identical statistics by construction.
 
   /// A transition fired (the common `++firings; ++transition_fires[id]`).
   inline void count_fire(TransitionId id) {
     ++stats_.firings;
     ++stats_.transition_fires[static_cast<unsigned>(id)];
-#if RCPN_OBS
-    if (options_.obs != nullptr) options_.obs->on_fire(clock_, id);
-#endif
   }
 
-  /// A candidate transition was evaluated for firing (try_fire entry /
-  /// independent enable check). Feeds the attempts-vs-fires scan-cost
-  /// counters of obs::StageProfile; free when RCPN_OBS is off.
-  inline void count_attempt(TransitionId id) {
-#if RCPN_OBS
-    if (options_.obs != nullptr) options_.obs->on_attempt(id);
-#else
-    (void)id;
-#endif
-  }
-
-  /// A ready token fired nothing this cycle; reject_cause_ holds why the
-  /// last candidate refused (set by the try_fire implementations).
-  inline void count_stall(PlaceId p, const InstructionToken* tok) {
+  /// A ready token of place `p` fired nothing this cycle; reject_cause_
+  /// holds why the last candidate refused (set by the try_fire
+  /// implementations).
+  inline void count_stall(PlaceId p) {
     ++stats_.place_stalls[static_cast<unsigned>(p)];
     ++stats_.place_stall_causes[static_cast<unsigned>(p) * kNumStallCauses +
                                 static_cast<unsigned>(reject_cause_)];
-#if RCPN_OBS
-    if (options_.obs != nullptr)
-      options_.obs->on_stall(clock_, p, reject_cause_, tok->seq, tok->pc);
-#else
-    (void)tok;
-#endif
   }
 
   Net& net_;

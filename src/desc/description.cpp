@@ -1,12 +1,13 @@
 #include "desc/description.hpp"
 
-#include <charconv>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "desc/delegate_registry.hpp"
+#include "util/parse.hpp"
 
 namespace rcpn::desc {
 
@@ -33,15 +34,11 @@ void check_name(const std::string& name, const char* kind) {
 /// is rejected naming the limit, never truncated.
 template <typename T = std::uint64_t>
 T parse_num(std::string_view token, std::size_t line, const char* what) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] = std::from_chars(token.begin(), token.end(), value);
-  if (ec != std::errc{} || ptr != token.end())
+  if (const std::optional<T> value = util::parse_decimal<T>(token)) return *value;
+  if (!util::parse_decimal(token))
     bad(line, std::string(what) + " '" + std::string(token) + "' is not a number");
-  const auto max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
-  if (value > max)
-    bad(line, std::string(what) + " " + std::string(token) + " exceeds the limit " +
-                  std::to_string(max));
-  return static_cast<T>(value);
+  bad(line, std::string(what) + " " + std::string(token) + " exceeds the limit " +
+                std::to_string(std::numeric_limits<T>::max()));
 }
 
 std::vector<std::string_view> split_tokens(std::string_view s) {

@@ -80,8 +80,8 @@ std::unique_ptr<machines::GoldenSession> make_session(const JobSpec& spec) {
       throw std::runtime_error("description job '" + spec.machine +
                                "' cannot resume from a checkpoint");
     // Serialized-model job: the .rcpn file IS the model, schedule and
-    // watchdog limit included; the spec still picks everything else —
-    // backend, obs — so one sweep can run a description across backends.
+    // watchdog limit included; the spec still picks the backend, so one
+    // sweep can run a description across backends.
     const desc::Description d = desc::read_file(spec.machine);
     return machines::make_description_session(d, desc::engine_options(d, spec.options),
                                               spec.cycle_budget);

@@ -112,14 +112,17 @@ std::string job_key(const JobSpec& spec) {
   // patience knob, not an identity — see the header. The cycle budget is
   // canonicalized to what the executors enforce (effective_cycle_budget), so
   // budget values the execution would ignore cannot split or alias identities.
+  // A description runs its own deadlock_limit, which its file digest covers,
+  // so the spec's limit is no part of its identity.
+  const bool desc = is_description_job(spec);
   std::ostringstream key;
   key << "machine=" << spec.machine
-      << ";backend=" << backend_name(spec.options.backend)
-      << ";deadlock=" << spec.options.deadlock_limit
-      << ";seed=" << spec.seed
+      << ";backend=" << backend_name(spec.options.backend);
+  if (!desc) key << ";deadlock=" << spec.options.deadlock_limit;
+  key << ";seed=" << spec.seed
       << ";cycles=" << effective_cycle_budget(spec)
       << ";executor=" << executor_name(spec.executor);
-  if (is_description_job(spec)) append_file_digest(key, "desc", spec.machine);
+  if (desc) append_file_digest(key, "desc", spec.machine);
   if (!spec.resume_checkpoint.empty())
     append_file_digest(key, "ckpt", spec.resume_checkpoint);
   return key.str();

@@ -55,7 +55,7 @@ struct JobSpec {
   std::uint64_t cycle_budget = 0;
   /// Per-job wall-clock timeout; 0 = the farm's default_timeout_ms.
   std::uint64_t timeout_ms = 0;
-  /// Optional rcpn-ckpt/4 checkpoint file to resume from instead of starting
+  /// Optional rcpn-ckpt/5 checkpoint file to resume from instead of starting
   /// the workload at cycle 0 (golden machine keys and fuzz models). The
   /// file's *content* digest is folded into job_key/job_hash — the restored
   /// state is part of the simulation's identity, so editing or regenerating
@@ -85,7 +85,8 @@ std::uint64_t effective_cycle_budget(const JobSpec& spec);
 
 /// Canonical identity string: machine, backend, deadlock limit, seed,
 /// effective cycle budget, executor — stable across processes and library
-/// versions that agree on those semantics. Description jobs append
+/// versions that agree on those semantics. Description jobs leave out the
+/// deadlock limit (the run uses the file's own `deadlock_limit`) and append
 /// `;desc=<fnv1a of file content>` (or `;desc=missing` for an unreadable
 /// file); jobs resuming from a checkpoint append `;ckpt=<fnv1a of file
 /// content>` the same way.

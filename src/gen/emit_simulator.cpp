@@ -121,15 +121,7 @@ std::string emit_simulator(const CompiledModel& cm, const core::Net& net,
         "// sources (src/gen/embed.hpp) — this file compiles with zero repo\n"
         "// includes and links against nothing but the C++ standard library:\n"
         "//\n"
-        "//   c++ -std=c++20 -O3 -flto this_file.cpp\n";
-#if RCPN_OBS
-    // Freestanding TUs never see the cmake-level PUBLIC definition (they link
-    // nothing), so an emitter built with the probe layer stamps it: the
-    // emitted simulator then records the same event stream as the other three
-    // backends and its CLI accepts --trace-json/--profile.
-    out += "#define RCPN_OBS 1  // probes compiled in (emitter built with RCPN_OBS=ON)\n";
-#endif
-    out +=
+        "//   c++ -std=c++20 -O3 -flto this_file.cpp\n"
         "#include <cstdint>\n"
         "#include <memory>\n"
         "\n";

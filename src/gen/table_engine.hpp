@@ -315,7 +315,7 @@ class TableEngine : public core::Engine {
     const CandRange r = at.range(tok->type);
     for (std::uint32_t i = r.begin; i < r.begin + r.count; ++i)
       if (try_fire(at.row(i), at.id(i), at.dest(i), tok, at.stage())) return;
-    count_stall(at.place(), tok);
+    count_stall(at.place());
   }
 
   /// Transition `id` through `row` (shape and delegates) with trigger `tok`,
@@ -324,7 +324,6 @@ class TableEngine : public core::Engine {
   [[gnu::always_inline]] bool try_fire(const Row& row, core::TransitionId id, Dest d,
                                        core::InstructionToken* tok,
                                        core::PipelineStage& from) {
-    count_attempt(id);
     if (!row.simple) return fire_general(row, id, tok, from);
     if (d.stage != &from && !d.stage->has_room(1)) {
       reject_cause_ = core::StallCause::capacity_backpressure;
@@ -410,7 +409,6 @@ class TableEngine : public core::Engine {
   /// The independent sub-net (Fig 8 tail): reservation inputs ready, room in
   /// every output arc's stage, guard.
   bool independent_enabled(const Row& row) {
-    count_attempt(row.id);
     for (unsigned i = 0; i < row.n_res_in; ++i)
       if (find_ready_reservation(tables_.res_in(row.res_in_begin + i)) == nullptr)
         return false;

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "obs/export.hpp"
+#include "obs/observer.hpp"
+#include "util/parse.hpp"
 
 namespace rcpn::machines {
 
@@ -167,12 +169,30 @@ GoldenRunResult finish_session(GoldenSession& s) {
   return s.result();
 }
 
+bool advance_observed(GoldenSession& s, obs::Observer& observer, std::uint64_t cycles) {
+  for (std::uint64_t k = 0; k < cycles; ++k) {
+    const bool more = s.advance(1);
+    observer.end_cycle();
+    if (!more) return false;
+  }
+  return true;
+}
+
 namespace {
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
   out << content;
   return out.good();
+}
+
+/// A flag's cycle count: a whole decimal number, or nullopt after naming
+/// the flag and the value on stderr.
+std::optional<std::uint64_t> cycle_count(const std::string& flag, const char* value) {
+  const std::optional<std::uint64_t> n = util::parse_decimal(value);
+  if (!n)
+    std::fprintf(stderr, "%s expects a cycle count, got '%s'\n", flag.c_str(), value);
+  return n;
 }
 
 }  // namespace
@@ -211,10 +231,14 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
         return 2;
       }
     } else if (arg == "--checkpoint-at" && i + 1 < argc) {
-      ckpt_at = std::strtoull(argv[++i], nullptr, 10);
+      const std::optional<std::uint64_t> n = cycle_count(arg, argv[++i]);
+      if (!n) return 2;
+      ckpt_at = *n;
       have_ckpt_at = true;
     } else if (arg == "--checkpoint-every" && i + 1 < argc) {
-      ckpt_every = std::strtoull(argv[++i], nullptr, 10);
+      const std::optional<std::uint64_t> n = cycle_count(arg, argv[++i]);
+      if (!n) return 2;
+      ckpt_every = *n;
       if (ckpt_every == 0) {
         std::fprintf(stderr, "--checkpoint-every expects a positive cycle count\n");
         return 2;
@@ -237,14 +261,16 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
           "divergence, naming its cycle.\n"
           "--stats: also print the aggregate `# stats ...` line.\n"
           "--trace-json FILE: write a Chrome-trace-event/Perfetto JSON of the\n"
-          "run (needs a build with RCPN_OBS=ON; load in ui.perfetto.dev).\n"
-          "--profile: print the aggregate observability profile (occupancy\n"
-          "histograms, stall causes, candidate-scan hit rates; RCPN_OBS=ON).\n"
-          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/4 snapshot\n"
+          "cycles this run simulates (load in ui.perfetto.dev).\n"
+          "--profile: print the aggregate observability profile of those\n"
+          "cycles (occupancy histograms, stall causes, fire counts).\n"
+          "--checkpoint-at T: run to cycle T, write the rcpn-ckpt/5 snapshot\n"
           "to --checkpoint-out FILE and exit. --checkpoint-every K: run to\n"
           "completion, alternating FILE.0/FILE.1 every K cycles. --restore\n"
           "FILE: resume from a snapshot and run to completion; the printed\n"
-          "trace and stats are byte-identical to the straight run.\n",
+          "trace and stats are byte-identical to the straight run. T and K\n"
+          "are whole decimal numbers. With --restore and --checkpoint-at,\n"
+          "--trace-json and --profile observe that window of the run.\n",
           argv[0], name.c_str());
       return 0;
     } else {
@@ -269,18 +295,9 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
     }
   }
 
-  const bool want_obs = !trace_json_path.empty() || print_profile;
-#if !RCPN_OBS
-  if (want_obs) {
-    std::fprintf(stderr,
-                 "--trace-json/--profile need a build with RCPN_OBS=ON (this "
-                 "binary was compiled without the probe layer)\n");
-    return 2;
-  }
-#else
-  obs::Hub obs_hub;
-  if (want_obs) options.obs = &obs_hub;
-#endif
+  // Observed only when asked: the default ring alone is 32 MiB.
+  std::optional<obs::Hub> hub;
+  if (!trace_json_path.empty() || print_profile) hub.emplace();
 
   GoldenRunResult result;
   try {
@@ -296,9 +313,15 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       buf << in.rdbuf();
       read_checkpoint(*s, buf.str());
     }
+    // The observer sees exactly the cycles this invocation simulates.
+    std::optional<obs::Observer> observer;
+    if (hub) observer.emplace(s->engine(), *hub);
+    const auto advance = [&](std::uint64_t cycles) {
+      return observer ? advance_observed(*s, *observer, cycles) : s->advance(cycles);
+    };
     if (have_ckpt_at) {
       const core::Cycle now = s->engine().clock();
-      if (ckpt_at > now) s->advance(ckpt_at - now);
+      if (ckpt_at > now) advance(ckpt_at - now);
       if (!write_file(ckpt_out, write_checkpoint(*s))) {
         std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(), ckpt_out.c_str());
         return 2;
@@ -306,13 +329,11 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       std::fprintf(stderr, "%s: wrote checkpoint at cycle %llu to %s\n", name.c_str(),
                    static_cast<unsigned long long>(s->engine().clock()),
                    ckpt_out.c_str());
-      return 0;
-    }
-    if (ckpt_every > 0) {
+    } else if (ckpt_every > 0) {
       // Two-slot ring: the last two periodic snapshots survive, so a crash
       // while writing one slot always leaves the other intact.
       unsigned slot = 0;
-      while (s->advance(ckpt_every)) {
+      while (advance(ckpt_every)) {
         const std::string path = ckpt_out + "." + std::to_string(slot % 2);
         if (!write_file(path, write_checkpoint(*s))) {
           std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(), path.c_str());
@@ -322,44 +343,38 @@ int golden_cli_main(int argc, char** argv, const std::string& name,
       }
       result = s->result();
     } else {
-      result = finish_session(*s);
+      while (advance(std::uint64_t(1) << 62)) {
+      }
+      result = s->result();
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
     return 2;
   }
+
+  if (!trace_json_path.empty()) {
+    if (!write_file(trace_json_path, obs::export_chrome_trace(*hub))) {
+      std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(),
+                   trace_json_path.c_str());
+      return 2;
+    }
+    std::fprintf(stderr, "%s: wrote %s\n", name.c_str(), trace_json_path.c_str());
+  }
+  if (print_profile) std::fputs(obs::format_profile(*hub).c_str(), stdout);
+  if (have_ckpt_at) return 0;
   if (result.trace.empty()) {
     std::fprintf(stderr, "%s: workload retired nothing\n", name.c_str());
     return 1;
   }
 
-#if RCPN_OBS
-  if (!trace_json_path.empty()) {
-    std::ofstream out(trace_json_path, std::ios::binary);
-    if (!out.good()) {
-      std::fprintf(stderr, "%s: cannot write %s\n", name.c_str(),
-                   trace_json_path.c_str());
-      return 2;
-    }
-    out << obs::export_chrome_trace(obs_hub);
-    std::fprintf(stderr, "%s: wrote %s\n", name.c_str(), trace_json_path.c_str());
-  }
-  if (print_profile) std::fputs(obs::format_profile(obs_hub).c_str(), stdout);
-#endif
-
-  if (golden_path.empty()) {
+  if (golden_path.empty())
     std::fputs(format_golden_trace(name, result.trace).c_str(), stdout);
-    if (print_stats) {
-      std::fputs(format_golden_stats(result.stats).c_str(), stdout);
-      std::fputs(format_stall_causes(result.stats).c_str(), stdout);
-    }
-    return 0;
-  }
-
   if (print_stats) {
-      std::fputs(format_golden_stats(result.stats).c_str(), stdout);
-      std::fputs(format_stall_causes(result.stats).c_str(), stdout);
-    }
+    std::fputs(format_golden_stats(result.stats).c_str(), stdout);
+    std::fputs(format_stall_causes(result.stats).c_str(), stdout);
+  }
+  if (golden_path.empty()) return 0;
+
   std::vector<GoldenRetireEvent> golden;
   if (!load_golden_trace(golden_path, golden)) {
     std::fprintf(stderr, "%s: missing or malformed golden file %s\n", name.c_str(),

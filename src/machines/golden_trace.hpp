@@ -21,6 +21,10 @@
 #include "ckpt/snapshot.hpp"
 #include "core/engine.hpp"
 
+namespace rcpn::obs {
+class Observer;
+}  // namespace rcpn::obs
+
 namespace rcpn::machines {
 
 /// One retirement: the cycle it happened in, the instruction's pc and its
@@ -89,7 +93,7 @@ std::string diff_golden_traces(const std::vector<GoldenRetireEvent>& golden,
 /// (finish_session); since every chunk size walks the same loop, the farm's
 /// fixed-size chunks and
 ///   advance(T) + write_checkpoint + [new process] read_checkpoint + finish
-/// are byte-identical — trace, stats, obs stream — to it.
+/// are byte-identical — trace and stats — to it.
 class GoldenSession {
  public:
   virtual ~GoldenSession() = default;
@@ -119,7 +123,7 @@ class GoldenSession {
 using GoldenSessionFn =
     std::function<std::unique_ptr<GoldenSession>(core::EngineOptions)>;
 
-/// Serialize the session's complete dynamic state (rcpn-ckpt/4).
+/// Serialize the session's complete dynamic state (rcpn-ckpt/5).
 std::string write_checkpoint(GoldenSession& s);
 
 /// Restore `text` into a *freshly constructed* session (workload loaded,
@@ -129,6 +133,11 @@ void read_checkpoint(GoldenSession& s, const std::string& text);
 /// Advance the session to completion and return its result.
 GoldenRunResult finish_session(GoldenSession& s);
 
+/// GoldenSession::advance(cycles) one cycle at a time, recording each cycle
+/// into `observer` (attached to `s.engine()`). Every chunk size walks the
+/// same loop, so the run is the unobserved run.
+bool advance_observed(GoldenSession& s, obs::Observer& observer, std::uint64_t cycles);
+
 /// Entry point of every emitted simulator binary. Every mode runs a fresh
 /// `session(options)` on Backend::generated (default EngineOptions
 /// otherwise); a run the deadlock watchdog stopped exits 2 naming the cycle.
@@ -137,14 +146,17 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///                                     first diverging cycle
 ///   --stats                           also print the `# stats ...` line
 ///   --trace-json FILE                 write a Chrome-trace-event/Perfetto
-///                                     JSON of the run (RCPN_OBS=ON builds;
-///                                     exit 2 otherwise)
+///                                     JSON of the cycles this invocation
+///                                     simulates
 ///   --profile                         print the aggregate observability
-///                                     profile (RCPN_OBS=ON builds)
+///                                     profile of those cycles
 ///   --backend generated|compiled|interpreted
 ///                                     run another in-process backend
+/// With --trace-json or --profile the session advances one cycle at a time
+/// under an obs::Observer; without them no hub is built.
 ///
-/// Checkpoint/restore flags:
+/// Checkpoint/restore flags (a cycle count is a whole decimal number; any
+/// other value exits 2 naming the flag):
 ///   --checkpoint-at T --checkpoint-out FILE
 ///                                     run to cycle T, write the snapshot to
 ///                                     FILE and exit without finishing
@@ -155,6 +167,8 @@ GoldenRunResult finish_session(GoldenSession& s);
 ///   --restore FILE                    restore FILE into a fresh session and
 ///                                     run to completion; stdout is
 ///                                     byte-identical to the straight run
+/// So an observed window of a run is --restore at its first cycle plus
+/// --checkpoint-at its end.
 int golden_cli_main(int argc, char** argv, const std::string& name,
                     const GoldenSessionFn& session);
 

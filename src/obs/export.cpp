@@ -155,7 +155,9 @@ std::string export_chrome_trace(const Hub& hub) {
         b += std::to_string(e.cycle);
         b += ",\"name\":\"fire ";
         append_json_escaped(b, name_or(meta.transition_names, e.transition, kUnknown));
-        b += "\"";
+        b += "\",\"args\":{\"count\":";
+        b += std::to_string(e.value);
+        b += "}";
         emit(b);
         break;
       }
@@ -168,11 +170,9 @@ std::string export_chrome_trace(const Hub& hub) {
         b += core::stall_cause_name(e.cause);
         b += "\",\"args\":{\"place\":\"";
         append_json_escaped(b, name_or(meta.place_names, e.place, kUnknown));
-        b += "\",\"seq\":";
-        b += std::to_string(e.seq);
-        b += ",\"pc\":\"";
-        b += hex_pc(e.pc);
-        b += "\"}";
+        b += "\",\"count\":";
+        b += std::to_string(e.value);
+        b += "}";
         emit(b);
         break;
       }
@@ -248,18 +248,12 @@ std::string format_profile(const Hub& hub) {
         << ": " << total << " (" << c[0] << "/" << c[1] << "/" << c[2] << ")\n";
   }
 
-  out << "transition candidate scans (fires/attempts):\n";
-  for (std::size_t t = 0; t < p.fires.size() && t < p.attempts.size(); ++t) {
-    if (p.attempts[t] == 0 && p.fires[t] == 0) continue;
+  out << "transition fires:\n";
+  for (std::size_t t = 0; t < p.fires.size(); ++t) {
+    if (p.fires[t] == 0) continue;
     out << "  "
         << (t < meta.transition_names.size() ? meta.transition_names[t] : "?")
-        << ": " << p.fires[t] << "/" << p.attempts[t];
-    if (p.attempts[t] != 0) {
-      out << " (" << (100.0 * static_cast<double>(p.fires[t]) /
-                      static_cast<double>(p.attempts[t]))
-          << "%)";
-    }
-    out << '\n';
+        << ": " << p.fires[t] << '\n';
   }
   return out.str();
 }

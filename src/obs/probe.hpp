@@ -1,23 +1,19 @@
-// Observability probe layer: cycle-stamped structured events + aggregate
-// profiles for every engine backend.
+// Observability records: cycle-stamped structured events and the aggregate
+// profile of one observed run.
 //
-// A Hub is attached to a run through core::EngineOptions::obs (runtime-only:
-// it never participates in job identity or golden traces). The engines call the on_*() probe entry points from shared
-// accounting helpers, so all four backends — interpreted, compiled,
-// generated(linked) and freestanding — emit *identical* event streams for the
-// same (machine, workload, options) run; tests/test_obs.cpp pins this.
-//
-// Compile-time gating: the probe call sites in the engines sit behind
-// `#if RCPN_OBS` (a cmake option, -DRCPN_OBS=ON), so a default build carries
-// zero probe code in the hot loop — bench_obs_overhead asserts an attached
-// hub then costs nothing. This header itself always compiles (the exporters
-// and their tests work on hand-built hubs in any configuration).
+// A Hub holds what an obs::Observer (obs/observer.hpp) reads from an engine
+// at cycle boundaries: the event ring, the StageProfile and the model Meta.
+// No engine calls into a hub, so every build can observe a run, and a run
+// without an observer pays nothing for it. The observer reads only state
+// that every backend reaches identically at a boundary, so interpreted,
+// compiled, generated and freestanding runs fill a hub identically;
+// tests/test_obs.cpp pins this.
 //
 // Two consumers sit on top (src/obs/export.hpp):
 //  * export_chrome_trace() — Chrome-trace-event / Perfetto JSON, one track
 //    per pipeline stage;
 //  * format_profile() — the aggregate StageProfile as a text report
-//    (occupancy histograms, stall-cause breakdowns, firing-cost counters).
+//    (occupancy histograms, stall-cause breakdowns, fire counts).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +34,7 @@ enum class EventKind : std::uint8_t {
   squash,
   /// A transition fired (instruction or independent sub-net).
   fire,
-  /// A ready token found no firable transition this cycle (cause attached).
+  /// Ready tokens of a place found no firable transition (cause attached).
   stall,
   /// A stage's occupancy changed (sampled at end of cycle; value = tokens).
   occupancy,
@@ -46,12 +42,13 @@ enum class EventKind : std::uint8_t {
 
 const char* event_kind_name(EventKind k);
 
-/// One cycle-stamped probe event. Field use depends on kind:
+/// One cycle-stamped event. Field use depends on kind:
 ///  token_enter  place, seq, pc
 ///  retire       seq, pc
 ///  squash       seq, pc
-///  fire         transition
-///  stall        place, cause, seq, pc (the stalled token)
+///  fire         transition, value = its firings in the cycle
+///  stall        place, cause, value = the place's stalls of that cause in
+///               the cycle (a boundary shows counts, not which token stalled)
 ///  occupancy    place = STAGE id, value = token count
 struct Event {
   std::uint64_t cycle = 0;
@@ -66,7 +63,7 @@ struct Event {
   bool operator==(const Event&) const = default;
 };
 
-/// Bounded ring buffer of probe events: drop-oldest on overflow, with a
+/// Bounded ring buffer of events: drop-oldest on overflow, with a
 /// dropped counter so exporters can flag truncation instead of hiding it.
 class EventSink {
  public:
@@ -106,11 +103,6 @@ class EventSink {
     dropped_ = 0;
   }
 
-  /// Checkpoint support (src/ckpt/): restore replays the retained events via
-  /// push() and then reinstates the eviction counter, so a resumed run's
-  /// stream (retained events + dropped count) matches the straight run's.
-  void ckpt_set_dropped(std::uint64_t d) { dropped_ = d; }
-
  private:
   std::vector<Event> buf_;
   std::size_t head_ = 0;
@@ -118,8 +110,8 @@ class EventSink {
   std::uint64_t dropped_ = 0;
 };
 
-/// Model identity captured at Engine::build(): the names and the place->stage
-/// mapping the exporters need, so exporting needs no live Net.
+/// Model identity bound when observation starts: the names and the
+/// place->stage mapping the exporters need, so exporting needs no live Net.
 struct Meta {
   std::string model;
   std::vector<std::string> stage_names;
@@ -130,64 +122,38 @@ struct Meta {
   std::vector<std::int16_t> transition_place;
 };
 
-/// Aggregate counters extending core::Stats with the per-structure breakdown
-/// the paper's analysis lacks: where cycles pool up (occupancy), why tokens
-/// wait (stall causes) and what candidate scans cost (fires vs attempts —
-/// the input for profile-guided emission, ROADMAP #1).
+/// Aggregate counters over the observed cycles, extending core::Stats with
+/// the per-structure breakdown the paper's analysis lacks: where cycles pool
+/// up (occupancy) and why tokens wait (stall causes).
 struct StageProfile {
   std::uint64_t cycles = 0;
   /// [stage][occupancy] -> number of cycles the stage ended holding exactly
   /// that many tokens (visible + incoming). Rows grow on demand.
   std::vector<std::vector<std::uint64_t>> occupancy_hist;
-  /// [place * core::kNumStallCauses + cause] — mirrors
-  /// core::Stats::place_stall_causes (the always-on attribution); kept here
-  /// too so a profile is self-contained once the engine is gone.
+  /// [place * core::kNumStallCauses + cause], the observed share of
+  /// core::Stats::place_stall_causes; kept here so a profile is
+  /// self-contained once the engine is gone.
   std::vector<std::uint64_t> stall_causes;
-  /// [transition] -> firings (mirrors Stats::transition_fires).
+  /// [transition] -> firings (the observed share of Stats::transition_fires).
   std::vector<std::uint64_t> fires;
-  /// [transition] -> candidate evaluations (try_fire entries + independent
-  /// enable checks). attempts - fires = wasted scan work per transition.
-  std::vector<std::uint64_t> attempts;
 
   bool operator==(const StageProfile&) const = default;
 };
 
-struct HubOptions {
-  std::size_t ring_capacity = EventSink::kDefaultCapacity;
-  /// Record individual events into the ring (the profile always aggregates).
-  bool record_events = true;
-};
-
-/// Per-engine observability hub: the ring buffer, the aggregate profile and
-/// the model meta. Not thread-safe — one hub per engine/run, like the engine
-/// itself. Attach with `options.obs = &hub` before the run; the engine binds
-/// the meta at build().
+/// Per-run observability hub: the ring buffer, the aggregate profile and
+/// the model meta. Not thread-safe — one hub per run, like the engine
+/// itself. An obs::Observer binds the meta and records into it.
 class Hub {
  public:
-  explicit Hub(HubOptions options = {})
-      : options_(options), sink_(options.ring_capacity) {}
+  explicit Hub(std::size_t ring_capacity = EventSink::kDefaultCapacity)
+      : sink_(ring_capacity) {}
 
-  /// Called by Engine::build(). Sizes the profile; re-binding with the same
-  /// shape (e.g. a rebuild of the same model) preserves accumulated counters.
+  /// Bind the model and start from an empty ring and profile.
   void bind(Meta meta) {
-    const bool same_shape =
-        bound_ && meta.place_names.size() == meta_.place_names.size() &&
-        meta.transition_names.size() == meta_.transition_names.size() &&
-        meta.stage_names.size() == meta_.stage_names.size();
     meta_ = std::move(meta);
-    if (!same_shape) {
-      profile_ = StageProfile{};
-      profile_.occupancy_hist.resize(meta_.stage_names.size());
-      profile_.stall_causes.assign(
-          meta_.place_names.size() * core::kNumStallCauses, 0);
-      profile_.fires.assign(meta_.transition_names.size(), 0);
-      profile_.attempts.assign(meta_.transition_names.size(), 0);
-      last_occ_.assign(meta_.stage_names.size(), ~std::uint32_t{0});
-    }
-    bound_ = true;
+    clear();
   }
 
-  bool bound() const { return bound_; }
   const Meta& meta() const { return meta_; }
   EventSink& sink() { return sink_; }
   const EventSink& sink() const { return sink_; }
@@ -201,51 +167,39 @@ class Hub {
     profile_.stall_causes.assign(meta_.place_names.size() * core::kNumStallCauses,
                                  0);
     profile_.fires.assign(meta_.transition_names.size(), 0);
-    profile_.attempts.assign(meta_.transition_names.size(), 0);
     last_occ_.assign(meta_.stage_names.size(), ~std::uint32_t{0});
   }
 
-  // -- probe entry points (engines call these from shared helpers) ------------
+  // -- recording entry points (obs::Observer calls these) ---------------------
 
   void on_token_enter(std::uint64_t cycle, std::int16_t place, std::uint32_t seq,
                       std::uint64_t pc) {
-    if (options_.record_events)
-      sink_.push(Event{cycle, pc, seq, 0, place, -1, EventKind::token_enter,
-                       core::StallCause::no_ready_token});
+    sink_.push({.cycle = cycle, .pc = pc, .seq = seq, .place = place,
+                .kind = EventKind::token_enter});
   }
 
   void on_retire(std::uint64_t cycle, std::uint32_t seq, std::uint64_t pc) {
-    if (options_.record_events)
-      sink_.push(Event{cycle, pc, seq, 0, -1, -1, EventKind::retire,
-                       core::StallCause::no_ready_token});
+    sink_.push({.cycle = cycle, .pc = pc, .seq = seq, .kind = EventKind::retire});
   }
 
   void on_squash(std::uint64_t cycle, std::uint32_t seq, std::uint64_t pc) {
-    if (options_.record_events)
-      sink_.push(Event{cycle, pc, seq, 0, -1, -1, EventKind::squash,
-                       core::StallCause::no_ready_token});
+    sink_.push({.cycle = cycle, .pc = pc, .seq = seq, .kind = EventKind::squash});
   }
 
-  void on_fire(std::uint64_t cycle, std::int16_t transition) {
+  void on_fire(std::uint64_t cycle, std::int16_t transition, std::uint64_t count) {
     if (static_cast<std::size_t>(transition) < profile_.fires.size())
-      ++profile_.fires[static_cast<std::size_t>(transition)];
-    if (options_.record_events)
-      sink_.push(Event{cycle, 0, 0, 0, -1, transition, EventKind::fire,
-                       core::StallCause::no_ready_token});
-  }
-
-  void on_attempt(std::int16_t transition) {
-    if (static_cast<std::size_t>(transition) < profile_.attempts.size())
-      ++profile_.attempts[static_cast<std::size_t>(transition)];
+      profile_.fires[static_cast<std::size_t>(transition)] += count;
+    sink_.push({.cycle = cycle, .value = static_cast<std::uint32_t>(count),
+                .transition = transition, .kind = EventKind::fire});
   }
 
   void on_stall(std::uint64_t cycle, std::int16_t place, core::StallCause cause,
-                std::uint32_t seq, std::uint64_t pc) {
+                std::uint64_t count) {
     const std::size_t idx = static_cast<std::size_t>(place) * core::kNumStallCauses +
                             static_cast<std::size_t>(cause);
-    if (idx < profile_.stall_causes.size()) ++profile_.stall_causes[idx];
-    if (options_.record_events)
-      sink_.push(Event{cycle, pc, seq, 0, place, -1, EventKind::stall, cause});
+    if (idx < profile_.stall_causes.size()) profile_.stall_causes[idx] += count;
+    sink_.push({.cycle = cycle, .value = static_cast<std::uint32_t>(count),
+                .place = place, .kind = EventKind::stall, .cause = cause});
   }
 
   /// End-of-cycle occupancy sample for one stage. The histogram accumulates
@@ -258,34 +212,22 @@ class Hub {
       if (row.size() <= occ) row.resize(occ + 1, 0);
       ++row[occ];
     }
-    if (options_.record_events && s < last_occ_.size() && last_occ_[s] != occ) {
+    if (s < last_occ_.size() && last_occ_[s] != occ) {
       last_occ_[s] = occ;
-      sink_.push(Event{cycle, 0, 0, occ, stage, -1, EventKind::occupancy,
-                       core::StallCause::no_ready_token});
+      sink_.push(
+          {.cycle = cycle, .value = occ, .place = stage, .kind = EventKind::occupancy});
     }
   }
 
-  void on_cycle_end(std::uint64_t /*cycle*/) { ++profile_.cycles; }
-
-  // -- checkpoint support (src/ckpt/) -----------------------------------------
-  // The ring contents, the aggregate profile and the occupancy
-  // change-detection latch are all run state: restoring them makes the
-  // resumed run's event stream byte-identical to the straight run's.
-  StageProfile& ckpt_profile() { return profile_; }
-  const std::vector<std::uint32_t>& last_occ() const { return last_occ_; }
-  void ckpt_set_last_occ(std::size_t stage, std::uint32_t occ) {
-    if (stage < last_occ_.size()) last_occ_[stage] = occ;
-  }
+  void on_cycle_end() { ++profile_.cycles; }
 
  private:
-  HubOptions options_;
   EventSink sink_;
   Meta meta_;
   StageProfile profile_;
   /// Last occupancy value recorded per stage (change detection for counter
   /// events); ~0 forces a baseline event on the first sample.
   std::vector<std::uint32_t> last_occ_;
-  bool bound_ = false;
 };
 
 }  // namespace rcpn::obs

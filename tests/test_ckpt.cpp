@@ -36,6 +36,7 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -55,7 +56,7 @@
 #include "machines/strongarm.hpp"
 #include "machines/tomasulo.hpp"
 #include "machines/xscale.hpp"
-#include "obs/probe.hpp"
+#include "obs/observer.hpp"
 #include "workloads/workloads.hpp"
 
 namespace rcpn {
@@ -333,7 +334,8 @@ void expect_rejects(const std::string& key, const std::string& snap,
 }
 
 TEST(CkptErrors, UnsupportedFormatVersionIsNamed) {
-  for (const char* version : {"rcpn-ckpt/1", "rcpn-ckpt/2", "rcpn-ckpt/3"}) {
+  for (const char* version :
+       {"rcpn-ckpt/1", "rcpn-ckpt/2", "rcpn-ckpt/3", "rcpn-ckpt/4"}) {
     std::string snap = snapshot_of("fig2", 10);
     snap.replace(0, snap.find('\n'), version);
     expect_rejects("fig2", snap, "unsupported format");
@@ -382,6 +384,56 @@ TEST(CkptErrors, ScheduleMismatchIsAModelDigestMismatch) {
     EXPECT_NE(std::string(e.what()).find("model digest mismatch"), std::string::npos)
         << e.what();
   }
+}
+
+/// Restore a snapshot of golden machine `key` at cycle `t` into the model
+/// `edit` makes of its description, and expect a digest refusal. Accepted,
+/// a Fig2 snapshot at cycle 20 restored into Fig2 with `delay 3` on U2
+/// finishes at cycle 110, a count neither model produces (65 shipped, 130
+/// edited).
+void expect_edit_refused(const std::string& key, std::uint64_t t,
+                         const std::function<void(desc::Description&)>& edit) {
+  const std::string snap = snapshot_of(key, t);
+  desc::Description d = machines::describe_machine(key);
+  edit(d);
+  auto s = machines::make_description_session(d, options_for(core::Backend::interpreted));
+  try {
+    machines::read_checkpoint(*s, snap);
+    ADD_FAILURE() << key << ": restore accepted a snapshot of another model";
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find("model digest mismatch"), std::string::npos)
+        << e.what();
+  }
+}
+
+desc::DescTransition& transition_named(desc::Description& d, const std::string& name) {
+  for (desc::DescTransition& t : d.transitions)
+    if (t.name == name) return t;
+  throw std::runtime_error("no transition " + name);
+}
+
+TEST(CkptErrors, TransitionDelayIsAModelDigestMismatch) {
+  expect_edit_refused("fig2", 20, [](desc::Description& d) {
+    transition_named(d, "U2").delay = 3;
+  });
+}
+
+TEST(CkptErrors, OutputArcIsAModelDigestMismatch) {
+  expect_edit_refused("fig2", 20, [](desc::Description& d) {
+    desc::DescTransition& u2 = transition_named(d, "U2");
+    ASSERT_EQ(u2.out.size(), 1u);
+    u2.out[0].place = "@end";
+  });
+}
+
+// StallCause registers two guards; W.escape bound to the other one is
+// another model.
+TEST(CkptErrors, DelegateBindingIsAModelDigestMismatch) {
+  expect_edit_refused("stallcause", 11, [](desc::Description& d) {
+    desc::DescTransition& escape = transition_named(d, "W.escape");
+    ASSERT_EQ(escape.guard.symbol, "rcpn::machines::stallcause_escape_guard");
+    escape.guard.symbol = "rcpn::machines::stallcause_park_exit_guard";
+  });
 }
 
 TEST(CkptErrors, TruncatedSnapshotIsRejectedNotHalfRestored) {
@@ -509,43 +561,43 @@ TEST(CkptErrors, TomasuloTokenPcPastTheProgramIsRejected) {
       "Tomasulo: no instruction at pc 100000 (the program has 6 instructions)");
 }
 
-// -- obs stream equality (probes compiled in only) ----------------------------
+// -- observed windows --------------------------------------------------------
 
-// With a Hub attached on both sides, the restored run's event stream and
-// profile must equal the straight observed run's — the obs state crosses the
-// resume boundary too. In RCPN_OBS=OFF builds the probes are compiled out,
-// so there is nothing to compare.
-TEST(CkptObs, RestoredRunReplaysIdenticalEventStreamAndProfile) {
-#if !RCPN_OBS
-  GTEST_SKIP() << "observability probes not compiled in (RCPN_OBS=OFF)";
-#else
-  const std::string key = "fig5";
-  obs::Hub hub_straight, hub_writer, hub_reader;
+/// Observe `s` from its current cycle to the end into `hub`.
+GoldenRunResult observe_to_end(machines::GoldenSession& s, obs::Hub& hub) {
+  obs::Observer observer(s.engine(), hub);
+  machines::advance_observed(s, observer, ~std::uint64_t{0});
+  return s.result();
+}
 
-  core::EngineOptions os = options_for(core::Backend::interpreted);
-  os.obs = &hub_straight;
-  const GoldenRunResult straight = machines::run_golden_machine_full(key, os);
-
-  core::EngineOptions ow = options_for(core::Backend::interpreted);
-  ow.obs = &hub_writer;
-  auto writer = machines::make_golden_session(key, ow);
-  writer->advance(7);
-  const std::string snap = machines::write_checkpoint(*writer);
-
-  core::EngineOptions orr = options_for(core::Backend::interpreted);
-  orr.obs = &hub_reader;
-  auto reader = machines::make_golden_session(key, orr);
-  machines::read_checkpoint(*reader, snap);
-  const GoldenRunResult resumed = machines::finish_session(*reader);
-
-  EXPECT_EQ(formatted(key, resumed), formatted(key, straight));
-  const std::vector<obs::Event> es = hub_straight.sink().snapshot();
-  const std::vector<obs::Event> er = hub_reader.sink().snapshot();
-  ASSERT_EQ(es.size(), er.size());
-  EXPECT_TRUE(es == er) << key << ": restored event stream diverges";
-  EXPECT_TRUE(hub_reader.profile() == hub_straight.profile())
-      << key << ": restored profile diverges";
-#endif
+// A window is a restore plus an observer: a snapshot taken at cycle C on
+// interpreted, restored on compiled and on generated and observed to the
+// end, must give the event stream and profile of the straight interpreted
+// run observed from C.
+TEST(CkptObs, RestoredWindowObservesLikeTheStraightRun) {
+  for (const char* key : {"fig2", "fig5", "tomasulo", "strongarm_crc", "xscale_adpcm",
+                          "stallcause"}) {
+    auto straight =
+        machines::make_golden_session(key, options_for(core::Backend::interpreted));
+    straight->advance(mid_cycle(key));
+    const std::string snap = machines::write_checkpoint(*straight);
+    obs::Hub ref;
+    const GoldenRunResult whole = observe_to_end(*straight, ref);
+    ASSERT_GT(ref.sink().size(), 0u) << key;
+    for (const core::Backend backend :
+         {core::Backend::compiled, core::Backend::generated}) {
+      const std::string label = std::string(key) + " restored on backend " +
+                                std::to_string(static_cast<int>(backend));
+      auto reader = machines::make_golden_session(key, options_for(backend));
+      machines::read_checkpoint(*reader, snap);
+      obs::Hub hub;
+      EXPECT_EQ(formatted(key, observe_to_end(*reader, hub)), formatted(key, whole))
+          << label;
+      EXPECT_TRUE(hub.sink().snapshot() == ref.sink().snapshot())
+          << label << ": event streams diverge";
+      EXPECT_TRUE(hub.profile() == ref.profile()) << label << ": profiles diverge";
+    }
+  }
 }
 
 // -- the reset oracle (state-leak sweep) --------------------------------------
@@ -711,6 +763,64 @@ TEST(CkptFreestanding, RoundTripAndCrossBuildRestore) {
   ASSERT_EQ(run_capture(bin + " --restore " + linked_ckpt + " --stats", cross), 0)
       << cross;
   EXPECT_EQ(cross, straight) << key << ": linked-writer -> freestanding restore diverged";
+}
+
+// Strict cycle counts: a value that is not a whole decimal number exits 2
+// naming the flag, and writes no checkpoint. Read leniently, `12x` would
+// checkpoint at cycle 12, `abc` at 0 and `-5` at the run's end.
+TEST(CkptFreestanding, MalformedCycleCountExitsTwoWritingNothing) {
+  const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_fig2";
+  struct stat st{};
+  ASSERT_EQ(::stat(bin.c_str(), &st), 0) << bin;
+  const std::string file = ::testing::TempDir() + "ckpt_malformed_fig2";
+  for (const char* flag : {"--checkpoint-at", "--checkpoint-every"})
+    for (const char* value : {"12x", "abc", "-5"}) {
+      std::remove(file.c_str());
+      std::remove((file + ".0").c_str());
+      std::string out;
+      EXPECT_EQ(run_capture(bin + " " + flag + " " + value + " --checkpoint-out " + file,
+                            out),
+                2)
+          << flag << " " << value << ": " << out;
+      const std::string message =
+          std::string(flag) + " expects a cycle count, got '" + value + "'";
+      EXPECT_NE(out.find(message), std::string::npos) << out;
+      EXPECT_NE(::stat(file.c_str(), &st), 0) << flag << " " << value << " wrote a file";
+      EXPECT_NE(::stat((file + ".0").c_str(), &st), 0) << flag << " " << value;
+    }
+}
+
+// An observed window through the CLI: a snapshot the interpreted engine
+// writes at cycle 700, restored on the generated and on the compiled engine
+// with --trace-json, gives byte-identical traces.
+TEST(CkptFreestanding, ObservedWindowTraceIsTheSameOnEveryBackend) {
+  const std::string bin = std::string(RCPN_BIN_DIR) + "/gen_fs_strongarm_crc";
+  struct stat st{};
+  ASSERT_EQ(::stat(bin.c_str(), &st), 0) << bin;
+  const std::string dir = ::testing::TempDir();
+  const std::string snap = dir + "ckpt_window_strongarm_crc";
+  std::string out;
+  ASSERT_EQ(run_capture(bin + " --backend interpreted --checkpoint-at 700 "
+                              "--checkpoint-out " + snap,
+                        out),
+            0)
+      << out;
+  std::string traces[2];
+  const char* backends[2] = {"generated", "compiled"};
+  for (int i = 0; i < 2; ++i) {
+    const std::string json = dir + "window_" + backends[i] + ".json";
+    ASSERT_EQ(run_capture(bin + " --backend " + backends[i] + " --restore " + snap +
+                              " --trace-json " + json,
+                          out),
+              0)
+        << out;
+    std::ifstream in(json, std::ios::binary);
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    traces[i] = buf.str();
+  }
+  EXPECT_GT(traces[0].size(), 1000u);
+  EXPECT_EQ(traces[0], traces[1]) << "window traces differ between backends";
 }
 
 // The periodic checkpoint ring: --checkpoint-every K writes alternating

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <sys/stat.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <set>
@@ -948,6 +950,27 @@ TEST(FarmSubprocess, MissingBinaryFailsTheJobWithExitCode127) {
   EXPECT_EQ(report.jobs[0].result.exit_code, 127);
 }
 
+// -- the rcpn_farm command line ------------------------------------------------
+
+// A number flag takes a whole decimal number: `--seeds 1x` is refused, not
+// read as one seed.
+TEST(FarmCli, MalformedNumberExitsTwoNamingTheFlag) {
+  const std::string bin = std::string(RCPN_BIN_DIR) + "/rcpn_farm";
+  struct stat st{};
+  ASSERT_EQ(::stat(bin.c_str(), &st), 0) << bin;
+  const std::string log = ::testing::TempDir() + "rcpn_farm_cli.log";
+  const std::string cmd = bin + " --machines fig2 --seeds 1x --quiet > " + log + " 2>&1";
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  std::ifstream in(log);
+  const std::string out((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(out.find("--seeds expects a whole decimal number, got '1x'"),
+            std::string::npos)
+      << out;
+}
+
 // -- serialized model descriptions (.rcpn jobs) -------------------------------
 
 #ifdef RCPN_MODELS_DIR
@@ -977,6 +1000,25 @@ TEST(FarmDescription, JobKeyFoldsTheFileContentNotJustThePath) {
   EXPECT_NE(h3, h1);
   EXPECT_NE(h3, h2);
   EXPECT_NE(farm::job_key(spec).find("desc=missing"), std::string::npos);
+}
+
+// A description runs its own deadlock_limit (desc::engine_options), which
+// its file digest covers: two specs differing only in the spec's limit are
+// one simulation with one key. A golden spec runs the spec's limit, so its
+// key still differs on it.
+TEST(FarmDescription, SpecDeadlockLimitIsNoPartOfADescriptionKey) {
+  farm::JobSpec a = golden_spec(std::string(RCPN_MODELS_DIR) + "/fig2.rcpn");
+  farm::JobSpec b = a;
+  b.options.deadlock_limit = 1;
+  EXPECT_EQ(farm::job_key(a), farm::job_key(b));
+  EXPECT_EQ(farm::job_hash(a), farm::job_hash(b));
+  EXPECT_EQ(farm::job_key(a).find("deadlock="), std::string::npos) << farm::job_key(a);
+
+  farm::JobSpec g = golden_spec("fig2");
+  farm::JobSpec h = g;
+  h.options.deadlock_limit = 1;
+  EXPECT_NE(farm::job_key(g), farm::job_key(h));
+  EXPECT_NE(farm::job_hash(g), farm::job_hash(h));
 }
 
 TEST(FarmDescription, SubprocessExecutorRejectsDescriptionJobs) {

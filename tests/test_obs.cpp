@@ -1,21 +1,22 @@
-// Observability layer: the zero-interference contract and the exporters.
+// Observability layer: the boundary observer's contracts and the exporters.
 //
 // Three layers of pinning:
-//  * Zero interference — attaching a Hub must leave golden retire traces and
-//    engine statistics byte-identical for every machine and backend, in BOTH
-//    build configurations (RCPN_OBS=OFF ignores the hub entirely; RCPN_OBS=ON
-//    records but must not perturb timing-visible behaviour). An 8-seed fuzz
-//    shard extends the same contract to generated topologies.
-//  * Backend-identical event streams — with probes compiled in, interpreted,
-//    compiled and generated(linked) backends must fill the ring and the
-//    StageProfile identically for the same run (the probes live in shared
-//    engine code; this catches a backend growing a private call site).
+//  * No interference — observing a run (one cycle per step, hooks chained)
+//    must leave golden retire traces and engine statistics byte-identical
+//    for every machine and backend, and the observed profile must equal the
+//    run's core::Stats. An 8-seed fuzz shard extends the contract to
+//    generated topologies.
+//  * Backend-identical event streams — interpreted, compiled and
+//    generated(linked) runs must fill the ring and the StageProfile
+//    identically: the observer reads only cycle-boundary state, which every
+//    backend reaches identically.
 //  * Exporters — export_chrome_trace() and format_profile() are exercised on
-//    hand-built hubs so they are covered in every build config: JSON
-//    validity, one named track per stage, balanced b/e token spans,
-//    monotonic timestamps, drop-oldest ring truncation flagged not hidden.
+//    hand-built hubs: JSON validity, one named track per stage, balanced b/e
+//    token spans, monotonic timestamps, drop-oldest ring truncation flagged
+//    not hidden.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -26,6 +27,7 @@
 #include "machines/fuzz_model.hpp"
 #include "machines/golden_runner.hpp"
 #include "obs/export.hpp"
+#include "obs/observer.hpp"
 #include "obs/probe.hpp"
 
 namespace rcpn {
@@ -165,6 +167,19 @@ std::vector<core::Backend> in_process_backends() {
   return {core::Backend::interpreted, core::Backend::compiled, core::Backend::generated};
 }
 
+/// Run `s` to its end under an observer recording into `hub`.
+machines::GoldenRunResult observe_to_end(machines::GoldenSession& s, obs::Hub& hub) {
+  obs::Observer observer(s.engine(), hub);
+  machines::advance_observed(s, observer, ~std::uint64_t{0});
+  return s.result();
+}
+
+/// A run's byte-compared output: trace, `# stats` line and stall causes.
+std::string formatted(const std::string& key, const machines::GoldenRunResult& r) {
+  return machines::format_golden_trace(key, r.trace) +
+         machines::format_golden_stats(r.stats) + machines::format_stall_causes(r.stats);
+}
+
 /// A two-stage toy model binding for the exporter tests (no engine needed).
 obs::Meta toy_meta() {
   obs::Meta m;
@@ -182,9 +197,7 @@ obs::Meta toy_meta() {
 // -- ring buffer --------------------------------------------------------------
 
 TEST(ObsRing, DropsOldestAndCountsEvictions) {
-  obs::HubOptions ho;
-  ho.ring_capacity = 4;
-  obs::Hub hub(ho);
+  obs::Hub hub(4);
   hub.bind(toy_meta());
   for (std::uint64_t cycle = 0; cycle < 10; ++cycle)
     hub.on_token_enter(cycle, 0, static_cast<std::uint32_t>(cycle), 0x100 + cycle);
@@ -201,8 +214,8 @@ TEST(ObsRing, ClearResetsEventsCountersAndProfile) {
   obs::Hub hub;
   hub.bind(toy_meta());
   hub.on_token_enter(0, 0, 1, 0x8000);
-  hub.on_fire(0, 0);
-  hub.on_cycle_end(0);
+  hub.on_fire(0, 0, 1);
+  hub.on_cycle_end();
   ASSERT_GT(hub.sink().size(), 0u);
   ASSERT_EQ(hub.profile().cycles, 1u);
   hub.clear();
@@ -210,7 +223,7 @@ TEST(ObsRing, ClearResetsEventsCountersAndProfile) {
   EXPECT_EQ(hub.sink().dropped(), 0u);
   EXPECT_EQ(hub.profile().cycles, 0u);
   EXPECT_EQ(hub.profile().fires, std::vector<std::uint64_t>({0, 0}));
-  EXPECT_TRUE(hub.bound());  // the binding survives
+  EXPECT_EQ(hub.meta().model, "toy");  // the binding survives
 }
 
 // -- Chrome-trace exporter ----------------------------------------------------
@@ -222,28 +235,25 @@ namespace {
 void scripted_run(obs::Hub& hub) {
   hub.bind(toy_meta());
   // cycle 0: seq 0 enters fetch and the fetch transition fires.
-  hub.on_attempt(0);
-  hub.on_fire(0, 0);
   hub.on_token_enter(0, 0, 0, 0x8000);
+  hub.on_fire(0, 0, 1);
   hub.sample_stage(0, 0, 1);
   hub.sample_stage(0, 1, 0);
-  hub.on_cycle_end(0);
+  hub.on_cycle_end();
   // cycle 1: seq 0 advances to exec, seq 1 enters fetch and stalls on a guard.
-  hub.on_attempt(1);
-  hub.on_fire(1, 1);
-  hub.on_token_enter(1, 1, 0, 0x8000);
   hub.on_token_enter(1, 0, 1, 0x8004);
-  hub.on_attempt(0);
-  hub.on_stall(1, 0, core::StallCause::guard_rejected, 1, 0x8004);
+  hub.on_token_enter(1, 1, 0, 0x8000);
+  hub.on_fire(1, 1, 1);
+  hub.on_stall(1, 0, core::StallCause::guard_rejected, 1);
   hub.sample_stage(1, 0, 1);
   hub.sample_stage(1, 1, 1);
-  hub.on_cycle_end(1);
+  hub.on_cycle_end();
   // cycle 2: seq 0 retires, seq 1 is squashed by a flush.
   hub.on_retire(2, 0, 0x8000);
   hub.on_squash(2, 1, 0x8004);
   hub.sample_stage(2, 0, 0);
   hub.sample_stage(2, 1, 0);
-  hub.on_cycle_end(2);
+  hub.on_cycle_end();
 }
 
 }  // namespace
@@ -268,8 +278,10 @@ TEST(ObsExport, ChromeTraceIsValidJsonWithOneTrackPerStage) {
   // Instants and counters made it through with their payloads.
   EXPECT_NE(json.find("\"name\":\"retire\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"squash\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"fire t_fetch\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"fire t_fetch\",\"args\":{\"count\":1}"),
+            std::string::npos);
   EXPECT_NE(json.find("\"name\":\"stall guard_rejected\""), std::string::npos);
+  EXPECT_NE(json.find("\"place\":\"p_fetch\",\"count\":1"), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"occ fetch\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\":0"), std::string::npos);
 
@@ -281,9 +293,7 @@ TEST(ObsExport, ChromeTraceIsValidJsonWithOneTrackPerStage) {
 }
 
 TEST(ObsExport, RingEvictedBeginNeverEmitsUnbalancedEnd) {
-  obs::HubOptions ho;
-  ho.ring_capacity = 2;
-  obs::Hub hub(ho);
+  obs::Hub hub(2);
   hub.bind(toy_meta());
   hub.on_token_enter(0, 0, 0, 0x8000);  // evicted below
   hub.on_token_enter(0, 0, 1, 0x8004);  // evicted below
@@ -307,91 +317,88 @@ TEST(ObsExport, FormatProfileReportsOccupancyStallsAndScanCosts) {
   EXPECT_NE(text.find("stage occupancy"), std::string::npos);
   EXPECT_NE(text.find("stall causes (no_ready/guard/capacity):"), std::string::npos);
   EXPECT_NE(text.find("p_fetch: 1 (0/1/0)"), std::string::npos) << text;
-  // t_fetch: 1 fire / 2 attempts (the cycle-1 attempt was guard-rejected).
-  EXPECT_NE(text.find("t_fetch: 1/2 (50%)"), std::string::npos) << text;
+  EXPECT_NE(text.find("transition fires:\n  t_fetch: 1\n  t_exec: 1\n"),
+            std::string::npos)
+      << text;
 }
 
-// -- zero interference: golden machines ---------------------------------------
+// -- no interference: golden machines ------------------------------------------
 
+// An observed run steps one cycle at a time with the hooks chained: its
+// trace, `# stats` line and stall causes must equal the straight run's.
 TEST(ObsGolden, AttachedHubLeavesGoldenTracesByteIdentical) {
   for (const std::string& key : machines::golden_machine_keys()) {
     for (const core::Backend backend : in_process_backends()) {
-      core::EngineOptions base;
-      base.backend = backend;
-      const machines::GoldenRunResult plain =
-          machines::run_golden_machine_full(key, base);
-
+      core::EngineOptions options;
+      options.backend = backend;
+      const std::string label =
+          key + " backend=" + std::to_string(static_cast<int>(backend));
       obs::Hub hub;
-      core::EngineOptions observed_opts = base;
-      observed_opts.obs = &hub;
       const machines::GoldenRunResult observed =
-          machines::run_golden_machine_full(key, observed_opts);
-
-      const std::string label = key + " backend=" +
-                                std::to_string(static_cast<int>(backend));
-      EXPECT_EQ(machines::format_golden_trace(key, plain.trace),
-                machines::format_golden_trace(key, observed.trace))
+          observe_to_end(*machines::make_golden_session(key, options), hub);
+      EXPECT_EQ(formatted(key, observed),
+                formatted(key, machines::run_golden_machine_full(key, options)))
           << label;
-      EXPECT_EQ(plain.stats.cycles, observed.stats.cycles) << label;
-      EXPECT_EQ(plain.stats.retired, observed.stats.retired) << label;
-      EXPECT_EQ(plain.stats.place_stalls, observed.stats.place_stalls) << label;
-      EXPECT_EQ(plain.stats.place_stall_causes, observed.stats.place_stall_causes)
-          << label;
-
-#if RCPN_OBS
-      // Probes compiled in: the hub really recorded the run...
-      EXPECT_TRUE(hub.bound()) << label;
       EXPECT_GT(hub.sink().size(), 0u) << label;
-      EXPECT_EQ(hub.profile().cycles, observed.stats.cycles) << label;
-#else
-      // ...and compiled out: the pointer is inert, the hub untouched.
-      EXPECT_FALSE(hub.bound()) << label;
-      EXPECT_EQ(hub.sink().size(), 0u) << label;
-#endif
     }
   }
 }
 
-// -- zero interference + lockstep: fuzz shard ---------------------------------
-
-// Eight generated topologies with hubs attached to BOTH engines of each
-// lockstep pair: traces and stats must agree with each other (and, with
-// probes compiled in, so must the recorded event streams and profiles —
-// the cross-backend stream contract on machines nobody curated).
-TEST(ObsFuzz, EightSeedShardRunsLockstepWithProbesAttached) {
-  for (unsigned seed = 9100; seed < 9108; ++seed) {
-    obs::Hub hub_i, hub_c;
-    core::EngineOptions oi = machines::fuzz_options_for(seed, core::Backend::interpreted);
-    core::EngineOptions oc = machines::fuzz_options_for(seed, core::Backend::compiled);
-    oi.obs = &hub_i;
-    oc.obs = &hub_c;
-    const machines::GoldenRunResult ri =
-        machines::finish_session(*machines::make_fuzz_session(seed, oi));
-    const machines::GoldenRunResult rc =
-        machines::finish_session(*machines::make_fuzz_session(seed, oc));
-
-    ASSERT_FALSE(ri.trace.empty()) << "seed=" << seed;
-    EXPECT_EQ(ri.trace, rc.trace) << "seed=" << seed;
-    EXPECT_EQ(ri.stats.cycles, rc.stats.cycles) << "seed=" << seed;
-    EXPECT_EQ(ri.stats.place_stalls, rc.stats.place_stalls) << "seed=" << seed;
-    EXPECT_EQ(ri.stats.place_stall_causes, rc.stats.place_stall_causes)
-        << "seed=" << seed;
-
-#if RCPN_OBS
-    const std::vector<obs::Event> ei = hub_i.sink().snapshot();
-    const std::vector<obs::Event> ec = hub_c.sink().snapshot();
-    ASSERT_EQ(ei.size(), ec.size()) << "seed=" << seed;
-    EXPECT_TRUE(ei == ec) << "seed=" << seed << ": event streams diverge";
-    EXPECT_TRUE(hub_i.profile() == hub_c.profile())
-        << "seed=" << seed << ": profiles diverge";
-    EXPECT_EQ(hub_i.profile().cycles, ri.stats.cycles) << "seed=" << seed;
-#endif
+// The profile is the run's statistics read at boundaries: fires, stall
+// causes and cycles equal core::Stats, and every stage ends each cycle at
+// exactly one occupancy, so each histogram row sums to the cycle count.
+TEST(ObsGolden, ProfileEqualsTheRunsStats) {
+  for (const std::string& key : machines::golden_machine_keys()) {
+    obs::Hub hub;
+    const machines::GoldenRunResult r =
+        observe_to_end(*machines::make_golden_session(key, {}), hub);
+    const obs::StageProfile& p = hub.profile();
+    EXPECT_EQ(p.cycles, r.stats.cycles) << key;
+    EXPECT_EQ(p.fires, r.stats.transition_fires) << key;
+    EXPECT_EQ(p.stall_causes, r.stats.place_stall_causes) << key;
+    ASSERT_EQ(p.occupancy_hist.size(), hub.meta().stage_names.size()) << key;
+    for (std::size_t s = 0; s < p.occupancy_hist.size(); ++s) {
+      std::uint64_t sum = 0;
+      for (const std::uint64_t n : p.occupancy_hist[s]) sum += n;
+      EXPECT_EQ(sum, r.stats.cycles) << key << " stage " << hub.meta().stage_names[s];
+    }
   }
 }
 
-// -- cross-backend event streams (probes compiled in only) --------------------
+// -- no interference + lockstep: fuzz shard -------------------------------------
 
-#if RCPN_OBS
+// Eight generated topologies, observed on interpreted and compiled: traces,
+// stats, event streams and profiles must agree — the cross-backend stream
+// contract on machines nobody curated.
+TEST(ObsFuzz, EightSeedShardRunsLockstepWithProbesAttached) {
+  for (unsigned seed = 9100; seed < 9108; ++seed) {
+    obs::Hub hub_i, hub_c;
+    const machines::GoldenRunResult ri = observe_to_end(
+        *machines::make_fuzz_session(
+            seed, machines::fuzz_options_for(seed, core::Backend::interpreted)),
+        hub_i);
+    const machines::GoldenRunResult rc = observe_to_end(
+        *machines::make_fuzz_session(
+            seed, machines::fuzz_options_for(seed, core::Backend::compiled)),
+        hub_c);
+
+    ASSERT_FALSE(ri.trace.empty()) << "seed=" << seed;
+    EXPECT_EQ(formatted("fuzz", ri), formatted("fuzz", rc)) << "seed=" << seed;
+    EXPECT_EQ(ri.trace,
+              machines::finish_session(
+                  *machines::make_fuzz_session(
+                      seed, machines::fuzz_options_for(seed, core::Backend::compiled)))
+                  .trace)
+        << "seed=" << seed << ": observing changed the run";
+    EXPECT_TRUE(hub_i.sink().snapshot() == hub_c.sink().snapshot())
+        << "seed=" << seed << ": event streams diverge";
+    EXPECT_TRUE(hub_i.profile() == hub_c.profile())
+        << "seed=" << seed << ": profiles diverge";
+    EXPECT_EQ(hub_i.profile().cycles, ri.stats.cycles) << "seed=" << seed;
+  }
+}
+
+// -- cross-backend event streams ----------------------------------------------
 
 TEST(ObsStreams, AllInProcessBackendsEmitIdenticalEventStreams) {
   for (const std::string& key : machines::golden_machine_keys()) {
@@ -402,8 +409,7 @@ TEST(ObsStreams, AllInProcessBackendsEmitIdenticalEventStreams) {
       obs::Hub hub;
       core::EngineOptions options;
       options.backend = backend;
-      options.obs = &hub;
-      machines::run_golden_machine_full(key, options);
+      observe_to_end(*machines::make_golden_session(key, options), hub);
       const std::vector<obs::Event> events = hub.sink().snapshot();
       ASSERT_GT(events.size(), 0u) << key;
       if (!have_ref) {
@@ -432,16 +438,15 @@ TEST(ObsStreams, ExportedGoldenTraceIsValidJson) {
   obs::Hub hub;
   core::EngineOptions options;
   options.backend = core::Backend::compiled;
-  options.obs = &hub;
-  machines::run_golden_machine_full("strongarm_crc", options);
+  observe_to_end(*machines::make_golden_session("strongarm_crc", options), hub);
   const std::string json = obs::export_chrome_trace(hub);
   EXPECT_TRUE(valid_json(json));
   EXPECT_EQ(count_substr(json, "\"thread_name\""),
             hub.meta().stage_names.size() + 1);
   EXPECT_EQ(count_substr(json, "\"ph\":\"b\""), count_substr(json, "\"ph\":\"e\""));
+  const std::vector<std::uint64_t> ts = extract_ts(json);
+  EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end())) << "timestamps run backwards";
 }
-
-#endif  // RCPN_OBS
 
 // -- stall-cause attribution in Stats::report() -------------------------------
 
