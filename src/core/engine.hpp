@@ -368,9 +368,9 @@ class Engine {
   // Token pools: dense chunked arenas + LIFO free lists (allocation-free
   // steady state; recycled tokens of a pool share cache lines).
   TokenArena<InstructionToken> instr_arena_;
-  std::vector<InstructionToken*> instr_free_;
+  PtrList<InstructionToken> instr_free_;
   TokenArena<Token> res_arena_;
-  std::vector<Token*> res_free_;
+  PtrList<Token> res_free_;
 
   // Per-cycle scratch, reused to avoid allocation in the hot loop.
   std::vector<InstructionToken*> scratch_;

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/token.hpp"
 #include "core/token_store.hpp"
@@ -54,8 +53,8 @@ class PipelineStage {
     return occupancy() - removals + additions <= capacity_;
   }
 
-  const std::vector<Token*>& tokens() const { return store_.ptrs(); }
-  const std::vector<Token*>& incoming() const { return store_.incoming_ptrs(); }
+  const PtrList<Token>& tokens() const { return store_.ptrs(); }
+  const PtrList<Token>& incoming() const { return store_.incoming_ptrs(); }
 
   /// The token lists themselves. Read-only: all mutation goes through the
   /// stage so the two-list routing and occupancy invariants hold.

@@ -28,8 +28,12 @@
 // Token services, two-list promotion, retirement, flush, pools, stats and the
 // cycle tail (clock, watchdog) are inherited core::Engine code; the per-cycle
 // ones (token entry, retirement, recycling, the cycle tail) are defined in
-// engine.hpp so they compile into run(). The interpreted core::Engine stays
-// the independent reference both are checked against cycle for cycle.
+// engine.hpp so they compile into run(). The lists they append to are
+// core::PtrLists, whose growth is one cold out-of-line member, so all of
+// them fold into both generated run()s, XScale's included
+// (bench/check_hot_loop_calls.py checks the perfbench binary). The
+// interpreted core::Engine stays the independent reference both are checked
+// against cycle for cycle.
 //
 // Latches (capacity-1 stages, every shipped ARM stage) take the lean path: a
 // one-token list is tested and fired in place, without the scratch_ snapshot
@@ -280,7 +284,7 @@ class TableEngine : public core::Engine {
   /// not fail. Multi-token lists take the snapshot.
   template <typename At>
   [[gnu::always_inline]] void process(const At& at) {
-    const std::vector<core::Token*>& list = at.stage().tokens();
+    const core::PtrList<core::Token>& list = at.stage().tokens();
     if (list.empty()) return;  // most places are empty most cycles
     if (list.size() == 1) {
       core::Token* t = list.front();

@@ -16,6 +16,8 @@
 //    (occupancy histograms, stall-cause breakdowns, fire counts).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -65,48 +67,55 @@ struct Event {
 
 /// Bounded ring buffer of events: drop-oldest on overflow, with a
 /// dropped counter so exporters can flag truncation instead of hiding it.
+/// The buffer grows as events arrive, up to the capacity, so a short
+/// observed run holds only its own events; once full it wraps in place.
 class EventSink {
  public:
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   explicit EventSink(std::size_t capacity = kDefaultCapacity)
-      : buf_(capacity == 0 ? 1 : capacity) {}
+      : capacity_(capacity == 0 ? 1 : capacity) {}
 
   void push(const Event& e) {
-    buf_[head_] = e;
-    head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
-    if (size_ < buf_.size()) {
-      ++size_;
-    } else {
-      ++dropped_;
+    if (buf_.size() < capacity_) {
+      if (buf_.size() == buf_.capacity())
+        buf_.reserve(std::min(capacity_, std::max<std::size_t>(64, 2 * buf_.size())));
+      buf_.push_back(e);
+      return;
     }
+    buf_[head_] = e;
+    head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
+    ++dropped_;
   }
 
-  std::size_t size() const { return size_; }
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t size() const { return buf_.size(); }
+  std::size_t capacity() const { return capacity_; }
   /// Events evicted because the ring was full (oldest-first eviction).
   std::uint64_t dropped() const { return dropped_; }
 
-  /// The retained events, oldest first.
+  /// The retained events, oldest first: from head_ once the ring has
+  /// wrapped (head_ stays 0 while it grows).
   std::vector<Event> snapshot() const {
     std::vector<Event> out;
-    out.reserve(size_);
-    const std::size_t start = size_ < buf_.size() ? 0 : head_;
-    for (std::size_t i = 0; i < size_; ++i)
-      out.push_back(buf_[(start + i) % buf_.size()]);
+    out.reserve(buf_.size());
+    out.insert(out.end(), buf_.begin() + static_cast<std::ptrdiff_t>(head_), buf_.end());
+    out.insert(out.end(), buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_));
     return out;
   }
 
+  /// Drop the events and counters; the buffer keeps its allocation.
   void clear() {
+    buf_.clear();
     head_ = 0;
-    size_ = 0;
     dropped_ = 0;
   }
 
  private:
+  std::size_t capacity_;
+  /// The retained events; full (size capacity_) once the ring wraps, with
+  /// head_ the oldest slot and the next one overwritten.
   std::vector<Event> buf_;
   std::size_t head_ = 0;
-  std::size_t size_ = 0;
   std::uint64_t dropped_ = 0;
 };
 

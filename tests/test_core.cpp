@@ -459,6 +459,20 @@ TEST(EngineMicroOps, ActionEmitsAdditionalTokens) {
   EXPECT_EQ(eng.stats().retired, 3u);  // original + 2 µ-ops
 }
 
+/// A token list against its reference: same length, and the same token in
+/// every slot (age order).
+::testing::AssertionResult same_slots(const PtrList<Token>& list,
+                                      const std::vector<Token*>& want) {
+  if (list.size() != want.size())
+    return ::testing::AssertionFailure()
+           << "holds " << list.size() << " slots, want " << want.size();
+  for (std::size_t i = 0; i < want.size(); ++i)
+    if (list[i] != want[i])
+      return ::testing::AssertionFailure()
+             << "slot " << i << " holds " << list[i] << ", want " << want[i];
+  return ::testing::AssertionSuccess();
+}
+
 TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
   // The store runs in lockstep with a naive two-list reference model over a
   // seeded mix of every mutating operation, with the population capped at
@@ -466,6 +480,9 @@ TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
   // for slot (age order, two-list routing), occupancy must add up, and a
   // promote must publish InstructionToken::state for exactly the promoted
   // instruction tokens; clear must visit visible slots before incoming ones.
+  // A second pass starts from reserve(1) and calls reserve(k) with k below
+  // the cap mid-churn, so the lists grow while visible and incoming tokens
+  // are resident; age order must survive every growth.
   std::vector<InstructionToken> instrs(64);
   std::vector<Token> reservations(64);
   std::vector<Token*> all;
@@ -476,9 +493,8 @@ TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
     return static_cast<const InstructionToken*>(t)->state;
   };
 
-  std::mt19937 rng(20261016);
-  auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
-  for (const std::size_t cap : {0u, 1u, 2u, 3u, 8u, 16u, 17u, 40u, 64u}) {
+  auto churn = [&](std::mt19937& rng, std::size_t cap, bool reserve_below_cap) {
+    auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
     TokenStore store;
     std::vector<Token*> visible, incoming;             // the reference model
     std::vector<PlaceId> expected_state(all.size(), kUnpublished);
@@ -498,8 +514,13 @@ TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
       return std::find(visible.begin(), visible.end(), t) != visible.end() ||
              std::find(incoming.begin(), incoming.end(), t) != incoming.end();
     };
+    if (reserve_below_cap) store.reserve(1);
+    unsigned grown_with_both_resident = 0;
 
     for (int op = 0; op < 3000; ++op) {
+      const bool both_resident = !visible.empty() && !incoming.empty();
+      const std::size_t caps = store.ptrs().capacity() + store.incoming_ptrs().capacity();
+      if (reserve_below_cap && pick(16) == 0) store.reserve(pick(cap));
       Token* t = all[pick(all.size())];
       switch (pick(8)) {
         case 0:
@@ -550,8 +571,12 @@ TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
           break;
         }
       }
-      ASSERT_EQ(store.ptrs(), visible) << "visible list, cap " << cap << " op " << op;
-      ASSERT_EQ(store.incoming_ptrs(), incoming) << "incoming list, cap " << cap;
+      if (both_resident &&
+          store.ptrs().capacity() + store.incoming_ptrs().capacity() != caps)
+        ++grown_with_both_resident;
+      ASSERT_TRUE(same_slots(store.ptrs(), visible))
+          << "visible list, cap " << cap << " op " << op;
+      ASSERT_TRUE(same_slots(store.incoming_ptrs(), incoming)) << "incoming list, cap " << cap;
       ASSERT_EQ(store.size(), visible.size());
       ASSERT_EQ(store.empty(), visible.empty());
       ASSERT_EQ(store.occupancy(), visible.size() + incoming.size());
@@ -562,6 +587,21 @@ TEST(TokenStore, LockstepChurnMatchesNaiveModel) {
         }
       }
     }
+    if (reserve_below_cap) {
+      EXPECT_GT(grown_with_both_resident, 0u)
+          << "cap " << cap << ": no list grew with both lists holding tokens";
+    }
+  };
+
+  std::mt19937 rng(20261016);
+  for (const std::size_t cap : {0u, 1u, 2u, 3u, 8u, 16u, 17u, 40u, 64u}) {
+    churn(rng, cap, /*reserve_below_cap=*/false);
+    if (HasFatalFailure()) return;
+  }
+  std::mt19937 grow_rng(20261021);
+  for (const std::size_t cap : {17u, 40u, 64u}) {
+    churn(grow_rng, cap, /*reserve_below_cap=*/true);
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -636,8 +676,70 @@ TEST(EngineWidePool, ScansFindOldestReadyAndCountOwnPlace) {
   std::erase_if(inserted, [&](Token* t) {
     return std::find(victims.begin(), victims.end(), t) != victims.end();
   });
-  ASSERT_EQ(eng.token_store(res).ptrs(), inserted);
+  ASSERT_TRUE(same_slots(eng.token_store(res).ptrs(), inserted));
   check("after flush");
+}
+
+/// Exposes the pool services the retire and flush paths share: recycling
+/// and the free lists it fills.
+class PoolProbe : public Engine {
+ public:
+  using Engine::Engine;
+  using Engine::recycle;
+  const PtrList<InstructionToken>& instr_free() const { return instr_free_; }
+  const PtrList<Token>& res_free() const { return res_free_; }
+};
+
+TEST(EnginePools, BeyondThePoolHintFreeListsGrowAndReuseStaysLifo) {
+  // reserve_token_pools() sizes the free lists for a model's steady state; a
+  // run that recycles more tokens than that grows them through the cold
+  // path. Growth must keep the free lists' LIFO order: the token recycled
+  // last is handed out first.
+  Net net("pools");
+  const StageId s1 = net.add_stage("L1", 1);
+  net.add_place("L1", s1);
+  net.add_type("T");
+  PoolProbe eng(net);
+  eng.build();
+  constexpr std::size_t kHint = 16;
+  eng.reserve_token_pools(kHint, kHint);
+  ASSERT_EQ(eng.instr_free().capacity(), kHint);
+  ASSERT_EQ(eng.res_free().capacity(), kHint);
+  const auto* instr_buf = eng.instr_free().data();
+  const auto* res_buf = eng.res_free().data();
+
+  std::vector<InstructionToken*> instrs;
+  std::vector<Token*> reservations;
+  for (std::size_t i = 0; i < 2 * kHint + 5; ++i) {
+    instrs.push_back(eng.acquire_pooled_instruction());
+    reservations.push_back(eng.ckpt_acquire_reservation());
+  }
+  // Recycle in an order of their own (odd slots, then even), so the reuse
+  // order below follows recycling, not acquisition.
+  std::vector<std::size_t> order;
+  for (std::size_t i = 1; i < instrs.size(); i += 2) order.push_back(i);
+  for (std::size_t i = 0; i < instrs.size(); i += 2) order.push_back(i);
+  for (const std::size_t i : order) {
+    eng.recycle(instrs[i]);
+    eng.recycle(reservations[i]);
+  }
+  EXPECT_GT(eng.instr_free().capacity(), kHint);
+  EXPECT_GT(eng.res_free().capacity(), kHint);
+  EXPECT_NE(eng.instr_free().data(), instr_buf);
+  EXPECT_NE(eng.res_free().data(), res_buf);
+  ASSERT_EQ(eng.instr_free().size(), instrs.size());
+  ASSERT_EQ(eng.res_free().size(), reservations.size());
+
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    EXPECT_EQ(eng.acquire_pooled_instruction(), instrs[*it]) << "slot " << *it;
+    EXPECT_EQ(eng.ckpt_acquire_reservation(), reservations[*it]) << "slot " << *it;
+  }
+  EXPECT_TRUE(eng.instr_free().empty());
+  EXPECT_TRUE(eng.res_free().empty());
+  // Emptied, the pools fall back to their arenas: fresh, distinct tokens.
+  InstructionToken* fresh = eng.acquire_pooled_instruction();
+  EXPECT_EQ(std::find(instrs.begin(), instrs.end(), fresh), instrs.end());
+  EXPECT_TRUE(fresh->pool_owned);
 }
 
 TEST(EngineRun, RunExecutesExactlyItsCycleBudget) {

@@ -21,6 +21,8 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 #include <sys/stat.h>
 #include <sys/wait.h>
 
@@ -150,6 +152,60 @@ INSTANTIATE_TEST_SUITE_P(AllMachines, FourWay,
                          ::testing::Values("fig2", "fig5", "tomasulo", "strongarm_crc",
                                            "xscale_adpcm", "stallcause"),
                          [](const auto& info) { return std::string(info.param); });
+
+/// Reads the engine's protected free lists, as test_core.cpp's ProbeEngine
+/// reaches protected members: a member pointer named through a derived
+/// class applies to any core::Engine.
+struct FreeLists : core::Engine {
+  static const core::PtrList<core::InstructionToken>& instructions(const core::Engine& e) {
+    return e.*&FreeLists::instr_free_;
+  }
+  static const core::PtrList<core::Token>& reservations(const core::Engine& e) {
+    return e.*&FreeLists::res_free_;
+  }
+};
+
+/// Every token list buffer of a built engine: each stage's visible and
+/// incoming lists, then the two free lists, as (address, capacity) pairs.
+std::vector<std::pair<const void*, std::size_t>> list_buffers(const core::Engine& eng) {
+  std::vector<std::pair<const void*, std::size_t>> out;
+  for (unsigned s = 0; s < eng.net().num_stages(); ++s) {
+    const core::PipelineStage& st = eng.net().stage(static_cast<core::StageId>(s));
+    out.emplace_back(st.tokens().data(), st.tokens().capacity());
+    out.emplace_back(st.incoming().data(), st.incoming().capacity());
+  }
+  out.emplace_back(FreeLists::instructions(eng).data(), FreeLists::instructions(eng).capacity());
+  out.emplace_back(FreeLists::reservations(eng).data(), FreeLists::reservations(eng).capacity());
+  return out;
+}
+
+TEST(TokenLists, ArmGoldenRunsNeverGrowAListAfterBuild) {
+  // The table engines size every stage list and both free lists at build()
+  // (TokenStore::reserve, Engine::reserve_token_pools), so token entry,
+  // retirement and recycling never reach the lists' cold growth path: a full
+  // StrongArm and XScale golden run must end with every buffer at the
+  // address and capacity build() gave it.
+  for (const char* key : {"strongarm_crc", "xscale_adpcm"}) {
+    for (const core::Backend backend : {core::Backend::compiled, core::Backend::generated}) {
+      const std::string what = std::string(key) +
+                               (backend == core::Backend::compiled ? " compiled" : " generated");
+      const std::unique_ptr<machines::GoldenSession> s =
+          machines::make_golden_session(key, options_for(backend));
+      if (!s->engine().built()) s->engine().build();
+      const auto before = list_buffers(s->engine());
+      for (std::size_t i = 0; i + 2 < before.size(); ++i)
+        EXPECT_GT(before[i].second, 0u) << what << ": list " << i << " not reserved";
+      const GoldenRunResult r = machines::finish_session(*s);
+      ASSERT_GT(r.stats.retired, 100u) << what;
+      const auto after = list_buffers(s->engine());
+      ASSERT_EQ(after.size(), before.size()) << what;
+      for (std::size_t i = 0; i < before.size(); ++i) {
+        EXPECT_EQ(after[i].first, before[i].first) << what << ": list " << i << " moved";
+        EXPECT_EQ(after[i].second, before[i].second) << what << ": list " << i << " grew";
+      }
+    }
+  }
+}
 
 // The stallcause workload is built so that a worker token in PA is rejected
 // by BOTH of its candidates in the same cycle for different causes: the

@@ -210,6 +210,41 @@ TEST(ObsRing, DropsOldestAndCountsEvictions) {
     EXPECT_EQ(kept[i].cycle, 6 + i) << "snapshot must be oldest-first";
 }
 
+TEST(ObsRing, GrowingSinkMatchesTheFixedRingAcrossTheWrap) {
+  // The sink grows as events arrive and wraps once it reaches its capacity.
+  // Against a reference of the fixed drop-oldest ring it replaced, every
+  // push, before and after the growth stops and the wrap starts, must give
+  // the same snapshot (oldest first) and drop count, and so must a run after
+  // clear(), which keeps the buffer.
+  for (const std::size_t capacity : {0u, 1u, 5u, 64u, 100u}) {
+    obs::EventSink sink(capacity);
+    const std::size_t cap = capacity == 0 ? 1 : capacity;
+    ASSERT_EQ(sink.capacity(), cap);
+    for (int round = 0; round < 2; ++round) {
+      std::vector<obs::Event> want;  // the reference ring, oldest first
+      std::uint64_t want_dropped = 0;
+      for (std::uint64_t i = 0; i < 3 * cap + 7; ++i) {
+        const obs::Event e{.cycle = i, .pc = 0x8000 + 4 * i,
+                           .seq = static_cast<std::uint32_t>(i + 100 * round)};
+        sink.push(e);
+        want.push_back(e);
+        if (want.size() > cap) {
+          want.erase(want.begin());
+          ++want_dropped;
+        }
+        ASSERT_EQ(sink.snapshot(), want) << "capacity " << cap << " push " << i;
+        ASSERT_EQ(sink.size(), want.size());
+        ASSERT_EQ(sink.dropped(), want_dropped);
+        ASSERT_EQ(sink.capacity(), cap);
+      }
+      sink.clear();
+      ASSERT_EQ(sink.size(), 0u);
+      ASSERT_EQ(sink.dropped(), 0u);
+      ASSERT_TRUE(sink.snapshot().empty());
+    }
+  }
+}
+
 TEST(ObsRing, ClearResetsEventsCountersAndProfile) {
   obs::Hub hub;
   hub.bind(toy_meta());
